@@ -25,7 +25,8 @@ class CentralityTable:
     params: dict | None = None
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(ValueError):
+    """A data error: the CLI reports every ValueError with exit code 2."""
     def __init__(self, metric: str, iterations: int, residual: float):
         super().__init__(
             f"{metric} did not converge in {iterations} iterations "

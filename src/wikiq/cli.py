@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 
 from .ingest import DumpParseError, RatingsError, tokenize
-from .pipeline import STAGES, PipelineError, RunConfig, run_all, run_stage
+from .pipeline import (INPUT_FILES, STAGE_TABLE, PipelineError, RunConfig,
+                       run_all, run_stage)
 from .synth import SynthSpec, generate
 from .worddiff import edit_distance
 
@@ -73,9 +74,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wikiq", description=__doc__.split("\n")[0])
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES + ("all",):
-        p = sub.add_parser(stage, help=f"run the {stage} stage(s)")
-        _add_stage_options(p)
+    for stage in STAGE_TABLE:
+        reads = stage.inputs + tuple(k for k in stage.config_keys if k in INPUT_FILES)
+        _add_stage_options(sub.add_parser(stage.name, help=(
+            f"reads {', '.join(reads)}; writes {', '.join(stage.outputs)}")))
+    _add_stage_options(sub.add_parser("all", help="run every stage in order"))
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--spec", help="SynthSpec JSON (defaults built in)")
     p.add_argument("--seed", type=int, default=1)

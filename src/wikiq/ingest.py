@@ -335,13 +335,3 @@ def load_ratings(lines: Iterable[str]) -> dict[int, str]:
         ratings[page_id] = cls
     return ratings
 
-
-def write_revision_store(histories: Iterable[PageHistory], fp: IO[str]) -> None:
-    """Emit the intermediate revision summary TSV."""
-    fp.write("page_id\trev_ordinal\tauthor\tkind\ttimestamp\ttoken_count\n")
-    for page in histories:
-        for rev in page.revisions:
-            fp.write(
-                f"{page.page_id}\t{rev.rev_ordinal}\t{rev.author.name}\t"
-                f"{rev.author.kind.value}\t{rev.timestamp}\t{len(rev.tokens)}\n"
-            )

@@ -1,9 +1,11 @@
 """Staged pipeline over persisted TSV/JSONL intermediates.
 
-Each stage reads the artifacts of upstream stages from the workdir, writes
-its own atomically (temp file + rename), and records input/output hashes in
-a manifest so stale or missing intermediates are detected instead of
-silently corrupting a run.
+`STAGE_TABLE` declares each stage once: the workdir artifacts it reads and
+writes and the config fields its outputs depend on. `run_stage` checks every
+input's hash and config against the manifest entry of the stage that made
+it, runs the stage, which writes its artifacts atomically (temp file +
+rename), and records the hashes and config values in the manifest, so stale
+or missing intermediates are refused instead of silently corrupting a run.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import centrality as centrality_mod
 from . import networks, quality
@@ -24,15 +27,16 @@ from .evaluation import (DEFAULT_GAINS, DEFAULT_RELEVANT, FILTER_CONFIGS,
                          build_ranking, ndcg, filtered_eval, percentile_table,
                          precision_recall)
 from .ingest import (AuthorId, AuthorKind, BotConfig, Namespace, PageHistory,
-                     RevisionRecord, load_ratings, parse_dump,
-                     write_revision_store)
+                     RevisionRecord, load_ratings, parse_dump)
 from .longevity import (SelectionParams, build_contributions,
                         read_contributions, read_selections, select_all,
                         write_contributions, write_selections)
 
 log = logging.getLogger(__name__)
 
-STAGES = ("ingest", "contrib", "select", "net", "centrality", "score", "eval")
+# RunConfig fields that name a file outside the workdir; a stage that lists
+# one in its config_keys also records the file's hash among its inputs.
+INPUT_FILES = ("dump", "ratings")
 
 
 class PipelineError(Exception):
@@ -87,81 +91,16 @@ def atomic_write(path: Path, write: Callable) -> None:
         raise
 
 
+def _write_json(path: Path, obj) -> None:
+    atomic_write(path, lambda fp: fp.write(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fp:
         for chunk in iter(lambda: fp.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-class Workdir:
-    """Stage artifact paths plus the hash manifest."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.root = Path(config.workdir)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.manifest_path = self.root / "manifest.json"
-
-    def path(self, name: str) -> Path:
-        return self.root / name
-
-    def _load_manifest(self) -> dict:
-        if self.manifest_path.exists():
-            return json.loads(self.manifest_path.read_text())
-        return {}
-
-    def require(self, stage: str, *names: str) -> list[Path]:
-        paths = []
-        manifest = self._load_manifest()
-        for name in names:
-            p = self.path(name)
-            if not p.exists():
-                producer = _producer_of(name)
-                raise PipelineError(
-                    f"stage {stage!r}: missing artifact {name} "
-                    f"(run {producer!r} first)"
-                )
-            recorded = None
-            for entry in manifest.values():
-                recorded = entry.get("outputs", {}).get(name, recorded)
-            if recorded is not None and recorded != _sha256(p):
-                raise PipelineError(
-                    f"stage {stage!r}: artifact {name} does not match the "
-                    f"manifest (stale; re-run {_producer_of(name)!r})"
-                )
-            paths.append(p)
-        return paths
-
-    def record(self, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
-        manifest = self._load_manifest()
-        manifest[stage] = {
-            "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
-            "outputs": {p.name: _sha256(p) for p in outputs},
-        }
-        atomic_write(
-            self.manifest_path,
-            lambda fp: fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        )
-
-
-ARTIFACTS = {
-    "ingest": ("articles.jsonl", "utp.jsonl", "revisions.tsv"),
-    "contrib": ("contributions.tsv", "diagnostics.tsv"),
-    "select": ("selection.tsv",),
-    "net": ("edges.tsv",),
-    "centrality": ("centrality.tsv",),
-    "score": ("scores.tsv", "provenance.json"),
-    "eval": ("report.tsv", "percentiles.tsv", "pr_curve.tsv"),
-}
-
-
-def _producer_of(name: str) -> str:
-    for stage, names in ARTIFACTS.items():
-        if name in names:
-            return stage
-    return "?"
 
 
 def _history_to_json(page: PageHistory) -> str:
@@ -195,43 +134,25 @@ def _read_histories(path: Path) -> list[PageHistory]:
         return [_history_from_json(line) for line in fp if line.strip()]
 
 
-def stage_ingest(wd: Workdir) -> None:
-    cfg = wd.config
-    dump_path = Path(cfg.dump)
-    if not dump_path.exists():
-        raise PipelineError(f"dump not found: {dump_path}")
+def stage_ingest(cfg: RunConfig, root: Path) -> None:
     articles: list[PageHistory] = []
     utps: list[PageHistory] = []
-    with open(dump_path, "rb") as fp:
+    with open(cfg.dump, "rb") as fp:
         for page in parse_dump(fp, cfg.bot_config()):
             if page.namespace is Namespace.ARTICLE:
                 articles.append(page)
             elif page.namespace is Namespace.USER_TALK:
                 utps.append(page)
-    articles.sort(key=lambda p: p.page_id)
-    utps.sort(key=lambda p: p.page_id)
-
-    def write_jsonl(pages):
-        def writer(fp):
-            for page in pages:
-                fp.write(_history_to_json(page) + "\n")
-        return writer
-
-    atomic_write(wd.path("articles.jsonl"), write_jsonl(articles))
-    atomic_write(wd.path("utp.jsonl"), write_jsonl(utps))
-    atomic_write(
-        wd.path("revisions.tsv"),
-        lambda fp: write_revision_store(articles + utps, fp),
-    )
-    wd.record("ingest", [dump_path],
-              [wd.path(n) for n in ARTIFACTS["ingest"]])
+    for name, pages in (("articles.jsonl", articles), ("utp.jsonl", utps)):
+        pages.sort(key=lambda p: p.page_id)
+        atomic_write(root / name, lambda fp: fp.writelines(
+            _history_to_json(page) + "\n" for page in pages))
 
 
-def stage_contrib(wd: Workdir) -> None:
-    (articles_path,) = wd.require("contrib", "articles.jsonl")
-    histories = _read_histories(articles_path)
-    table = build_contributions(histories, drop_bots=wd.config.exclude_bots)
-    atomic_write(wd.path("contributions.tsv"),
+def stage_contrib(cfg: RunConfig, root: Path) -> None:
+    histories = _read_histories(root / "articles.jsonl")
+    table = build_contributions(histories, drop_bots=cfg.exclude_bots)
+    atomic_write(root / "contributions.tsv",
                  lambda fp: write_contributions(table, fp))
 
     def write_diag(fp):
@@ -239,73 +160,54 @@ def stage_contrib(wd: Workdir) -> None:
         for page_id in sorted(table.max_share):
             fp.write(f"{page_id}\t{table.max_share[page_id]!r}\n")
 
-    atomic_write(wd.path("diagnostics.tsv"), write_diag)
-    wd.record("contrib", [articles_path],
-              [wd.path(n) for n in ARTIFACTS["contrib"]])
+    atomic_write(root / "diagnostics.tsv", write_diag)
 
 
-def stage_select(wd: Workdir) -> None:
-    (contrib_path,) = wd.require("select", "contributions.tsv")
-    with open(contrib_path, encoding="utf-8") as fp:
+def stage_select(cfg: RunConfig, root: Path) -> None:
+    with open(root / "contributions.tsv", encoding="utf-8") as fp:
         table = read_contributions(fp)
-    selections = select_all(table, wd.config.selection)
-    atomic_write(wd.path("selection.tsv"),
+    selections = select_all(table, cfg.selection)
+    atomic_write(root / "selection.tsv",
                  lambda fp: write_selections(selections, fp))
-    wd.record("select", [contrib_path], [wd.path("selection.tsv")])
 
 
-def stage_net(wd: Workdir) -> None:
-    cfg = wd.config
+def stage_net(cfg: RunConfig, root: Path) -> None:
+    with open(root / "selection.tsv", encoding="utf-8") as fp:
+        selections = read_selections(fp, cfg.selection)
     if cfg.network == "coauthor":
-        (sel_path,) = wd.require("net", "selection.tsv")
-        with open(sel_path, encoding="utf-8") as fp:
-            selections = read_selections(fp, cfg.selection)
         graph = networks.build_coauthor(selections.values())
-        inputs = [sel_path]
     elif cfg.network in ("talk-sig", "talk-hist"):
-        utp_path, sel_path = wd.require("net", "utp.jsonl", "selection.tsv")
-        utps = _read_histories(utp_path)
+        utps = _read_histories(root / "utp.jsonl")
         if cfg.network == "talk-sig":
             graph = networks.build_talk_signature(utps)
         else:
             graph = networks.build_talk_history(utps)
-        with open(sel_path, encoding="utf-8") as fp:
-            selections = read_selections(fp, cfg.selection)
         project_authors = {a for sel in selections.values() for a in sel.authors}
         graph = networks.restrict_and_filter(
             graph, project_authors, drop_bots=cfg.exclude_bots,
             bot_config=cfg.bot_config(),
         )
-        inputs = [utp_path, sel_path]
     else:
         raise PipelineError(f"unknown network kind {cfg.network!r}")
-    atomic_write(wd.path("edges.tsv"),
+    atomic_write(root / "edges.tsv",
                  lambda fp: networks.write_edge_list(graph, fp))
-    wd.record("net", inputs, [wd.path("edges.tsv")])
 
 
-def stage_centrality(wd: Workdir) -> None:
-    cfg = wd.config
-    (edges_path,) = wd.require("centrality", "edges.tsv")
-    with open(edges_path, encoding="utf-8") as fp:
+def stage_centrality(cfg: RunConfig, root: Path) -> None:
+    with open(root / "edges.tsv", encoding="utf-8") as fp:
         graph = networks.read_edge_list(fp)
     kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
     table = centrality_mod.compute(cfg.metric, graph, **kwargs)
-    atomic_write(wd.path("centrality.tsv"),
+    atomic_write(root / "centrality.tsv",
                  lambda fp: centrality_mod.write_centrality(table, fp))
-    wd.record("centrality", [edges_path], [wd.path("centrality.tsv")])
 
 
-def stage_score(wd: Workdir) -> None:
-    cfg = wd.config
-    sel_path, contrib_path, cent_path = wd.require(
-        "score", "selection.tsv", "contributions.tsv", "centrality.tsv"
-    )
-    with open(sel_path, encoding="utf-8") as fp:
+def stage_score(cfg: RunConfig, root: Path) -> None:
+    with open(root / "selection.tsv", encoding="utf-8") as fp:
         selections = read_selections(fp, cfg.selection)
-    with open(contrib_path, encoding="utf-8") as fp:
+    with open(root / "contributions.tsv", encoding="utf-8") as fp:
         contributions = read_contributions(fp)
-    with open(cent_path, encoding="utf-8") as fp:
+    with open(root / "centrality.tsv", encoding="utf-8") as fp:
         cent = centrality_mod.read_centrality(fp)
     tables = []
     if "longevity" in cfg.models:
@@ -316,45 +218,41 @@ def stage_score(wd: Workdir) -> None:
         tables.append(quality.combined_qscore(selections, contributions, cent))
     if not tables:
         raise PipelineError("no models configured")
-    atomic_write(wd.path("scores.tsv"),
+    atomic_write(root / "scores.tsv",
                  lambda fp: quality.write_scores(tables, fp))
     provenance = {
-        "config": json.loads(wd.config.to_json()),
+        "config": json.loads(cfg.to_json()),
         "models": {t.model: t.provenance for t in tables},
     }
-    atomic_write(
-        wd.path("provenance.json"),
-        lambda fp: fp.write(json.dumps(provenance, indent=2, sort_keys=True) + "\n"),
-    )
-    wd.record("score", [sel_path, contrib_path, cent_path],
-              [wd.path(n) for n in ARTIFACTS["score"]])
+    _write_json(root / "provenance.json", provenance)
 
 
-def stage_eval(wd: Workdir) -> None:
-    cfg = wd.config
-    (scores_path,) = wd.require("eval", "scores.tsv")
-    ratings_path = Path(cfg.ratings)
-    if not ratings_path.exists():
-        raise PipelineError(f"ratings not found: {ratings_path}")
-    with open(scores_path, encoding="utf-8") as fp:
+def stage_eval(cfg: RunConfig, root: Path) -> None:
+    with open(root / "scores.tsv", encoding="utf-8") as fp:
         by_model = quality.read_scores(fp)
-    with open(ratings_path, encoding="utf-8") as fp:
+    with open(cfg.ratings, encoding="utf-8") as fp:
         labels = load_ratings(fp)
     ks = cfg.eval_k or [len(labels)]
+
+    def write_row(fp, model, configuration, compute):
+        try:
+            value = compute()
+        except ValueError as exc:  # a degenerate label subset
+            log.warning("NDCG undefined for model %s, %s: %s; writing nan",
+                        model, configuration, exc)
+            value = math.nan
+        fp.write(f"{model}\t{configuration}\t{value!r}\n")
 
     def write_report(fp):
         fp.write("model\tconfiguration\tndcg\n")
         for model in sorted(by_model):
             scores = by_model[model]
             for k in ks:
-                value = ndcg(build_ranking(scores, labels), k=min(k, len(labels)))
-                fp.write(f"{model}\tall@k={k}\t{value!r}\n")
+                write_row(fp, model, f"all@k={k}", lambda: ndcg(
+                    build_ranking(scores, labels), k=min(k, len(labels))))
             for name, keep in FILTER_CONFIGS:
-                present = {cls for cls in labels.values()}
-                if not (present & set(keep)):
-                    continue
-                value = filtered_eval(scores, labels, keep)
-                fp.write(f"{model}\t{name}\t{value!r}\n")
+                write_row(fp, model, name,
+                          lambda: filtered_eval(scores, labels, keep))
 
     def write_percentiles(fp):
         fp.write("model\tclass\tbucket\tproportion\n")
@@ -373,33 +271,115 @@ def stage_eval(wd: Workdir) -> None:
             for cutoff, (recall, precision) in enumerate(curve, start=1):
                 fp.write(f"{model}\t{cutoff}\t{recall!r}\t{precision!r}\n")
 
-    atomic_write(wd.path("report.tsv"), write_report)
-    atomic_write(wd.path("percentiles.tsv"), write_percentiles)
-    atomic_write(wd.path("pr_curve.tsv"), write_pr)
-    wd.record("eval", [scores_path, ratings_path],
-              [wd.path(n) for n in ARTIFACTS["eval"]])
+    atomic_write(root / "report.tsv", write_report)
+    atomic_write(root / "percentiles.tsv", write_percentiles)
+    atomic_write(root / "pr_curve.tsv", write_pr)
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "contrib": stage_contrib,
-    "select": stage_select,
-    "net": stage_net,
-    "centrality": stage_centrality,
-    "score": stage_score,
-    "eval": stage_eval,
-}
+class Stage(NamedTuple):
+    name: str
+    inputs: tuple[str, ...]  # workdir artifacts, each made by an earlier stage
+    outputs: tuple[str, ...]
+    config_keys: tuple[str, ...]  # RunConfig fields the stage itself reads
+    fn: Callable[[RunConfig, Path], None]  # writes the outputs under a root
+
+
+STAGE_TABLE = (
+    Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
+          ("dump", "bot_list", "bot_suffix_heuristic"), stage_ingest),
+    Stage("contrib", ("articles.jsonl",), ("contributions.tsv", "diagnostics.tsv"),
+          ("exclude_bots",), stage_contrib),
+    Stage("select", ("contributions.tsv",), ("selection.tsv",),
+          ("selection",), stage_select),
+    Stage("net", ("utp.jsonl", "selection.tsv"), ("edges.tsv",),
+          ("network", "exclude_bots", "bot_list", "bot_suffix_heuristic"), stage_net),
+    Stage("centrality", ("edges.tsv",), ("centrality.tsv",),
+          ("metric", "damping"), stage_centrality),
+    Stage("score", ("selection.tsv", "contributions.tsv", "centrality.tsv"),
+          ("scores.tsv", "provenance.json"), ("models",), stage_score),
+    Stage("eval", ("scores.tsv",), ("report.tsv", "percentiles.tsv", "pr_curve.tsv"),
+          ("ratings", "eval_k", "buckets", "relevant_classes"), stage_eval),
+)
+STAGES = tuple(s.name for s in STAGE_TABLE)
+ARTIFACTS = {s.name: s.outputs for s in STAGE_TABLE}
+PRODUCER = {name: s for s in STAGE_TABLE for name in s.outputs}
+_BY_NAME = {s.name: s for s in STAGE_TABLE}
+
+
+def _lineage(stage: Stage) -> list[Stage]:
+    """The stage and every stage upstream of it, in table order."""
+    names = {stage.name}
+    for s in reversed(STAGE_TABLE):
+        if s.name in names:
+            names.update(PRODUCER[name].name for name in s.inputs)
+    return [s for s in STAGE_TABLE if s.name in names]
+
+
+def _config_values(config: RunConfig, stage: Stage) -> dict:
+    """The config values a stage's outputs depend on (its lineage's
+    config_keys) as JSON stores them, nested fields as dotted keys."""
+    data, values = json.loads(config.to_json()), {}
+    for key in {k for s in _lineage(stage) for k in s.config_keys}:
+        value = data[key]
+        values.update({f"{key}.{k}": v for k, v in value.items()}
+                      if isinstance(value, dict) else {key: value})
+    return values
+
+
+def _check_inputs(stage: Stage, config: RunConfig, manifest: dict) -> dict[str, str]:
+    """Hash each input once and refuse a missing input, one whose hash is
+    not the one its producer recorded, and any upstream stage that ran
+    under other config values. Returns the input hashes to record."""
+    hashes = {}
+    for key in stage.config_keys:
+        if key in INPUT_FILES:
+            path = Path(getattr(config, key))
+            if not path.exists():
+                raise PipelineError(f"{key} not found: {path}")
+            hashes[path.name] = _sha256(path)
+    for name in stage.inputs:
+        producer = PRODUCER[name].name
+        path = Path(config.workdir) / name
+        if not path.exists():
+            raise PipelineError(f"stage {stage.name!r}: missing artifact "
+                                f"{name} (run {producer!r} first)")
+        hashes[name] = _sha256(path)
+        if manifest.get(producer, {}).get("outputs", {}).get(name) != hashes[name]:
+            raise PipelineError(f"stage {stage.name!r}: artifact {name} does not "
+                                f"match the manifest (stale; re-run {producer!r})")
+    for upstream in _lineage(stage)[:-1]:
+        recorded = manifest.get(upstream.name, {}).get("config", {})
+        for key, value in sorted(_config_values(config, upstream).items()):
+            if key not in recorded or recorded[key] != value:
+                raise PipelineError(
+                    f"stage {stage.name!r}: {upstream.name!r} ran with {key}="
+                    f"{recorded.get(key)!r}, the config has {value!r} "
+                    f"(re-run {upstream.name!r})")
+    return hashes
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
-    """Run one pipeline stage; writes resolved config beside the outputs."""
-    if stage not in _STAGE_FUNCS:
+    """Run one stage once its inputs pass the manifest checks, then write the
+    resolved config and record the stage in the manifest. A refused stage
+    writes nothing."""
+    if stage not in _BY_NAME:
         raise PipelineError(f"unknown stage {stage!r}")
-    wd = Workdir(config)
-    atomic_write(wd.path("config_resolved.json"),
-                 lambda fp: fp.write(config.to_json()))
-    log.info("running stage %s in %s", stage, wd.root)
-    _STAGE_FUNCS[stage](wd)
+    spec = _BY_NAME[stage]
+    root = Path(config.workdir)
+    manifest_path = root / "manifest.json"
+    manifest = (json.loads(manifest_path.read_text())
+                if manifest_path.exists() else {})
+    inputs = _check_inputs(spec, config, manifest)
+    root.mkdir(parents=True, exist_ok=True)
+    log.info("running stage %s in %s", stage, root)
+    spec.fn(config, root)
+    _write_json(root / "config_resolved.json", dataclasses.asdict(config))
+    manifest[stage] = {
+        "config": _config_values(config, spec),
+        "inputs": inputs,
+        "outputs": {name: _sha256(root / name) for name in spec.outputs},
+    }
+    _write_json(manifest_path, manifest)
 
 
 def run_all(config: RunConfig) -> None:

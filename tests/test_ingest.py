@@ -5,7 +5,7 @@ import pytest
 
 from wikiq.ingest import (AuthorKind, BotConfig, DumpParseError, Namespace,
                           RatingsError, load_ratings, make_author, parse_dump,
-                          serialize_dump, tokenize, write_revision_store)
+                          serialize_dump, tokenize)
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
 
@@ -224,9 +224,7 @@ class TestParseDump:
             dump = simple_dump([
                 ("A", 0, 1, [(USER.format("X"), "2011-01-01T00:00:00Z", "a b c")]),
             ])
-            buf = io.StringIO()
-            write_revision_store(parse_dump(dump, BOTS), buf)
-            return buf.getvalue()
+            return list(parse_dump(dump, BOTS))
 
         assert parse() == parse()
 

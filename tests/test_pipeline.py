@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
-from wikiq.pipeline import (ARTIFACTS, STAGES, PipelineError, RunConfig,
-                            Workdir, run_all, run_stage)
+from wikiq.longevity import SelectionParams
+from wikiq.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineError,
+                            RunConfig, run_all, run_stage)
 from wikiq.synth import SynthSpec, generate
 
 
@@ -38,6 +40,10 @@ def make_config(root: Path, workdir="work") -> RunConfig:
         ratings=str(root / "ratings.tsv"),
         workdir=str(root / workdir),
     )
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
 def artifact_bytes(workdir: Path) -> dict:
@@ -165,6 +171,63 @@ class TestStages:
         for entry in manifest.values():
             for digest in entry["outputs"].values():
                 assert len(digest) == 64
+        assert len(manifest["ingest"]["inputs"]["dump.xml"]) == 64
+        assert len(manifest["eval"]["inputs"]["ratings.tsv"]) == 64
+        assert manifest["select"]["config"]["selection.theta"] == cfg.selection.theta
+        assert manifest["eval"]["config"]["network"] == cfg.network
+
+    def test_stale_config_refused_without_writing(self, corpus):
+        cfg = make_config(corpus)
+        run_all(cfg)
+        before = tree_bytes(Path(cfg.workdir))
+        changed = dataclasses.replace(
+            cfg, selection=SelectionParams(theta=0.5), network="coauthor")
+        with pytest.raises(PipelineError, match="selection.theta.*re-run 'select'"):
+            run_stage("score", changed)
+        assert tree_bytes(Path(cfg.workdir)) == before
+
+    def test_stale_config_names_first_stale_stage(self, corpus):
+        cfg = make_config(corpus)
+        run_all(cfg)
+        changed = dataclasses.replace(cfg, selection=SelectionParams(theta=0.5))
+        run_stage("select", changed)
+        with pytest.raises(PipelineError, match="re-run 'net'"):
+            run_stage("score", changed)
+        for stage in ("net", "centrality", "score", "eval"):
+            run_stage(stage, changed)
+
+    def test_undefined_ndcg_row_is_nan(self, tmp_path, caplog):
+        dump, ratings = generate(SynthSpec(
+            pages_per_class={"GA": 10, "C": 15, "Start": 20, "Stub": 25}))
+        (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+        (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+        cfg = make_config(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(cfg.to_json())
+        assert main(["all", "--config", str(config)]) == 0
+        work = Path(cfg.workdir)
+        lines = (work / "report.tsv").read_text().strip().split("\n")
+        rows = [line.split("\t") for line in lines[1:]]
+        models = {model for model, _, _ in rows}
+        assert models == {"longevity", "cen_pagerank", "com_pagerank"}
+        assert {(m, c) for m, c, v in rows if v == "nan"} == {
+            (m, "FA-Stub") for m in models}
+        assert (work / "percentiles.tsv").exists()
+        assert (work / "pr_curve.tsv").exists()
+        assert "FA-Stub" in caplog.text
+
+
+def test_stage_table_is_a_closed_graph():
+    """Every input has one producer earlier in the table, and every config
+    field but workdir is some stage's config key, so a field cannot escape
+    the manifest's staleness check."""
+    for i, stage in enumerate(STAGE_TABLE):
+        for name in stage.inputs:
+            producers = [j for j, s in enumerate(STAGE_TABLE) if name in s.outputs]
+            assert len(producers) == 1 and producers[0] < i, (stage.name, name)
+    keys = {k for s in STAGE_TABLE for k in s.config_keys}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert keys == fields - {"workdir"}
 
 
 class TestCli:
@@ -197,6 +260,32 @@ class TestCli:
         config.write_text(cfg.to_json())
         assert main(["ingest", "--config", str(config)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_stale_config_exit_code(self, corpus, capsys):
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        capsys.readouterr()
+        changed = self.write_config(corpus, "changed.json", network="coauthor",
+                                    selection=SelectionParams(theta=0.5))
+        assert main(["score", "--config", str(changed)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: ")
+        assert "'select'" in err[0]
+
+    def test_convergence_error_exit_code(self, corpus, capsys, monkeypatch):
+        config = self.write_config(corpus)
+        for stage in ("ingest", "contrib", "select", "net"):
+            assert main([stage, "--config", str(config)]) == 0
+
+        def diverge(graph, **kwargs):
+            raise ConvergenceError("pagerank", 100, 0.5)
+
+        monkeypatch.setattr("wikiq.centrality.pagerank", diverge)
+        capsys.readouterr()
+        assert main(["centrality", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["wikiq: error: pagerank did not converge in 100 "
+                       "iterations (residual 5.000e-01)"]
 
     def test_out_of_order_stage_exit_code(self, corpus, capsys):
         config = self.write_config(corpus)
