@@ -196,8 +196,13 @@ def stage_net(cfg: RunConfig, root: Path) -> None:
 def stage_centrality(cfg: RunConfig, root: Path) -> None:
     with open(root / "edges.tsv", encoding="utf-8") as fp:
         graph = networks.read_edge_list(fp)
-    kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
-    table = centrality_mod.compute(cfg.metric, graph, **kwargs)
+    if graph.nodes:
+        kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
+        table = centrality_mod.compute(cfg.metric, graph, **kwargs)
+    else:  # e.g. a dump without user talk pages under a talk network
+        log.warning("the %s network has no nodes; writing an empty %s table",
+                    graph.kind, cfg.metric)
+        table = centrality_mod.CentralityTable(cfg.metric, graph.kind, {})
     atomic_write(root / "centrality.tsv",
                  lambda fp: centrality_mod.write_centrality(table, fp))
 
@@ -326,17 +331,37 @@ def _config_values(config: RunConfig, stage: Stage) -> dict:
     return values
 
 
-def _check_inputs(stage: Stage, config: RunConfig, manifest: dict) -> dict[str, str]:
+def _input_file(config: RunConfig, key: str) -> tuple[Path, os.stat_result]:
+    """The input file a config field names, and its stat."""
+    path = Path(getattr(config, key))
+    try:
+        return path, path.stat()
+    except FileNotFoundError:
+        raise PipelineError(f"{key} not found: {path}") from None
+
+
+def _written_ns(root: Path, stage: Stage) -> int:
+    """The mtime of a stage's oldest output, -1 if one is missing."""
+    try:
+        return min((root / name).stat().st_mtime_ns for name in stage.outputs)
+    except FileNotFoundError:
+        return -1
+
+
+def _check_inputs(stage: Stage, config: RunConfig,
+                  manifest: dict) -> tuple[dict[str, str], dict[str, int]]:
     """Hash each input once and refuse a missing input, one whose hash is
-    not the one its producer recorded, and any upstream stage that ran
-    under other config values. Returns the input hashes to record."""
-    hashes = {}
+    not the one its producer recorded, any upstream stage that ran under
+    other config values, and an input file that changed since an upstream
+    stage read it. Such a file is re-hashed only if its size differs from
+    the recorded one or it is not older than that stage's outputs, so the
+    record stays free of timestamps. Returns the input hashes and the
+    input files' sizes to record."""
+    hashes, sizes = {}, {}
     for key in stage.config_keys:
         if key in INPUT_FILES:
-            path = Path(getattr(config, key))
-            if not path.exists():
-                raise PipelineError(f"{key} not found: {path}")
-            hashes[path.name] = _sha256(path)
+            path, st = _input_file(config, key)
+            hashes[path.name], sizes[path.name] = _sha256(path), st.st_size
     for name in stage.inputs:
         producer = PRODUCER[name].name
         path = Path(config.workdir) / name
@@ -348,14 +373,25 @@ def _check_inputs(stage: Stage, config: RunConfig, manifest: dict) -> dict[str, 
             raise PipelineError(f"stage {stage.name!r}: artifact {name} does not "
                                 f"match the manifest (stale; re-run {producer!r})")
     for upstream in _lineage(stage)[:-1]:
-        recorded = manifest.get(upstream.name, {}).get("config", {})
+        entry = manifest.get(upstream.name, {})
+        recorded = entry.get("config", {})
         for key, value in sorted(_config_values(config, upstream).items()):
             if key not in recorded or recorded[key] != value:
                 raise PipelineError(
                     f"stage {stage.name!r}: {upstream.name!r} ran with {key}="
                     f"{recorded.get(key)!r}, the config has {value!r} "
                     f"(re-run {upstream.name!r})")
-    return hashes
+        for key in upstream.config_keys:
+            if key not in INPUT_FILES:
+                continue
+            path, st = _input_file(config, key)
+            if ((st.st_size != entry.get("sizes", {}).get(path.name)
+                 or st.st_mtime_ns >= _written_ns(Path(config.workdir), upstream))
+                    and _sha256(path) != entry.get("inputs", {}).get(path.name)):
+                raise PipelineError(
+                    f"stage {stage.name!r}: {key} {path} changed since "
+                    f"{upstream.name!r} read it (re-run {upstream.name!r})")
+    return hashes, sizes
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
@@ -369,7 +405,7 @@ def run_stage(stage: str, config: RunConfig) -> None:
     manifest_path = root / "manifest.json"
     manifest = (json.loads(manifest_path.read_text())
                 if manifest_path.exists() else {})
-    inputs = _check_inputs(spec, config, manifest)
+    inputs, sizes = _check_inputs(spec, config, manifest)
     root.mkdir(parents=True, exist_ok=True)
     log.info("running stage %s in %s", stage, root)
     spec.fn(config, root)
@@ -378,6 +414,7 @@ def run_stage(stage: str, config: RunConfig) -> None:
         "config": _config_values(config, spec),
         "inputs": inputs,
         "outputs": {name: _sha256(root / name) for name in spec.outputs},
+        "sizes": sizes,
     }
     _write_json(manifest_path, manifest)
 

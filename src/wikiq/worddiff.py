@@ -4,13 +4,36 @@ Distance between two token sequences is max(I, D) - min(I, D)/2 + M where
 I is inserted words, D deleted words, and M sums, per matched block, the
 block length times the fraction of the (matched) document the block moved
 across.  Blocks come from iterated greedy longest-common-substring
-matching; each token matches at most once per side.
+matching (Tichy 1984): each step takes the longest common run of tokens
+still unmatched on both sides, ties to the smallest (a_start, b_start), so
+each token matches at most once per side.
+
+`match_blocks` finds the candidate runs once instead of rescanning after
+every block:
+
+1. Every maximal common run of at least K tokens starts at a shared K-gram
+   whose preceding tokens differ; it is extended by slice compares and put
+   in a bucket by its length.
+2. Once no free run of K tokens is left, one scan over the free positions
+   finds the shorter maximal free runs, bucketed the same way.
+
+Buckets are taken longest first, each sorted by (a_start, b_start). A run
+whose positions are all still free is maximal among the free runs, and no
+longer free run exists, because every free run lies inside a run that was
+bucketed at least as long; so it is the run the greedy takes next. A run
+that lost positions is split into its maximal free pieces, which go back
+in the shorter buckets. Taking blocks only removes free positions, so the
+result is the greedy's block list, in the greedy's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+
+# Phase 1 seeds the runs of at least K tokens from shared K-grams.
+K = 3
 
 
 @dataclass(frozen=True)
@@ -28,57 +51,93 @@ class DiffBreakdown:
     distance: float
 
 
-def _longest_common_block(a: Sequence[str], b: Sequence[str],
-                          a_free: list[bool], b_free: list[bool],
-                          occ: dict[str, list[int]]) -> Block | None:
-    """Longest common substring over still-unmatched positions.
+def _common_run(a: Sequence[str], b: Sequence[str], i: int, j: int) -> int:
+    """Length of the common run a[i:], b[j:], found by galloping slice
+    compares and then halving the step."""
+    limit = min(len(a) - i, len(b) - j)
+    n, step = 0, 1
+    while step <= limit - n and a[i + n:i + n + step] == b[j + n:j + n + step]:
+        n += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= limit - n and a[i + n:i + n + step] == b[j + n:j + n + step]:
+            n += step
+    return n
 
-    Ties break by smallest a offset, then smallest b offset.
+
+def _take_runs(buckets: dict[int, list[tuple[int, int]]], floor: int,
+               a_free: bytearray, b_free: bytearray, blocks: list[Block]) -> None:
+    """Take runs longest first, ties to the smallest (a_start, b_start).
+
+    A run that lost positions to an earlier block is split into its maximal
+    free pieces; each piece of at least `floor` tokens goes back in the bucket
+    of its (shorter) length, which is sorted only when its turn comes.
     """
-    best_len = 0
-    best_a = best_b = 0
-    prev: dict[int, int] = {}
-    for j, tok in enumerate(b):
-        if not b_free[j]:
-            prev = {}
-            continue
-        cur: dict[int, int] = {}
-        for k in occ.get(tok, ()):
-            if not a_free[k]:
+    while buckets:
+        length = max(buckets)
+        starts = buckets.pop(length)
+        starts.sort()
+        for i, j in starts:
+            if a_free.find(0, i, i + length) < 0 and b_free.find(0, j, j + length) < 0:
+                blocks.append(Block(i, j, length))
+                a_free[i:i + length] = bytes(length)
+                b_free[j:j + length] = bytes(length)
                 continue
-            run = prev.get(k - 1, 0) + 1
-            cur[k] = run
-            a_start = k - run + 1
-            b_start = j - run + 1
-            if run > best_len or (
-                run == best_len and (a_start, b_start) < (best_a, best_b)
-            ):
-                best_len = run
-                best_a = a_start
-                best_b = b_start
-        prev = cur
-    if best_len == 0:
-        return None
-    return Block(best_a, best_b, best_len)
+            t = 0
+            while t < length:
+                while t < length and not (a_free[i + t] and b_free[j + t]):
+                    t += 1
+                start = t
+                while t < length and a_free[i + t] and b_free[j + t]:
+                    t += 1
+                if t - start >= floor:
+                    buckets.setdefault(t - start, []).append((i + start, j + start))
 
 
 def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
-    """Greedy iterated longest-common-substring block alignment."""
-    a_free = [True] * len(a)
-    b_free = [True] * len(b)
+    """Greedy iterated longest-common-substring block alignment.
+
+    Returns the blocks in the order the greedy takes them.
+    """
+    a, b = list(a), list(b)  # the slice compares need one sequence type
+    a_free = bytearray(b"\x01") * len(a)
+    b_free = bytearray(b"\x01") * len(b)
+    blocks: list[Block] = []
+    # Phase 1: every maximal common run of at least K tokens starts at a
+    # shared K-gram whose preceding tokens differ.
+    index: dict[tuple[str, ...], list[int]] = {}
+    for i, gram in enumerate(zip(*(a[s:] for s in range(K)))):
+        index.setdefault(gram, []).append(i)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for j, gram in enumerate(zip(*(b[s:] for s in range(K)))):
+        for i in index.get(gram, ()):
+            if i and j and a[i - 1] == b[j - 1]:
+                continue
+            length = K + _common_run(a, b, i + K, j + K)
+            buckets.setdefault(length, []).append((i, j))
+    _take_runs(buckets, K, a_free, b_free, blocks)
+    # Phase 2: the free runs left are shorter than K; find them in one scan
+    # of the free positions.
+    if a_free.find(1) < 0 or b_free.find(1) < 0:
+        return blocks
     occ: dict[str, list[int]] = {}
     for i, tok in enumerate(a):
-        occ.setdefault(tok, []).append(i)
-    blocks: list[Block] = []
-    while True:
-        block = _longest_common_block(a, b, a_free, b_free, occ)
-        if block is None:
-            break
-        blocks.append(block)
-        for i in range(block.a_start, block.a_start + block.length):
-            a_free[i] = False
-        for j in range(block.b_start, block.b_start + block.length):
-            b_free[j] = False
+        if a_free[i]:
+            occ.setdefault(tok, []).append(i)
+    buckets = {}
+    for j, tok in enumerate(b):
+        if not b_free[j]:
+            continue
+        for i in occ.get(tok, ()):
+            if i and j and a_free[i - 1] and b_free[j - 1] and a[i - 1] == b[j - 1]:
+                continue
+            n = 1
+            while (i + n < len(a) and j + n < len(b) and a_free[i + n]
+                   and b_free[j + n] and a[i + n] == b[j + n]):
+                n += 1
+            buckets.setdefault(n, []).append((i, j))
+    _take_runs(buckets, 1, a_free, b_free, blocks)
     return blocks
 
 

@@ -1,11 +1,68 @@
 import itertools
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wikiq.worddiff import Block, DiffBreakdown, edit_distance, match_blocks, triangle_guard
+from wikiq import worddiff
+from wikiq.worddiff import (K, Block, DiffBreakdown, edit_distance, match_blocks,
+                            triangle_guard)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=30)
+
+
+def _longest_common_block(a, b, a_free, b_free, occ):
+    """Longest common substring over still-unmatched positions.
+
+    Ties break by smallest a offset, then smallest b offset.
+    """
+    best_len = 0
+    best_a = best_b = 0
+    prev: dict[int, int] = {}
+    for j, tok in enumerate(b):
+        if not b_free[j]:
+            prev = {}
+            continue
+        cur: dict[int, int] = {}
+        for k in occ.get(tok, ()):
+            if not a_free[k]:
+                continue
+            run = prev.get(k - 1, 0) + 1
+            cur[k] = run
+            a_start = k - run + 1
+            b_start = j - run + 1
+            if run > best_len or (
+                run == best_len and (a_start, b_start) < (best_a, best_b)
+            ):
+                best_len = run
+                best_a = a_start
+                best_b = b_start
+        prev = cur
+    if best_len == 0:
+        return None
+    return Block(best_a, best_b, best_len)
+
+
+def reference_match_blocks(a, b):
+    """Greedy iterated longest-common-substring block alignment, rescanning
+    every free token pair after each block it takes."""
+    a_free = [True] * len(a)
+    b_free = [True] * len(b)
+    occ: dict[str, list[int]] = {}
+    for i, tok in enumerate(a):
+        occ.setdefault(tok, []).append(i)
+    blocks: list[Block] = []
+    while True:
+        block = _longest_common_block(a, b, a_free, b_free, occ)
+        if block is None:
+            break
+        blocks.append(block)
+        for i in range(block.a_start, block.a_start + block.length):
+            a_free[i] = False
+        for j in range(block.b_start, block.b_start + block.length):
+            b_free[j] = False
+    return blocks
 
 
 def brute_longest_common_substring(a, b):
@@ -138,3 +195,77 @@ def test_every_token_matched_at_most_once():
     assert len(seen_b) == len(set(seen_b))
     for bl in blocks:
         assert a[bl.a_start:bl.a_start + bl.length] == b[bl.b_start:bl.b_start + bl.length]
+
+
+def assert_same_as_reference(a, b):
+    assert match_blocks(a, b) == reference_match_blocks(a, b)
+    assert match_blocks(b, a) == reference_match_blocks(b, a)
+    with mock.patch.object(worddiff, "match_blocks", reference_match_blocks):
+        expected = edit_distance(a, b)
+    assert edit_distance(a, b) == expected
+
+
+@st.composite
+def small_alphabet_pairs(draw):
+    alphabet = "abcdefgh"[:draw(st.integers(min_value=1, max_value=8))]
+    side = st.lists(st.sampled_from(alphabet), max_size=60)
+    return draw(side), draw(side)
+
+
+@given(small_alphabet_pairs())
+@settings(max_examples=500)
+def test_matches_reference_on_small_alphabets(pair):
+    assert_same_as_reference(*pair)
+
+
+@st.composite
+def runs_around_k(draw):
+    """Runs of K-1, K and K+1 tokens, reordered and joined by short gaps."""
+    lengths = draw(st.lists(st.sampled_from([K - 1, K, K + 1]),
+                            min_size=1, max_size=8))
+    runs = [draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+            for n in lengths]
+    order = draw(st.permutations(range(len(runs))))
+    gap = st.lists(st.sampled_from("abx"), max_size=2)
+    a = [tok for run in runs for tok in run + draw(gap)]
+    b = [tok for k in order for tok in runs[k] + draw(gap)]
+    return a, b
+
+
+@given(runs_around_k())
+@settings(max_examples=300)
+def test_matches_reference_on_runs_around_k(pair):
+    assert_same_as_reference(*pair)
+
+
+def zipf_words(rng, n, vocabulary=2000):
+    weights = [1.0 / (rank + 1) for rank in range(vocabulary)]
+    return [f"w{r}" for r in rng.choices(range(vocabulary), weights, k=n)]
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=100, max_value=400),
+       st.sampled_from(["insert", "delete", "move"]))
+@settings(max_examples=60, deadline=None)
+def test_matches_reference_on_zipf_edits(seed, n, edit):
+    rng = random.Random(seed)
+    a = zipf_words(rng, n)
+    b = list(a)
+    start = rng.randrange(n)
+    span = rng.randint(1, 40)
+    if edit == "insert":
+        b[start:start] = zipf_words(rng, span)
+    elif edit == "delete":
+        del b[start:start + span]
+    else:
+        moved = b[start:start + span]
+        del b[start:start + span]
+        at = rng.randrange(len(b) + 1)
+        b[at:at] = moved
+    assert_same_as_reference(a, b)
+
+
+def test_tuple_and_list_inputs_agree():
+    a = tuple("abcdefgh")
+    b = list("xxabcdefghyy")
+    assert match_blocks(a, b) == [Block(0, 2, 8)]

@@ -4,10 +4,16 @@ exit codes."""
 
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wikiq
+from wikiq import pipeline
 from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
 from wikiq.longevity import SelectionParams
@@ -124,6 +130,22 @@ class TestStages:
         with pytest.raises(PipelineError, match="stale"):
             run_stage("select", cfg)
 
+    def test_unchanged_dump_not_rehashed(self, corpus, monkeypatch):
+        cfg = make_config(corpus)
+        st = os.stat(cfg.dump)
+        os.utime(cfg.dump, ns=(st.st_atime_ns, st.st_mtime_ns - 10**10))
+        run_all(cfg)
+        manifest = json.loads((Path(cfg.workdir) / "manifest.json").read_text())
+        assert manifest["ingest"]["sizes"] == {"dump.xml": st.st_size}
+        hashed = []
+        real_sha256 = pipeline._sha256
+        monkeypatch.setattr(pipeline, "_sha256",
+                            lambda path: hashed.append(Path(path).name)
+                            or real_sha256(path))
+        for stage in ("net", "centrality", "score"):
+            run_stage(stage, cfg)
+        assert "dump.xml" not in hashed
+
     def test_deterministic_across_workdirs(self, corpus):
         a = make_config(corpus, "work_a")
         b = make_config(corpus, "work_b")
@@ -215,6 +237,34 @@ class TestStages:
         assert (work / "percentiles.tsv").exists()
         assert (work / "pr_curve.tsv").exists()
         assert "FA-Stub" in caplog.text
+
+
+def test_articles_only_dump_finishes(tmp_path, caplog):
+    """Without user talk pages the talk network is empty: the run still
+    writes every score, with a zero centrality model."""
+    full, bare = tmp_path / "full", tmp_path / "bare"
+    assert main(["synth", "--seed", "1", "--out", str(full)]) == 0
+    bare.mkdir()
+    dump = (full / "dump.xml").read_text(encoding="utf-8")
+    stripped = re.sub(r"  <page>\n    <title>User talk:.*?</page>\n", "", dump,
+                      flags=re.S)
+    assert "User talk:" in dump and "User talk:" not in stripped
+    (bare / "dump.xml").write_text(stripped, encoding="utf-8")
+    (bare / "ratings.tsv").write_bytes((full / "ratings.tsv").read_bytes())
+    scores = {}
+    for root in (full, bare):
+        config = root / "config.json"
+        config.write_text(make_config(root).to_json())
+        assert main(["all", "--config", str(config)]) == 0
+        lines = (root / "work" / "scores.tsv").read_text().strip().split("\n")
+        scores[root] = [line.split("\t") for line in lines[1:]]
+    longevity = {r: [row for row in rows if row[1] == "longevity"]
+                 for r, rows in scores.items()}
+    assert longevity[bare] == longevity[full] != []
+    centrality = [row for row in scores[bare] if row[1] == "cen_pagerank"]
+    assert len(centrality) == len(longevity[bare])
+    assert all(score == "0.0" for _, _, score in centrality)
+    assert "network has no nodes" in caplog.text
 
 
 def test_stage_table_is_a_closed_graph():
@@ -318,6 +368,32 @@ class TestCli:
         assert main(["synth", "--seed", "5", "--out", str(b)]) == 0
         assert (a / "dump.xml").read_bytes() == (b / "dump.xml").read_bytes()
         assert (a / "ratings.tsv").read_bytes() == (b / "ratings.tsv").read_bytes()
+
+    def test_dump_edited_after_ingest_exit_code(self, corpus, capsys):
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        dump = corpus / "dump.xml"
+        dump.write_text(dump.read_text().replace("<text>", "<text>extra words ", 1))
+        for stage in ("contrib", "eval"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(config)]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and "changed since 'ingest'" in err[0]
+
+    def test_touched_dump_still_runs(self, corpus):
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        os.utime(corpus / "dump.xml")
+        assert main(["contrib", "--config", str(config)]) == 0
+
+    def test_python_m_wikiq(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(wikiq.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-m", "wikiq", "--help"],
+                                capture_output=True, text=True, env=env,
+                                timeout=60)
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: wikiq")
 
     def test_diff_subcommand(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("the quick brown fox")
