@@ -1,15 +1,27 @@
 """Centrality metrics over author graphs: degree, betweenness (Brandes),
 eigenvector (power iteration), and PageRank.
 
-All iteration orders are fixed by sorted node id, so results are
-deterministic for a given graph.
+The kernels work on an indexed view of the graph (`_indexed`): node i is the
+i-th name in sorted order, and each node's weighted successors are a list of
+(index, weight) pairs in the order the edges first name them. Per-node state
+is a plain list indexed the same way; eigenvector also flattens the rows into
+one index list and one weight list, so each power step runs in C-level maps.
+
+Every score is bit-for-bit what a name-keyed walk over the same sorted order
+gives, because each float comes from the same operations in the same order:
+BFS and stack order follow sorted node and successor order; each row sum adds
+the same products in the same order; and a total that is written as `sum()`
+here is one in the name-keyed form too, while an accumulation written as
+`+=` stays `+=` (from Python 3.12 `sum()` of floats is compensated, so the
+two differ). The tests keep the name-keyed kernels as a differential oracle.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, mul, sub, truediv
 from typing import IO, Iterable
 
 from .networks import AuthorGraph
@@ -35,16 +47,21 @@ class ConvergenceError(ValueError):
         self.residual = residual
 
 
-def _adjacency(g: AuthorGraph, symmetrize: bool) -> dict[str, dict[str, float]]:
-    """Weighted successor map; undirected edges count both ways."""
-    adj: dict[str, dict[str, float]] = {n: {} for n in g.nodes}
+def _indexed(g: AuthorGraph, symmetrize: bool
+             ) -> tuple[list[str], list[list[tuple[int, float]]]]:
+    """The nodes in sorted order, and each node's weighted successors as
+    (index, weight) pairs in first-edge order; undirected edges count both
+    ways."""
+    order = sorted(g.nodes)
+    index = {n: i for i, n in enumerate(order)}
+    adj: list[dict[int, float]] = [{} for _ in order]
+    both = symmetrize or not g.directed
     for (src, dst), w in g.edges.items():
-        if symmetrize or not g.directed:
-            adj[src][dst] = adj[src].get(dst, 0.0) + w
-            adj[dst][src] = adj[dst].get(src, 0.0) + w
-        else:
-            adj[src][dst] = adj[src].get(dst, 0.0) + w
-    return adj
+        s, d = index[src], index[dst]
+        adj[s][d] = adj[s].get(d, 0.0) + w
+        if both:
+            adj[d][s] = adj[d].get(s, 0.0) + w
+    return order, [list(row.items()) for row in adj]
 
 
 def degree(g: AuthorGraph) -> CentralityTable:
@@ -69,37 +86,39 @@ def betweenness(g: AuthorGraph) -> CentralityTable:
     Ordered-pair sums; undirected results are reported as half of that, per
     the usual convention.
     """
-    succ = _adjacency(g, symmetrize=False)
-    order = sorted(g.nodes)
-    cb = {n: 0.0 for n in order}
-    for source in order:
-        stack: list[str] = []
-        pred: dict[str, list[str]] = {n: [] for n in order}
-        sigma = {n: 0.0 for n in order}
-        dist = {n: -1 for n in order}
+    order, nbrs = _indexed(g, symmetrize=False)
+    n = len(order)
+    succ = [sorted(w for w, _ in row) for row in nbrs]
+    cb = [0.0] * n
+    for source in range(n):
+        sigma = [0.0] * n
+        dist = [-1] * n
+        pred: list[list[int]] = [[] for _ in order]
         sigma[source] = 1.0
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in sorted(succ[v]):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = {n: 0.0 for n in order}
-        while stack:
-            w = stack.pop()
+        seen = [source]  # BFS order; read backwards it is the stack order
+        for v in seen:
+            dv = dist[v] + 1
+            sv = sigma[v]
+            for w in succ[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = dv
+                    seen.append(w)
+                elif dw != dv:
+                    continue
+                sigma[w] += sv
+                pred[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(seen[1:]):  # the source has no predecessors
+            sw = sigma[w]
+            carried = 1.0 + delta[w]
             for v in pred[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                cb[w] += delta[w]
+                delta[v] += (sigma[v] / sw) * carried
+            cb[w] += delta[w]
     if not g.directed:
-        cb = {n: v / 2.0 for n, v in cb.items()}
-    return CentralityTable("betweenness", g.kind, cb)
+        cb = [v / 2.0 for v in cb]
+    return CentralityTable("betweenness", g.kind, dict(zip(order, cb)))
 
 
 def eigenvector(g: AuthorGraph, tol: float = 1e-10,
@@ -112,22 +131,27 @@ def eigenvector(g: AuthorGraph, tol: float = 1e-10,
     """
     if not g.nodes:
         raise ValueError("empty graph")
-    adj = _adjacency(g, symmetrize=True)
-    order = sorted(g.nodes)
+    order, nbrs = _indexed(g, symmetrize=True)
     if not g.edges:
         log.warning("eigenvector centrality on an edgeless graph: all zeros")
         return CentralityTable("eigenvector", g.kind, {n: 0.0 for n in order},
                                {"tol": tol})
-    x = {n: 1.0 for n in order}
+    index = [m for row in nbrs for m, _ in row]
+    weight = [w for row in nbrs for _, w in row]
+    lengths = list(map(len, nbrs))
+    x = [1.0] * len(order)
     residual = float("inf")
     for _ in range(max_iter):
-        nxt = {n: x[n] + sum(w * x[m] for m, w in adj[n].items()) for n in order}
-        norm = max(abs(v) for v in nxt.values())
-        nxt = {n: v / norm for n, v in nxt.items()}
-        residual = max(abs(nxt[n] - x[n]) for n in order)
+        products = map(mul, weight, map(x.__getitem__, index))
+        row_sums = map(sum, map(islice, repeat(products), lengths))
+        nxt = list(map(add, x, row_sums))
+        norm = max(map(abs, nxt))
+        nxt = list(map(truediv, nxt, repeat(norm)))
+        residual = max(map(abs, map(sub, nxt, x)))
         x = nxt
         if residual < tol:
-            return CentralityTable("eigenvector", g.kind, x, {"tol": tol})
+            return CentralityTable("eigenvector", g.kind, dict(zip(order, x)),
+                                   {"tol": tol})
     raise ConvergenceError("eigenvector", max_iter, residual)
 
 
@@ -140,28 +164,29 @@ def pagerank(g: AuthorGraph, damping: float = 0.85, tol: float = 1e-12,
     """
     if not g.nodes:
         raise ValueError("empty graph")
-    adj = _adjacency(g, symmetrize=False)
-    order = sorted(g.nodes)
+    order, nbrs = _indexed(g, symmetrize=False)
     n = len(order)
-    out_weight = {v: sum(adj[v].values()) for v in order}
-    rank = {v: 1.0 / n for v in order}
+    out_weight = [sum(w for _, w in row) for row in nbrs]
+    dangling = [v for v in range(n) if out_weight[v] == 0.0]
+    live = [(v, out_weight[v], nbrs[v]) for v in range(n)
+            if out_weight[v] != 0.0]
+    rank = [1.0 / n] * n
     residual = float("inf")
     for _ in range(max_iter):
-        nxt = {v: 0.0 for v in order}
-        dangling = sum(rank[v] for v in order if out_weight[v] == 0.0)
-        for v in order:
-            if out_weight[v] == 0.0:
-                continue
-            share = rank[v] / out_weight[v]
-            for w, weight in adj[v].items():
+        nxt = [0.0] * n
+        for v, out, row in live:
+            share = rank[v] / out
+            for w, weight in row:
                 nxt[w] += share * weight
-        base = (1.0 - damping) / n + damping * dangling / n
-        nxt = {v: base + damping * nxt[v] for v in order}
-        residual = sum(abs(nxt[v] - rank[v]) for v in order)
+        base = ((1.0 - damping) / n
+                + damping * sum(map(rank.__getitem__, dangling)) / n)
+        nxt = list(map(add, repeat(base), map(mul, repeat(damping), nxt)))
+        residual = sum(map(abs, map(sub, nxt, rank)))
         rank = nxt
         if residual < tol:
             return CentralityTable(
-                "pagerank", g.kind, rank, {"damping": damping, "tol": tol}
+                "pagerank", g.kind, dict(zip(order, rank)),
+                {"damping": damping, "tol": tol}
             )
     raise ConvergenceError("pagerank", max_iter, residual)
 
@@ -193,6 +218,8 @@ def read_centrality(lines: Iterable[str]) -> CentralityTable:
     fields = dict(
         part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part
     )
+    metric, graph_kind = fields.pop("metric", "?"), fields.pop("graph", "?")
+    params = {k: float(v) for k, v in fields.items()} or None
     next(it)  # column header
     scores: dict[str, float] = {}
     for line in it:
@@ -201,4 +228,4 @@ def read_centrality(lines: Iterable[str]) -> CentralityTable:
             continue
         author, score = line.split("\t")
         scores[author] = float(score)
-    return CentralityTable(fields.get("metric", "?"), fields.get("graph", "?"), scores)
+    return CentralityTable(metric, graph_kind, scores, params)

@@ -142,6 +142,8 @@ def stage_ingest(cfg: RunConfig, root: Path) -> None:
             if page.namespace is Namespace.ARTICLE:
                 articles.append(page)
             elif page.namespace is Namespace.USER_TALK:
+                for rev in page.revisions[:-1]:
+                    rev.tokens = []
                 utps.append(page)
     for name, pages in (("articles.jsonl", articles), ("utp.jsonl", utps)):
         pages.sort(key=lambda p: p.page_id)
@@ -270,9 +272,14 @@ def stage_eval(cfg: RunConfig, root: Path) -> None:
     def write_pr(fp):
         fp.write("model\tcutoff\trecall\tprecision\n")
         for model in sorted(by_model):
-            curve = precision_recall(
-                by_model[model], labels, cfg.relevant_classes
-            )
+            try:
+                curve = precision_recall(
+                    by_model[model], labels, cfg.relevant_classes
+                )
+            except ValueError as exc:  # no relevant or no irrelevant page
+                log.warning("PR curve undefined for model %s: %s; writing "
+                            "no rows", model, exc)
+                continue
             for cutoff, (recall, precision) in enumerate(curve, start=1):
                 fp.write(f"{model}\t{cutoff}\t{recall!r}\t{precision!r}\n")
 
@@ -290,6 +297,8 @@ class Stage(NamedTuple):
 
 
 STAGE_TABLE = (
+    # utp.jsonl keeps every user-talk revision's author and timestamp but the
+    # tokens of the current one only: the talk networks read nothing else.
     Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
           ("dump", "bot_list", "bot_suffix_heuristic"), stage_ingest),
     Stage("contrib", ("articles.jsonl",), ("contributions.tsv", "diagnostics.tsv"),

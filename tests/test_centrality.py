@@ -1,14 +1,19 @@
 import io
+import logging
 import random
 from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wikiq.centrality import (ConvergenceError, betweenness, degree,
-                              eigenvector, pagerank, read_centrality,
+from wikiq.centrality import (CentralityTable, ConvergenceError, betweenness,
+                              degree, eigenvector, pagerank, read_centrality,
                               write_centrality)
 from wikiq.networks import AuthorGraph
+
+log = logging.getLogger(__name__)
 
 
 def graph(edges, directed=False, extra_nodes=(), kind="test"):
@@ -267,3 +272,204 @@ def test_centrality_roundtrip():
     again = read_centrality(io.StringIO(buf.getvalue()))
     assert again.metric == "pagerank"
     assert again.scores == table.scores
+
+
+@pytest.mark.parametrize("kernel", [degree, betweenness, eigenvector, pagerank])
+def test_centrality_roundtrip_keeps_params(kernel):
+    g = random_graph(random.Random(17), 12, directed=True, p=0.3)
+    table = kernel(g)
+    buf = io.StringIO()
+    write_centrality(table, buf)
+    assert read_centrality(io.StringIO(buf.getvalue())) == table
+
+
+# The name-keyed kernels the indexed ones replaced, kept unchanged as a
+# differential oracle: the indexed kernels must give the same bits.
+
+def reference_adjacency(g: AuthorGraph, symmetrize: bool) -> dict[str, dict[str, float]]:
+    """Weighted successor map; undirected edges count both ways."""
+    adj: dict[str, dict[str, float]] = {n: {} for n in g.nodes}
+    for (src, dst), w in g.edges.items():
+        if symmetrize or not g.directed:
+            adj[src][dst] = adj[src].get(dst, 0.0) + w
+            adj[dst][src] = adj[dst].get(src, 0.0) + w
+        else:
+            adj[src][dst] = adj[src].get(dst, 0.0) + w
+    return adj
+
+
+def reference_betweenness(g: AuthorGraph) -> CentralityTable:
+    """Brandes accumulation over unweighted geodesics.
+
+    Ordered-pair sums; undirected results are reported as half of that, per
+    the usual convention.
+    """
+    succ = reference_adjacency(g, symmetrize=False)
+    order = sorted(g.nodes)
+    cb = {n: 0.0 for n in order}
+    for source in order:
+        stack: list[str] = []
+        pred: dict[str, list[str]] = {n: [] for n in order}
+        sigma = {n: 0.0 for n in order}
+        dist = {n: -1 for n in order}
+        sigma[source] = 1.0
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in sorted(succ[v]):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = {n: 0.0 for n in order}
+        while stack:
+            w = stack.pop()
+            for v in pred[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                cb[w] += delta[w]
+    if not g.directed:
+        cb = {n: v / 2.0 for n, v in cb.items()}
+    return CentralityTable("betweenness", g.kind, cb)
+
+
+def reference_eigenvector(g: AuthorGraph, tol: float = 1e-10,
+                          max_iter: int = 10_000) -> CentralityTable:
+    """Dominant adjacency eigenvector by power iteration, max-norm 1.
+
+    Directed graphs are symmetrized (A + At).  The iteration multiplies by
+    A + I, which has the same dominant eigenvector but no sign-flipping
+    second eigenvalue on bipartite graphs.
+    """
+    if not g.nodes:
+        raise ValueError("empty graph")
+    adj = reference_adjacency(g, symmetrize=True)
+    order = sorted(g.nodes)
+    if not g.edges:
+        log.warning("eigenvector centrality on an edgeless graph: all zeros")
+        return CentralityTable("eigenvector", g.kind, {n: 0.0 for n in order},
+                               {"tol": tol})
+    x = {n: 1.0 for n in order}
+    residual = float("inf")
+    for _ in range(max_iter):
+        nxt = {n: x[n] + sum(w * x[m] for m, w in adj[n].items()) for n in order}
+        norm = max(abs(v) for v in nxt.values())
+        nxt = {n: v / norm for n, v in nxt.items()}
+        residual = max(abs(nxt[n] - x[n]) for n in order)
+        x = nxt
+        if residual < tol:
+            return CentralityTable("eigenvector", g.kind, x, {"tol": tol})
+    raise ConvergenceError("eigenvector", max_iter, residual)
+
+
+def reference_pagerank(g: AuthorGraph, damping: float = 0.85, tol: float = 1e-12,
+                       max_iter: int = 10_000) -> CentralityTable:
+    """Damped random-walk stationary distribution; scores sum to 1.
+
+    Directed weighted walk; undirected graphs walk edges both ways.
+    Dangling mass and teleport are spread uniformly.
+    """
+    if not g.nodes:
+        raise ValueError("empty graph")
+    adj = reference_adjacency(g, symmetrize=False)
+    order = sorted(g.nodes)
+    n = len(order)
+    out_weight = {v: sum(adj[v].values()) for v in order}
+    rank = {v: 1.0 / n for v in order}
+    residual = float("inf")
+    for _ in range(max_iter):
+        nxt = {v: 0.0 for v in order}
+        dangling = sum(rank[v] for v in order if out_weight[v] == 0.0)
+        for v in order:
+            if out_weight[v] == 0.0:
+                continue
+            share = rank[v] / out_weight[v]
+            for w, weight in adj[v].items():
+                nxt[w] += share * weight
+        base = (1.0 - damping) / n + damping * dangling / n
+        nxt = {v: base + damping * nxt[v] for v in order}
+        residual = sum(abs(nxt[v] - rank[v]) for v in order)
+        rank = nxt
+        if residual < tol:
+            return CentralityTable(
+                "pagerank", g.kind, rank, {"damping": damping, "tol": tol}
+            )
+    raise ConvergenceError("pagerank", max_iter, residual)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Directed or undirected graphs of up to 30 nodes, weights 1-3, in a
+    random edge order, with isolated nodes, reciprocal edges (an edge's
+    optional reverse weight), and edgeless, one-node and empty graphs."""
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                          unique=True, max_size=30))
+    g = AuthorGraph(kind="drawn", directed=draw(st.booleans()))
+    g.nodes.update(names)
+    if len(names) < 2:
+        return g
+    node = st.sampled_from(names)
+    weight = st.integers(1, 3)
+    for src, dst, w, back in draw(st.lists(
+            st.tuples(node, node, weight, st.none() | weight),
+            max_size=4 * len(names))):
+        g.add_edge(src, dst, w)
+        if back is not None:
+            g.add_edge(dst, src, back)
+    return g
+
+
+def outcome(kernel, g, **kwargs):
+    """Everything a caller can see of one kernel call, floats as repr."""
+    try:
+        table = kernel(g, **kwargs)
+    except Exception as exc:
+        return (type(exc), str(exc),
+                repr(exc.residual) if isinstance(exc, ConvergenceError) else None)
+    return (table.metric, table.graph_kind,
+            {n: repr(v) for n, v in table.scores.items()}, table.params)
+
+
+@pytest.mark.parametrize("kernel, reference, kwargs", [
+    (betweenness, reference_betweenness, [{}]),
+    (eigenvector, reference_eigenvector, [{}, {"max_iter": 3},
+                                          {"tol": 1e-6, "max_iter": 40}]),
+    (pagerank, reference_pagerank, [{}, {"max_iter": 3},
+                                    {"damping": 0.5, "tol": 1e-9}]),
+], ids=["betweenness", "eigenvector", "pagerank"])
+@settings(max_examples=150, deadline=None)
+@given(g=weighted_graphs(), choice=st.integers(0, 2))
+def test_kernels_match_reference_bits(kernel, reference, kwargs, g, choice):
+    args = kwargs[choice % len(kwargs)]
+    assert outcome(kernel, g, **args) == outcome(reference, g, **args)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_betweenness_matches_networkx(directed):
+    rng = random.Random(23)
+    g = random_graph(rng, 200, directed, p=0.02)
+    h = nx.DiGraph() if directed else nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_edges_from(g.edges)
+    want = nx.betweenness_centrality(h, normalized=False)
+    got = betweenness(g).scores
+    assert got.keys() == want.keys()
+    for n in g.nodes:
+        assert got[n] == pytest.approx(want[n], rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_kernels_match_reference_bits_on_larger_graphs(directed):
+    """Long geodesics with many paths, where a change in the order of the
+    float operations shows in the last bits."""
+    rng = random.Random(31 + directed)
+    for n, p in ((60, 0.08), (150, 0.03)):
+        g = random_graph(rng, n, directed, p=p)
+        for kernel, reference in ((betweenness, reference_betweenness),
+                                  (eigenvector, reference_eigenvector),
+                                  (pagerank, reference_pagerank)):
+            assert outcome(kernel, g) == outcome(reference, g)

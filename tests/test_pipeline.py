@@ -3,6 +3,7 @@ generator: artifact determinism, stale/missing intermediate handling, and
 exit codes."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import wikiq
-from wikiq import pipeline
+from wikiq import networks, pipeline
 from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
-from wikiq.longevity import SelectionParams
+from wikiq.ingest import Namespace, parse_dump
+from wikiq.longevity import SelectionParams, build_contributions, select_all
 from wikiq.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineError,
                             RunConfig, run_all, run_stage)
 from wikiq.synth import SynthSpec, generate
@@ -265,6 +267,57 @@ def test_articles_only_dump_finishes(tmp_path, caplog):
     assert len(centrality) == len(longevity[bare])
     assert all(score == "0.0" for _, _, score in centrality)
     assert "network has no nodes" in caplog.text
+
+
+def test_talk_artifact_keeps_only_current_tokens(tmp_path):
+    """utp.jsonl drops the tokens of every user-talk revision but the last,
+    and each network's edges equal those built from the full histories."""
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cfg = make_config(tmp_path)
+    for stage in ("ingest", "contrib", "select"):
+        run_stage(stage, cfg)
+    work = Path(cfg.workdir)
+    utps = [json.loads(line) for line in
+            (work / "utp.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert utps and all(rev[4] for page in utps for rev in page["revisions"][-1:])
+    assert all(rev[4] == [] for page in utps for rev in page["revisions"][:-1])
+    assert sum(len(page["revisions"]) for page in utps) > len(utps)
+
+    with open(cfg.dump, "rb") as fp:
+        pages = list(parse_dump(fp, cfg.bot_config()))
+    full = [p for p in pages if p.namespace is Namespace.USER_TALK]
+    articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
+    selections = select_all(build_contributions(articles), cfg.selection)
+    authors = {a for sel in selections.values() for a in sel.authors}
+    built = {
+        "coauthor": networks.build_coauthor(selections.values()),
+        "talk-sig": networks.restrict_and_filter(
+            networks.build_talk_signature(full), authors, drop_bots=True),
+        "talk-hist": networks.restrict_and_filter(
+            networks.build_talk_history(full), authors, drop_bots=True),
+    }
+    for network, graph in built.items():
+        run_stage("net", dataclasses.replace(cfg, network=network))
+        want = io.StringIO()
+        networks.write_edge_list(graph, want)
+        assert graph.edges
+        assert (work / "edges.tsv").read_text(encoding="utf-8") == want.getvalue()
+
+
+def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
+    """With no FA/A/GA page the PR curve is undefined: eval warns per model,
+    writes only the PR header, and still records itself in the manifest."""
+    dump, ratings = generate(SynthSpec(
+        seed=1, pages_per_class={"C": 10, "Start": 10, "Stub": 10}))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(make_config(tmp_path).to_json())
+    assert main(["all", "--config", str(config)]) == 0
+    work = tmp_path / "work"
+    assert (work / "pr_curve.tsv").read_text() == "model\tcutoff\trecall\tprecision\n"
+    assert "eval" in json.loads((work / "manifest.json").read_text())
+    assert caplog.text.count("PR curve undefined for model") == 3
 
 
 def test_stage_table_is_a_closed_graph():
