@@ -24,9 +24,12 @@ from itertools import islice, repeat
 from operator import add, mul, sub, truediv
 from typing import IO, Iterable
 
+from . import tsv
 from .networks import AuthorGraph
 
 log = logging.getLogger(__name__)
+
+CENTRALITY = {"author": str, "score": float}
 
 
 @dataclass
@@ -204,28 +207,24 @@ def compute(metric: str, g: AuthorGraph, **kwargs) -> CentralityTable:
 
 
 def write_centrality(table: CentralityTable, fp: IO[str]) -> None:
-    params = table.params or {}
-    param_str = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    fp.write(f"# metric={table.metric} graph={table.graph_kind} {param_str}".rstrip() + "\n")
-    fp.write("author\tscore\n")
-    for author in sorted(table.scores, key=lambda a: (-table.scores[a], a)):
-        fp.write(f"{author}\t{table.scores[author]!r}\n")
+    tsv.write_meta(fp, metric=table.metric, graph=table.graph_kind,
+                   **dict(sorted((table.params or {}).items())))
+    tsv.write_rows(fp, CENTRALITY, [
+        (author, table.scores[author])
+        for author in sorted(table.scores, key=lambda a: (-table.scores[a], a))])
 
 
 def read_centrality(lines: Iterable[str]) -> CentralityTable:
-    it = iter(lines)
-    header = next(it).rstrip("\n")
-    fields = dict(
-        part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part
-    )
-    metric, graph_kind = fields.pop("metric", "?"), fields.pop("graph", "?")
-    params = {k: float(v) for k, v in fields.items()} or None
-    next(it)  # column header
-    scores: dict[str, float] = {}
-    for line in it:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        author, score = line.split("\t")
-        scores[author] = float(score)
-    return CentralityTable(metric, graph_kind, scores, params)
+    names: dict[str, str] = {}
+    params: dict[str, float] = {}
+
+    def meta(text: str) -> None:
+        for key, value in (part.split("=", 1) for part in text.split(" ") if "=" in part):
+            if key in ("metric", "graph"):
+                names[key] = value
+            else:
+                params[key] = float(value)
+
+    scores = dict(tsv.read_rows(lines, CENTRALITY, meta))
+    return CentralityTable(names.get("metric", "?"), names.get("graph", "?"),
+                           scores, params or None)

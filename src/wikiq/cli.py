@@ -55,19 +55,12 @@ def _add_stage_options(p: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_json(Path(args.config).read_text())
-    if args.workdir:
-        config = dataclasses.replace(config, workdir=args.workdir)
-    if args.with_bots:
-        config = dataclasses.replace(config, exclude_bots=False)
-    if args.without_bots:
-        config = dataclasses.replace(config, exclude_bots=True)
-    if args.network:
-        config = dataclasses.replace(config, network=args.network)
-    if args.metric:
-        config = dataclasses.replace(config, metric=args.metric)
-    if args.model:
-        config = dataclasses.replace(config, models=list(args.model))
-    return config
+    overrides = {key: value for key, value in (
+        ("workdir", args.workdir), ("network", args.network),
+        ("metric", args.metric), ("models", args.model)) if value}
+    if args.with_bots or args.without_bots:
+        overrides["exclude_bots"] = args.without_bots
+    return dataclasses.replace(config, **overrides)
 
 
 def build_parser() -> _Parser:

@@ -18,6 +18,8 @@ from enum import Enum
 from typing import IO, Iterable, Iterator, Optional
 from xml.parsers import expat
 
+from . import tsv
+
 log = logging.getLogger(__name__)
 
 QUALITY_CLASSES = ("FA", "A", "GA", "B", "C", "Start", "Stub")
@@ -58,7 +60,6 @@ class PageHistory:
     title: str
     namespace: Namespace
     revisions: list[RevisionRecord]
-    class_label: Optional[str] = None
 
 
 @dataclass
@@ -73,8 +74,7 @@ class DumpParseError(Exception):
     pass
 
 
-class RatingsError(Exception):
-    pass
+RatingsError = tsv.TsvError  # a bad ratings file is a malformed TSV file
 
 
 # Words stay whole, punctuation splits off as single-char tokens, and the
@@ -290,16 +290,11 @@ def serialize_dump(histories: Iterable[PageHistory]) -> str:
                 "      <timestamp>%s</timestamp>"
                 % stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
             )
-            if rev.author.kind is AuthorKind.ANONYMOUS:
-                out.append(
-                    "      <contributor><ip>%s</ip></contributor>"
-                    % _xml_escape(rev.author.name)
-                )
-            else:
-                out.append(
-                    "      <contributor><username>%s</username></contributor>"
-                    % _xml_escape(rev.author.name)
-                )
+            tag = "ip" if rev.author.kind is AuthorKind.ANONYMOUS else "username"
+            out.append(
+                "      <contributor><%s>%s</%s></contributor>"
+                % (tag, _xml_escape(rev.author.name), tag)
+            )
             out.append(
                 "      <text>%s</text>" % _xml_escape(" ".join(rev.tokens))
             )
@@ -309,29 +304,21 @@ def serialize_dump(histories: Iterable[PageHistory]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _quality_class(field: str) -> str:
+    if field not in QUALITY_CLASSES:
+        raise ValueError(f"unknown class {field!r}")
+    return field
+
+
+# The title is outside text that nothing reads, so it is taken as written.
+RATINGS = {"page_id": int, "title": tsv.verbatim, "class": _quality_class}
+
+
 def load_ratings(lines: Iterable[str]) -> dict[int, str]:
     """Load the page_id / title / class TSV into a page -> class map."""
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise RatingsError("empty ratings file")
-    if header.rstrip("\n").split("\t")[:3] != ["page_id", "title", "class"]:
-        raise RatingsError(f"unexpected header: {header.rstrip()!r}")
     ratings: dict[int, str] = {}
-    for lineno, line in enumerate(it, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise RatingsError(f"line {lineno}: expected 3 columns, got {len(parts)}")
-        page_id_s, _title, cls = parts
-        page_id = int(page_id_s)
-        if cls not in QUALITY_CLASSES:
-            raise RatingsError(f"line {lineno}: unknown class {cls!r}")
+    for page_id, _title, cls in tsv.read_rows(lines, RATINGS):
         if page_id in ratings:
-            raise RatingsError(f"line {lineno}: duplicate page_id {page_id}")
+            raise RatingsError(f"{tsv.source(lines)}: duplicate page_id {page_id}")
         ratings[page_id] = cls
     return ratings
-

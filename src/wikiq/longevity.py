@@ -13,12 +13,15 @@ import logging
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+from . import tsv
 from .ingest import AuthorKind, PageHistory
 from .worddiff import edit_distance, triangle_guard
 
 log = logging.getLogger(__name__)
 
 MAX_JUDGES = 10
+CONTRIBUTIONS = {"page_id": int, "author": str, "contrib": float}
+SELECTION = {"page_id": int, "author": str, "rank": int}
 
 
 @dataclass(frozen=True)
@@ -34,16 +37,10 @@ class RevisionJudgment:
 class ContributionTable:
     """Per (page, author) accumulated positive edit longevity.
 
-    Pages with no positive contribution keep an (empty) entry.  max_share
-    records the largest single-revision share of a page's total, so
-    revert-war style distortions stay discoverable.
+    Pages with no positive contribution keep an (empty) entry.
     """
 
     pages: dict[int, dict[str, float]] = field(default_factory=dict)
-    max_share: dict[int, float] = field(default_factory=dict)
-
-    def total(self, page_id: int) -> float:
-        return sum(self.pages.get(page_id, {}).values())
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,6 @@ def build_contributions(histories: Iterable[PageHistory],
     table = ContributionTable()
     for history in histories:
         contribs: dict[str, float] = {}
-        best_single = 0.0
         judgments = judge_page(history)
         for rev, judgment in zip(history.revisions, judgments):
             kind = rev.author.kind
@@ -138,10 +134,7 @@ def build_contributions(histories: Iterable[PageHistory],
                 contribs[rev.author.name] = (
                     contribs.get(rev.author.name, 0.0) + judgment.longevity
                 )
-                best_single = max(best_single, judgment.longevity)
         table.pages[history.page_id] = contribs
-        total = sum(contribs.values())
-        table.max_share[history.page_id] = best_single / total if total else 0.0
     return table
 
 
@@ -193,45 +186,30 @@ def select_all(table: ContributionTable,
 
 
 def write_contributions(table: ContributionTable, fp: IO[str]) -> None:
-    fp.write("page_id\tauthor\tcontrib\n")
-    for page_id in sorted(table.pages):
-        contribs = table.pages[page_id]
-        for author in sorted(contribs, key=lambda a: (-contribs[a], a)):
-            fp.write(f"{page_id}\t{author}\t{contribs[author]!r}\n")
+    tsv.write_rows(fp, CONTRIBUTIONS, [
+        (page_id, author, contribs[author])
+        for page_id, contribs in sorted(table.pages.items())
+        for author in sorted(contribs, key=lambda a: (-contribs[a], a))])
 
 
 def read_contributions(lines: Iterable[str]) -> ContributionTable:
     table = ContributionTable()
-    it = iter(lines)
-    next(it)  # header
-    for line in it:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        page_id_s, author, contrib_s = line.split("\t")
-        table.pages.setdefault(int(page_id_s), {})[author] = float(contrib_s)
+    for page_id, author, contrib in tsv.read_rows(lines, CONTRIBUTIONS):
+        table.pages.setdefault(page_id, {})[author] = contrib
     return table
 
 
 def write_selections(selections: dict[int, AuthorSelection], fp: IO[str]) -> None:
-    fp.write("page_id\tauthor\trank\n")
-    for page_id in sorted(selections):
-        for rank, author in enumerate(selections[page_id].authors, start=1):
-            fp.write(f"{page_id}\t{author}\t{rank}\n")
+    tsv.write_rows(fp, SELECTION, [
+        (page_id, author, rank) for page_id in sorted(selections)
+        for rank, author in enumerate(selections[page_id].authors, start=1)])
 
 
 def read_selections(lines: Iterable[str],
                     params: SelectionParams = SelectionParams()
                     ) -> dict[int, AuthorSelection]:
     selections: dict[int, AuthorSelection] = {}
-    it = iter(lines)
-    next(it)  # header
-    for line in it:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        page_id_s, author, _rank = line.split("\t")
-        page_id = int(page_id_s)
+    for page_id, author, _rank in tsv.read_rows(lines, SELECTION):
         if page_id not in selections:
             selections[page_id] = AuthorSelection(page_id, [], params)
         selections[page_id].authors.append(author)

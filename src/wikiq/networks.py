@@ -7,14 +7,17 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from itertools import chain
+from typing import IO, Callable, Iterable, Optional, Sequence
 
-from .ingest import AuthorKind, BotConfig, PageHistory, Namespace, canonical_name, classify_author
+from . import tsv
+from .ingest import AuthorKind, PageHistory, canonical_name
 from .longevity import AuthorSelection
 
 log = logging.getLogger(__name__)
 
 SIGNATURE_WINDOW = 40  # tokens between user link and timestamp marker
+EDGES = {"src": str, "dst": str, "weight": int}
 
 
 @dataclass
@@ -97,87 +100,62 @@ def iter_signatures(tokens: Sequence[str],
         i = k + 1
 
 
-def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
-    """Directed talk net parsed from signatures on the current UTP version."""
-    g = AuthorGraph(kind="talk_signature", directed=True)
+def _talk_graph(kind: str, utp_pages: Iterable[PageHistory],
+                senders: Callable[[PageHistory], Iterable[str]]) -> AuthorGraph:
+    """Directed net with an edge from each sender on a user talk page to
+    its owner, the owner excluded."""
+    g = AuthorGraph(kind=kind, directed=True)
     for page in utp_pages:
         owner = utp_owner(page.title)
         if owner is None:
             log.warning("not a user-talk title, skipped: %r", page.title)
             continue
         g.nodes.add(owner)
-        if not page.revisions:
-            continue
-        current = page.revisions[-1].tokens
-        for signer in iter_signatures(current):
-            if signer != owner:
-                g.add_edge(signer, owner)
+        for sender in senders(page):
+            if sender != owner:
+                g.add_edge(sender, owner)
     return g
+
+
+def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
+    """Directed talk net parsed from signatures on the current UTP version."""
+    return _talk_graph("talk_signature", utp_pages, lambda page: iter_signatures(
+        page.revisions[-1].tokens) if page.revisions else ())
 
 
 def build_talk_history(utp_histories: Iterable[PageHistory]) -> AuthorGraph:
     """Directed talk net counting every registered non-owner revision of a
     user talk page as one message to the owner."""
-    g = AuthorGraph(kind="talk_history", directed=True)
-    for page in utp_histories:
-        owner = utp_owner(page.title)
-        if owner is None:
-            log.warning("not a user-talk title, skipped: %r", page.title)
-            continue
-        g.nodes.add(owner)
-        for rev in page.revisions:
-            if rev.author.kind is AuthorKind.ANONYMOUS:
-                continue
-            if rev.author.name != owner:
-                g.add_edge(rev.author.name, owner)
-    return g
+    return _talk_graph("talk_history", utp_histories, lambda page: (
+        rev.author.name for rev in page.revisions
+        if rev.author.kind is not AuthorKind.ANONYMOUS))
 
 
-def restrict_and_filter(g: AuthorGraph, project_authors: set[str],
-                        drop_bots: bool = False,
-                        bot_config: Optional[BotConfig] = None) -> AuthorGraph:
-    """Induced subgraph on the project's authors, optionally dropping bots.
-    Isolated project authors already in the graph are retained."""
-    keep = set(project_authors)
-    if drop_bots:
-        cfg = bot_config or BotConfig()
-        keep = {a for a in keep if classify_author(a, cfg) is not AuthorKind.BOT}
-    out = AuthorGraph(kind=g.kind, directed=g.directed)
-    out.nodes = {n for n in g.nodes if n in keep}
-    out.edges = {
+def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGraph:
+    """Induced subgraph on the project's authors. Isolated project authors
+    already in the graph are retained."""
+    keep = project_authors
+    return AuthorGraph(g.kind, g.directed, g.nodes & keep, {
         (s, d): w for (s, d), w in g.edges.items() if s in keep and d in keep
-    }
-    return out
+    })
 
 
 def write_edge_list(g: AuthorGraph, fp: IO[str]) -> None:
-    fp.write(f"# kind={g.kind} directed={str(g.directed).lower()}\n")
-    fp.write("src\tdst\tweight\n")
-    for (src, dst) in sorted(g.edges):
-        fp.write(f"{src}\t{dst}\t{g.edges[(src, dst)]}\n")
-    # isolated nodes survive the round-trip as self-descriptive comments
-    linked = {n for edge in g.edges for n in edge}
-    for node in sorted(g.nodes - linked):
-        fp.write(f"# node={node}\n")
+    tsv.write_meta(fp, kind=g.kind, directed=str(g.directed).lower())
+    tsv.write_rows(fp, EDGES, [(s, d, w) for (s, d), w in sorted(g.edges.items())])
+    # isolated nodes survive the round-trip as meta lines
+    for node in sorted(g.nodes.difference(chain.from_iterable(g.edges))):
+        tsv.write_meta(fp, node=node)
 
 
 def read_edge_list(lines: Iterable[str]) -> AuthorGraph:
-    it = iter(lines)
-    header = next(it).rstrip("\n")
-    m = re.match(r"# kind=(\S+) directed=(true|false)$", header)
-    if not m:
-        raise ValueError(f"bad edge-list header: {header!r}")
-    g = AuthorGraph(kind=m.group(1), directed=m.group(2) == "true")
-    next(it)  # column header
-    for line in it:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("# node="):
-            g.nodes.add(line[len("# node="):])
-            continue
-        src, dst, weight = line.split("\t")
-        g.nodes.add(src)
-        g.nodes.add(dst)
-        g.edges[(src, dst)] = int(weight)
+    meta: list[str] = []
+    edges = {(src, dst): weight
+             for src, dst, weight in tsv.read_rows(lines, EDGES, meta.append)}
+    m = re.fullmatch(r"kind=(\S+) directed=(true|false)", meta[0] if meta else "")
+    isolated = [text[len("node="):] for text in meta[1:] if text.startswith("node=")]
+    if not m or len(isolated) < len(meta) - 1:
+        raise tsv.TsvError(f"{tsv.source(lines)}: expected '# kind=', then '# node=' lines")
+    g = AuthorGraph(m.group(1), m.group(2) == "true", set(isolated), edges)
+    g.nodes.update(chain.from_iterable(edges))
     return g

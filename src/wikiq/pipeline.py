@@ -22,9 +22,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import centrality as centrality_mod
-from . import networks, quality
-from .evaluation import (DEFAULT_GAINS, DEFAULT_RELEVANT, FILTER_CONFIGS,
-                         build_ranking, ndcg, filtered_eval, percentile_table,
+from . import networks, quality, tsv
+from .evaluation import (DEFAULT_RELEVANT, FILTER_CONFIGS, build_ranking,
+                         ndcg, filtered_eval, percentile_table,
                          precision_recall)
 from .ingest import (AuthorId, AuthorKind, BotConfig, Namespace, PageHistory,
                      RevisionRecord, load_ratings, parse_dump)
@@ -129,9 +129,14 @@ def _history_from_json(line: str) -> PageHistory:
     )
 
 
-def _read_histories(path: Path) -> list[PageHistory]:
+def _read(path: Path, reader: Callable, *args):
     with open(path, encoding="utf-8") as fp:
-        return [_history_from_json(line) for line in fp if line.strip()]
+        return reader(fp, *args)
+
+
+def _read_histories(path: Path) -> list[PageHistory]:
+    return _read(path, lambda fp: [_history_from_json(line) for line in fp
+                                   if line.strip()])
 
 
 def stage_ingest(cfg: RunConfig, root: Path) -> None:
@@ -157,25 +162,16 @@ def stage_contrib(cfg: RunConfig, root: Path) -> None:
     atomic_write(root / "contributions.tsv",
                  lambda fp: write_contributions(table, fp))
 
-    def write_diag(fp):
-        fp.write("page_id\tmax_single_revision_share\n")
-        for page_id in sorted(table.max_share):
-            fp.write(f"{page_id}\t{table.max_share[page_id]!r}\n")
-
-    atomic_write(root / "diagnostics.tsv", write_diag)
-
 
 def stage_select(cfg: RunConfig, root: Path) -> None:
-    with open(root / "contributions.tsv", encoding="utf-8") as fp:
-        table = read_contributions(fp)
+    table = _read(root / "contributions.tsv", read_contributions)
     selections = select_all(table, cfg.selection)
     atomic_write(root / "selection.tsv",
                  lambda fp: write_selections(selections, fp))
 
 
 def stage_net(cfg: RunConfig, root: Path) -> None:
-    with open(root / "selection.tsv", encoding="utf-8") as fp:
-        selections = read_selections(fp, cfg.selection)
+    selections = _read(root / "selection.tsv", read_selections, cfg.selection)
     if cfg.network == "coauthor":
         graph = networks.build_coauthor(selections.values())
     elif cfg.network in ("talk-sig", "talk-hist"):
@@ -184,11 +180,10 @@ def stage_net(cfg: RunConfig, root: Path) -> None:
             graph = networks.build_talk_signature(utps)
         else:
             graph = networks.build_talk_history(utps)
+        # selected authors come from contributions, which drop bots under
+        # exclude_bots, so the restriction drops the talk pages' bots too
         project_authors = {a for sel in selections.values() for a in sel.authors}
-        graph = networks.restrict_and_filter(
-            graph, project_authors, drop_bots=cfg.exclude_bots,
-            bot_config=cfg.bot_config(),
-        )
+        graph = networks.restrict_and_filter(graph, project_authors)
     else:
         raise PipelineError(f"unknown network kind {cfg.network!r}")
     atomic_write(root / "edges.tsv",
@@ -196,8 +191,7 @@ def stage_net(cfg: RunConfig, root: Path) -> None:
 
 
 def stage_centrality(cfg: RunConfig, root: Path) -> None:
-    with open(root / "edges.tsv", encoding="utf-8") as fp:
-        graph = networks.read_edge_list(fp)
+    graph = _read(root / "edges.tsv", networks.read_edge_list)
     if graph.nodes:
         kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
         table = centrality_mod.compute(cfg.metric, graph, **kwargs)
@@ -210,12 +204,9 @@ def stage_centrality(cfg: RunConfig, root: Path) -> None:
 
 
 def stage_score(cfg: RunConfig, root: Path) -> None:
-    with open(root / "selection.tsv", encoding="utf-8") as fp:
-        selections = read_selections(fp, cfg.selection)
-    with open(root / "contributions.tsv", encoding="utf-8") as fp:
-        contributions = read_contributions(fp)
-    with open(root / "centrality.tsv", encoding="utf-8") as fp:
-        cent = centrality_mod.read_centrality(fp)
+    selections = _read(root / "selection.tsv", read_selections, cfg.selection)
+    contributions = _read(root / "contributions.tsv", read_contributions)
+    cent = _read(root / "centrality.tsv", centrality_mod.read_centrality)
     tables = []
     if "longevity" in cfg.models:
         tables.append(quality.longevity_qscore(selections, contributions))
@@ -235,42 +226,39 @@ def stage_score(cfg: RunConfig, root: Path) -> None:
 
 
 def stage_eval(cfg: RunConfig, root: Path) -> None:
-    with open(root / "scores.tsv", encoding="utf-8") as fp:
-        by_model = quality.read_scores(fp)
-    with open(cfg.ratings, encoding="utf-8") as fp:
-        labels = load_ratings(fp)
+    by_model = _read(root / "scores.tsv", quality.read_scores)
+    labels = _read(Path(cfg.ratings), load_ratings)
     ks = cfg.eval_k or [len(labels)]
 
-    def write_row(fp, model, configuration, compute):
+    def ndcg_row(model, configuration, compute):
         try:
-            value = compute()
+            return model, configuration, compute()
         except ValueError as exc:  # a degenerate label subset
             log.warning("NDCG undefined for model %s, %s: %s; writing nan",
                         model, configuration, exc)
-            value = math.nan
-        fp.write(f"{model}\t{configuration}\t{value!r}\n")
+            return model, configuration, math.nan
 
     def write_report(fp):
-        fp.write("model\tconfiguration\tndcg\n")
+        rows = []
         for model in sorted(by_model):
             scores = by_model[model]
             for k in ks:
-                write_row(fp, model, f"all@k={k}", lambda: ndcg(
-                    build_ranking(scores, labels), k=min(k, len(labels))))
+                rows.append(ndcg_row(model, f"all@k={k}", lambda: ndcg(
+                    build_ranking(scores, labels), k=min(k, len(labels)))))
             for name, keep in FILTER_CONFIGS:
-                write_row(fp, model, name,
-                          lambda: filtered_eval(scores, labels, keep))
+                rows.append(ndcg_row(model, name,
+                                     lambda: filtered_eval(scores, labels, keep)))
+        tsv.write_rows(fp, ("model", "configuration", "ndcg"), rows)
 
     def write_percentiles(fp):
-        fp.write("model\tclass\tbucket\tproportion\n")
-        for model in sorted(by_model):
-            table = percentile_table(by_model[model], labels, cfg.buckets)
-            for cls in sorted(table):
-                for b, prop in enumerate(table[cls], start=1):
-                    fp.write(f"{model}\t{cls}\t{b}\t{prop!r}\n")
+        tables = {model: percentile_table(by_model[model], labels, cfg.buckets)
+                  for model in sorted(by_model)}
+        tsv.write_rows(fp, ("model", "class", "bucket", "proportion"), [
+            (model, cls, b, prop) for model, table in tables.items()
+            for cls in sorted(table) for b, prop in enumerate(table[cls], start=1)])
 
     def write_pr(fp):
-        fp.write("model\tcutoff\trecall\tprecision\n")
+        rows = []
         for model in sorted(by_model):
             try:
                 curve = precision_recall(
@@ -280,8 +268,9 @@ def stage_eval(cfg: RunConfig, root: Path) -> None:
                 log.warning("PR curve undefined for model %s: %s; writing "
                             "no rows", model, exc)
                 continue
-            for cutoff, (recall, precision) in enumerate(curve, start=1):
-                fp.write(f"{model}\t{cutoff}\t{recall!r}\t{precision!r}\n")
+            rows += [(model, cutoff, recall, precision)
+                     for cutoff, (recall, precision) in enumerate(curve, start=1)]
+        tsv.write_rows(fp, ("model", "cutoff", "recall", "precision"), rows)
 
     atomic_write(root / "report.tsv", write_report)
     atomic_write(root / "percentiles.tsv", write_percentiles)
@@ -301,12 +290,12 @@ STAGE_TABLE = (
     # tokens of the current one only: the talk networks read nothing else.
     Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
           ("dump", "bot_list", "bot_suffix_heuristic"), stage_ingest),
-    Stage("contrib", ("articles.jsonl",), ("contributions.tsv", "diagnostics.tsv"),
+    Stage("contrib", ("articles.jsonl",), ("contributions.tsv",),
           ("exclude_bots",), stage_contrib),
     Stage("select", ("contributions.tsv",), ("selection.tsv",),
           ("selection",), stage_select),
     Stage("net", ("utp.jsonl", "selection.tsv"), ("edges.tsv",),
-          ("network", "exclude_bots", "bot_list", "bot_suffix_heuristic"), stage_net),
+          ("network",), stage_net),
     Stage("centrality", ("edges.tsv",), ("centrality.tsv",),
           ("metric", "damping"), stage_centrality),
     Stage("score", ("selection.tsv", "contributions.tsv", "centrality.tsv"),

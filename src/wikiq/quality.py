@@ -8,10 +8,13 @@ import logging
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+from . import tsv
 from .centrality import CentralityTable
 from .longevity import AuthorSelection, ContributionTable
 
 log = logging.getLogger(__name__)
+
+SCORES = {"page_id": int, "model": str, "score": float}
 
 
 @dataclass
@@ -107,21 +110,14 @@ def combined_qscore(selections: dict[int, AuthorSelection],
 
 
 def write_scores(tables: Iterable[QualityScoreTable], fp: IO[str]) -> None:
-    fp.write("page_id\tmodel\tscore\n")
-    for table in tables:
-        for page_id in sorted(table.scores):
-            fp.write(f"{page_id}\t{table.model}\t{table.scores[page_id]!r}\n")
+    tsv.write_rows(fp, SCORES, [
+        (page_id, table.model, table.scores[page_id])
+        for table in tables for page_id in sorted(table.scores)])
 
 
 def read_scores(lines: Iterable[str]) -> dict[str, dict[int, float]]:
     """Score TSV -> model name -> page -> score."""
     by_model: dict[str, dict[int, float]] = {}
-    it = iter(lines)
-    next(it)  # header
-    for line in it:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        page_id_s, model, score_s = line.split("\t")
-        by_model.setdefault(model, {})[int(page_id_s)] = float(score_s)
+    for page_id, model, score in tsv.read_rows(lines, SCORES):
+        by_model.setdefault(model, {})[page_id] = score
     return by_model

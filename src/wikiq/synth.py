@@ -13,10 +13,13 @@ carries a planted oversized contribution from the busiest prolific author.
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass, field
 
-from .ingest import serialize_dump, tokenize, PageHistory, RevisionRecord, AuthorId, AuthorKind, Namespace
+from . import tsv
+from .ingest import (RATINGS, AuthorId, AuthorKind, Namespace, PageHistory,
+                     RevisionRecord, serialize_dump, tokenize)
 
 
 def _default_pages_per_class() -> dict[str, int]:
@@ -67,6 +70,15 @@ class _Corpus:
         self.clock += self.rng.randint(60, 3600)
         return self.clock
 
+    def _add_page(self, title: str, namespace: Namespace,
+                  revisions: list[tuple[AuthorId, list[str]]]) -> int:
+        page_id = self.next_page_id
+        self.next_page_id += 1
+        self.pages.append(PageHistory(page_id, title, namespace, [
+            RevisionRecord(page_id, i + 1, author, self._tick(), tokens)
+            for i, (author, tokens) in enumerate(revisions)]))
+        return page_id
+
     def _author(self, name: str, kind: AuthorKind = AuthorKind.REGISTERED) -> AuthorId:
         return AuthorId(name, kind)
 
@@ -116,13 +128,7 @@ class _Corpus:
             bot = rng.choice(self.bots)
             text = text + _fresh_words(rng, 2)
             revisions.append((self._author(bot, AuthorKind.BOT), list(text)))
-        page_id = self.next_page_id
-        self.next_page_id += 1
-        records = [
-            RevisionRecord(page_id, i + 1, author, self._tick(), tokens)
-            for i, (author, tokens) in enumerate(revisions)
-        ]
-        self.pages.append(PageHistory(page_id, name, Namespace.ARTICLE, records))
+        page_id = self._add_page(name, Namespace.ARTICLE, revisions)
         self.ratings.append((page_id, name, cls))
 
     def build_articles(self) -> None:
@@ -193,16 +199,7 @@ class _Corpus:
                 bot = rng.choice(self.bots)
                 text = text + _fresh_words(rng, 2)
                 revisions.append((self._author(bot, AuthorKind.BOT), list(text)))
-            page_id = self.next_page_id
-            self.next_page_id += 1
-            records = [
-                RevisionRecord(page_id, i + 1, author, self._tick(), tokens)
-                for i, (author, tokens) in enumerate(revisions)
-            ]
-            self.pages.append(
-                PageHistory(page_id, f"User talk:{owner}",
-                            Namespace.USER_TALK, records)
-            )
+            self._add_page(f"User talk:{owner}", Namespace.USER_TALK, revisions)
 
 
 def generate(spec: SynthSpec | None = None) -> tuple[str, str]:
@@ -212,8 +209,6 @@ def generate(spec: SynthSpec | None = None) -> tuple[str, str]:
     corpus = _Corpus(spec)
     corpus.build_articles()
     corpus.build_talk_pages()
-    dump = serialize_dump(corpus.pages)
-    lines = ["page_id\ttitle\tclass"]
-    for page_id, title, cls in sorted(corpus.ratings):
-        lines.append(f"{page_id}\t{title}\t{cls}")
-    return dump, "\n".join(lines) + "\n"
+    ratings = io.StringIO()
+    tsv.write_rows(ratings, RATINGS, sorted(corpus.ratings))
+    return serialize_dump(corpus.pages), ratings.getvalue()

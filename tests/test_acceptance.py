@@ -259,7 +259,7 @@ def _score_models(seed: int):
     table = build_contributions(articles, drop_bots=True)
     selections = select_all(table, SelectionParams())
     project = {a for s in selections.values() for a in s.authors}
-    g = restrict_and_filter(build_talk_history(utps), project, drop_bots=True)
+    g = restrict_and_filter(build_talk_history(utps), project)
     pr = pagerank(g)
     return labels, {
         "longevity": longevity_qscore(selections, table).scores,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hostile import names
 from wikiq.centrality import (CentralityTable, ConvergenceError, betweenness,
                               degree, eigenvector, pagerank, read_centrality,
                               write_centrality)
@@ -275,12 +276,24 @@ def test_centrality_roundtrip():
 
 
 @pytest.mark.parametrize("kernel", [degree, betweenness, eigenvector, pagerank])
-def test_centrality_roundtrip_keeps_params(kernel):
+@given(labels=st.lists(names, min_size=12, max_size=12, unique=True))
+@settings(max_examples=25, deadline=None)
+def test_centrality_roundtrip_keeps_params(kernel, labels):
     g = random_graph(random.Random(17), 12, directed=True, p=0.3)
+    label = dict(zip(sorted(g.nodes), labels))
+    g = AuthorGraph(g.kind, g.directed, set(labels), {
+        (label[s], label[d]): w for (s, d), w in g.edges.items()})
     table = kernel(g)
     buf = io.StringIO()
     write_centrality(table, buf)
     assert read_centrality(io.StringIO(buf.getvalue())) == table
+
+
+def test_bad_parameter_names_file_and_line():
+    buf = io.StringIO("# metric=pagerank graph=g damping=x\nauthor\tscore\na\t1.0\n")
+    buf.name = "centrality.tsv"
+    with pytest.raises(ValueError, match=r"^centrality\.tsv: line 1: could not convert"):
+        read_centrality(buf)
 
 
 # The name-keyed kernels the indexed ones replaced, kept unchanged as a

@@ -2,10 +2,13 @@ import io
 import re
 
 import pytest
+from hypothesis import given
 
-from wikiq.ingest import (AuthorKind, BotConfig, DumpParseError, Namespace,
-                          RatingsError, load_ratings, make_author, parse_dump,
-                          serialize_dump, tokenize)
+from hostile import names
+from wikiq import tsv
+from wikiq.ingest import (RATINGS, AuthorKind, BotConfig, DumpParseError,
+                          Namespace, RatingsError, load_ratings, make_author,
+                          parse_dump, serialize_dump, tokenize)
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
 
@@ -230,9 +233,13 @@ class TestParseDump:
 
 
 class TestRatings:
-    def test_basic_row(self):
+    @given(title=names)
+    def test_basic_row(self, title):
         lines = ["page_id\ttitle\tclass\n", "42\tStone Age\tC\n"]
         assert load_ratings(lines) == {42: "C"}
+        buf = io.StringIO()
+        tsv.write_rows(buf, RATINGS, [(42, title, "C")])
+        assert load_ratings(io.StringIO(buf.getvalue())) == {42: "C"}
 
     def test_unknown_class_rejected(self):
         lines = ["page_id\ttitle\tclass\n", "42\tX\tFL\n"]

@@ -1,8 +1,11 @@
 import io
 import itertools
 
-from wikiq.ingest import (AuthorId, AuthorKind, BotConfig, Namespace,
-                          PageHistory, RevisionRecord, tokenize)
+from hypothesis import example, given, strategies as st
+
+from hostile import names
+from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
+                          RevisionRecord, tokenize)
 from wikiq.longevity import AuthorSelection, SelectionParams
 from wikiq.networks import (AuthorGraph, build_coauthor, build_talk_history,
                             build_talk_signature, iter_signatures,
@@ -179,20 +182,6 @@ class TestRestrictAndFilter:
         assert g.edges == {("Alice", "Bob"): 2}
         assert g.nodes == {"Alice", "Bob", "Lurker"}  # isolated project author kept
 
-    def test_drop_bots(self):
-        g = restrict_and_filter(
-            self.make_graph(), {"Alice", "Bob", "SmackBot"},
-            drop_bots=True, bot_config=BotConfig(),
-        )
-        assert "SmackBot" not in g.nodes
-        assert g.edges == {("Alice", "Bob"): 2}
-
-    def test_botfree_graph_unchanged(self):
-        g = AuthorGraph(kind="coauthor", directed=False)
-        g.add_edge("a", "b")
-        out = restrict_and_filter(g, {"a", "b"}, drop_bots=True, bot_config=BotConfig())
-        assert out.edges == g.edges and out.nodes == g.nodes
-
     def test_empty_restriction(self):
         g = restrict_and_filter(self.make_graph(), set())
         assert not g.nodes and not g.edges
@@ -203,11 +192,13 @@ class TestRestrictAndFilter:
         assert len(g.nodes) <= len(authors)
 
 
-def test_edge_list_roundtrip():
+@example(["Alice", "Bob", "Isolated"])
+@given(st.lists(names, min_size=3, max_size=3, unique=True))
+def test_edge_list_roundtrip(nodes):
     g = AuthorGraph(kind="talk_history", directed=True)
-    g.add_edge("Alice", "Bob", 3)
-    g.add_edge("Bob", "Alice", 1)
-    g.nodes.add("Isolated")
+    g.add_edge(nodes[0], nodes[1], 3)
+    g.add_edge(nodes[1], nodes[0], 1)
+    g.nodes.add(nodes[2])  # isolated
     buf = io.StringIO()
     write_edge_list(g, buf)
     again = read_edge_list(io.StringIO(buf.getvalue()))

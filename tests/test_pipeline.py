@@ -3,6 +3,7 @@ generator: artifact determinism, stale/missing intermediate handling, and
 exit codes."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -292,9 +293,9 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
     built = {
         "coauthor": networks.build_coauthor(selections.values()),
         "talk-sig": networks.restrict_and_filter(
-            networks.build_talk_signature(full), authors, drop_bots=True),
+            networks.build_talk_signature(full), authors),
         "talk-hist": networks.restrict_and_filter(
-            networks.build_talk_history(full), authors, drop_bots=True),
+            networks.build_talk_history(full), authors),
     }
     for network, graph in built.items():
         run_stage("net", dataclasses.replace(cfg, network=network))
@@ -302,6 +303,24 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
         networks.write_edge_list(graph, want)
         assert graph.edges
         assert (work / "edges.tsv").read_text(encoding="utf-8") == want.getvalue()
+
+
+def test_synth_bots_in_no_network(tmp_path):
+    """The talk pages' bots leave the talk networks through the restriction
+    to selected authors, who come from bot-free contributions."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    cfg = make_config(tmp_path)
+    bots = {"CleanupBot", "ArchiveBot"}
+    utps = [p for p in parse_dump(io.BytesIO(dump.encode()), cfg.bot_config())
+            if p.namespace is Namespace.USER_TALK]
+    assert bots <= networks.build_talk_history(utps).nodes
+    run_all(cfg)
+    for network in ("coauthor", "talk-sig", "talk-hist"):
+        run_stage("net", dataclasses.replace(cfg, network=network))
+        edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
+        assert not any(bot in edges for bot in bots), network
 
 
 def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
@@ -432,6 +451,49 @@ class TestCli:
             assert main([stage, "--config", str(config)]) == 2
             err = capsys.readouterr().err.strip().split("\n")
             assert len(err) == 1 and "changed since 'ingest'" in err[0]
+
+    @pytest.mark.parametrize("char, escaped", [("&#9;", "\\t"), ("&#10;", "\\n")])
+    def test_control_character_in_username(self, tmp_path, char, escaped):
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+        dump = tmp_path / "dump.xml"
+        text = dump.read_text(encoding="utf-8")
+        assert "<username>Editor07</username>" in text
+        dump.write_text(text.replace("<username>Editor07</username>",
+                                     f"<username>Editor{char}07</username>"),
+                        encoding="utf-8")
+        config = self.write_config(tmp_path)
+        assert main(["all", "--config", str(config)]) == 0
+        work = Path(make_config(tmp_path).workdir)
+        assert f"\tEditor{escaped}07\t" in (
+            work / "contributions.tsv").read_text(encoding="utf-8")
+
+    def test_malformed_artifact_row_exit_code(self, corpus, capsys):
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        work = Path(make_config(corpus).workdir)
+        selection = work / "selection.tsv"
+        lines = selection.read_text(encoding="utf-8").split("\n")
+        lines[2] += "\textra"
+        selection.write_text("\n".join(lines), encoding="utf-8")
+        # record the edit, so that the stale-artifact check passes it
+        manifest = json.loads((work / "manifest.json").read_text())
+        manifest["select"]["outputs"]["selection.tsv"] = hashlib.sha256(
+            selection.read_bytes()).hexdigest()
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["score", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: ")
+        assert "selection.tsv: line 3: expected 3 fields" in err[0]
+
+    def test_ratings_title_with_backslash(self, corpus):
+        ratings = corpus / "ratings.tsv"
+        lines = ratings.read_text(encoding="utf-8").split("\n")
+        page_id, _title, cls = lines[1].split("\t")
+        lines[1] = "\t".join((page_id, "AC\\DC", cls))
+        ratings.write_text("\n".join(lines), encoding="utf-8")
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
 
     def test_touched_dump_still_runs(self, corpus):
         config = self.write_config(corpus)

@@ -1,11 +1,14 @@
 import io
 
 import pytest
+from hypothesis import assume, given
 
+from hostile import names
 from wikiq.centrality import CentralityTable
 from wikiq.longevity import AuthorSelection, ContributionTable, SelectionParams
-from wikiq.quality import (centrality_qscore, combined_qscore,
-                           longevity_qscore, read_scores, write_scores)
+from wikiq.quality import (QualityScoreTable, centrality_qscore,
+                           combined_qscore, longevity_qscore, read_scores,
+                           write_scores)
 
 PARAMS = SelectionParams()
 
@@ -181,10 +184,12 @@ class TestCombinedModel:
         assert naive[1] == pytest.approx(naive[2])  # heavy page not ranked first
 
 
-def test_scores_roundtrip():
+@given(model=names)
+def test_scores_roundtrip(model):
+    assume(model != "longevity")
     selections, table = fixture({1: {"a": 10.0}, 2: {"b": 4.0}})
     t = longevity_qscore(selections, table)
     buf = io.StringIO()
-    write_scores([t], buf)
+    write_scores([t, QualityScoreTable(model, {3: 0.5})], buf)
     again = read_scores(io.StringIO(buf.getvalue()))
-    assert again == {"longevity": {1: 10.0, 2: 4.0}}
+    assert again == {"longevity": {1: 10.0, 2: 4.0}, model: {3: 0.5}}
