@@ -68,18 +68,12 @@ def _indexed(g: AuthorGraph, symmetrize: bool
 
 
 def degree(g: AuthorGraph) -> CentralityTable:
-    """Unweighted degree; directed graphs count in- plus out-neighbors."""
+    """Unweighted degree: in- plus out-edges. An undirected edge is stored
+    once per pair and no edge is a self-loop, so that is the neighbour count."""
     scores = {n: 0.0 for n in g.nodes}
-    if g.directed:
-        for (src, dst) in g.edges:
-            scores[src] += 1
-            scores[dst] += 1
-    else:
-        neighbors: dict[str, set[str]] = {n: set() for n in g.nodes}
-        for (src, dst) in g.edges:
-            neighbors[src].add(dst)
-            neighbors[dst].add(src)
-        scores = {n: float(len(neighbors[n])) for n in g.nodes}
+    for (src, dst) in g.edges:
+        scores[src] += 1
+        scores[dst] += 1
     return CentralityTable("degree", g.kind, scores)
 
 
@@ -201,8 +195,6 @@ def compute(metric: str, g: AuthorGraph, **kwargs) -> CentralityTable:
         "eigenvector": eigenvector,
         "pagerank": pagerank,
     }
-    if metric not in funcs:
-        raise ValueError(f"unknown centrality metric {metric!r}")
     return funcs[metric](g, **kwargs)
 
 

@@ -20,9 +20,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .ingest import DumpParseError, RatingsError, tokenize
-from .pipeline import (INPUT_FILES, STAGE_TABLE, PipelineError, RunConfig,
-                       run_all, run_stage)
+from .ingest import tokenize
+from .pipeline import (INPUT_FILES, METRICS, MODELS, NETWORKS, STAGE_TABLE,
+                       RunConfig, run_all, run_stage)
 from .synth import SynthSpec, generate
 from .worddiff import edit_distance
 
@@ -40,17 +40,10 @@ def _add_stage_options(p: argparse.ArgumentParser) -> None:
     bots = p.add_mutually_exclusive_group()
     bots.add_argument("--with-bots", action="store_true", dest="with_bots")
     bots.add_argument("--without-bots", action="store_true", dest="without_bots")
-    p.add_argument("--network", choices=("coauthor", "talk-sig", "talk-hist"))
-    p.add_argument(
-        "--metric",
-        choices=("degree", "betweenness", "eigenvector", "pagerank"),
-    )
-    p.add_argument(
-        "--model",
-        action="append",
-        choices=("longevity", "centrality", "combined"),
-        help="restrict scored models (repeatable)",
-    )
+    p.add_argument("--network", choices=NETWORKS)
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--model", action="append", choices=MODELS,
+                   help="restrict scored models (repeatable)")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -130,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             run_stage(args.command, config)
         return 0
-    except (PipelineError, DumpParseError, RatingsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"wikiq: error: {exc}", file=sys.stderr)
         return 2
 

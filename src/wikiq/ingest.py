@@ -2,8 +2,8 @@
 
 Parses pages-meta-history style exports into normalized per-page revision
 histories, resolving each contributor to a classified author identity
-(registered / anonymous / bot).  Memory stays bounded by a single page's
-history: pages are yielded as soon as their closing tag is seen.
+(registered / anonymous / bot). The parser holds one page at a time: each
+page is yielded as soon as its closing tag is seen.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import ipaddress
 import logging
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import IO, Iterable, Iterator, Optional
-from xml.parsers import expat
+from xml.etree import ElementTree as ET
 
 from . import tsv
 
@@ -70,8 +69,8 @@ class BotConfig:
     suffix_heuristic: bool = True
 
 
-class DumpParseError(Exception):
-    pass
+class DumpParseError(ValueError):
+    """Malformed dump XML; the CLI reports every ValueError with exit code 2."""
 
 
 RatingsError = tsv.TsvError  # a bad ratings file is a malformed TSV file
@@ -142,129 +141,69 @@ def _namespace_of(ns_value: Optional[str], title: str) -> Namespace:
     return Namespace.ARTICLE
 
 
-class _PageAssembler:
-    """Expat callback target that accumulates one page at a time."""
-
-    _CAPTURE = {"title", "ns", "id", "timestamp", "username", "ip", "text"}
-
-    def __init__(self, bot_config: BotConfig):
-        self.bot_config = bot_config
-        self.done: deque[PageHistory] = deque()
-        self._stack: list[str] = []
-        self._text: list[str] = []
-        self._capturing = False
-        self._page: Optional[dict] = None
-        self._rev: Optional[dict] = None
-
-    def start(self, name: str, attrs: dict) -> None:
-        self._stack.append(name)
-        if name == "page":
-            self._page = {"title": "", "ns": None, "id": None, "revs": []}
-        elif name == "revision" and self._page is not None:
-            self._rev = {"timestamp": None, "author": None, "text": ""}
-        elif name in self._CAPTURE:
-            self._capturing = True
-            self._text = []
-
-    def chars(self, data: str) -> None:
-        if self._capturing:
-            self._text.append(data)
-
-    def end(self, name: str) -> None:
-        self._stack.pop()
-        parent = self._stack[-1] if self._stack else ""
-        text = "".join(self._text)
-        self._capturing = False
-        if self._page is None:
-            return
-        if name == "title" and parent == "page":
-            self._page["title"] = text
-        elif name == "ns" and parent == "page":
-            self._page["ns"] = text
-        elif name == "id" and parent == "page" and self._page["id"] is None:
-            self._page["id"] = int(text)
-        elif self._rev is not None:
-            if name == "timestamp" and parent == "revision":
-                self._rev["timestamp"] = _parse_timestamp(text)
-            elif name == "username" and parent == "contributor":
-                self._rev["author"] = make_author(text, self.bot_config)
-            elif name == "ip" and parent == "contributor":
-                self._rev["author"] = AuthorId(text.strip(), AuthorKind.ANONYMOUS)
-            elif name == "text" and parent == "revision":
-                self._rev["text"] = text
-            elif name == "revision":
-                self._finish_revision()
-        if name == "page":
-            self._finish_page()
-
-    def _finish_revision(self) -> None:
-        rev = self._rev
-        self._rev = None
-        if rev["author"] is None:
-            log.warning(
-                "page %r: revision without contributor, treated as anonymous",
-                self._page["title"],
-            )
-            rev["author"] = AuthorId(ANONYMOUS_SENTINEL, AuthorKind.ANONYMOUS)
-        if rev["timestamp"] is None:
-            rev["timestamp"] = 0
-        self._page["revs"].append(rev)
-
-    def _finish_page(self) -> None:
-        page = self._page
-        self._page = None
-        page_id = page["id"] if page["id"] is not None else 0
-        revs = page["revs"]
-        stamps = [r["timestamp"] for r in revs]
-        if stamps != sorted(stamps):
-            log.warning(
-                "page %r: revisions out of chronological order, reordering",
-                page["title"],
-            )
-            # stable sort keeps dump order among identical timestamps
-            revs = sorted(revs, key=lambda r: r["timestamp"])
-        records = [
-            RevisionRecord(
-                page_id=page_id,
-                rev_ordinal=i + 1,
-                author=rev["author"],
-                timestamp=rev["timestamp"],
-                tokens=tokenize(rev["text"]),
-            )
-            for i, rev in enumerate(revs)
-        ]
-        self.done.append(
-            PageHistory(
-                page_id=page_id,
-                title=page["title"],
-                namespace=_namespace_of(page["ns"], page["title"]),
-                revisions=records,
-            )
-        )
+def _author(contributor: Optional[ET.Element], ns: str, title: str,
+            bot_config: BotConfig) -> AuthorId:
+    if contributor is not None:
+        ip = contributor.findtext(ns + "ip")
+        if ip is not None:
+            return AuthorId(ip.strip(), AuthorKind.ANONYMOUS)
+        username = contributor.findtext(ns + "username")
+        if username is not None:
+            return make_author(username, bot_config)
+    log.warning("page %r: revision without contributor, treated as anonymous",
+                title)
+    return AuthorId(ANONYMOUS_SENTINEL, AuthorKind.ANONYMOUS)
 
 
-def parse_dump(stream: IO[bytes], bot_config: Optional[BotConfig] = None,
-               chunk_size: int = 1 << 16) -> Iterator[PageHistory]:
+def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHistory:
+    """The history of one <page> element whose tags carry the prefix `ns`."""
+    title = page.findtext(ns + "title", "")
+    page_id = int(page.findtext(ns + "id", "0"))
+    revs = []
+    for rev in page.iterfind(ns + "revision"):
+        stamp = rev.findtext(ns + "timestamp")
+        revs.append((0 if stamp is None else _parse_timestamp(stamp),
+                     _author(rev.find(ns + "contributor"), ns, title, bot_config),
+                     rev.findtext(ns + "text", "")))
+    if any(a[0] > b[0] for a, b in zip(revs, revs[1:])):
+        log.warning("page %r: revisions out of chronological order, reordering",
+                    title)
+        # stable sort keeps dump order among identical timestamps
+        revs.sort(key=lambda rev: rev[0])
+    return PageHistory(page_id, title, _namespace_of(page.findtext(ns + "ns"), title), [
+        RevisionRecord(page_id, ordinal, author, stamp, tokenize(text))
+        for ordinal, (stamp, author, text) in enumerate(revs, start=1)])
+
+
+def parse_dump(stream: IO[bytes], bot_config: BotConfig = BotConfig(),
+               chunk_size: int = 1 << 12) -> Iterator[PageHistory]:
     """Stream a MediaWiki XML export, yielding one PageHistory per <page>.
 
-    Peak memory is bounded by the largest single page history, not the dump.
+    A yielded page is cleared from the tree. A feed builds all of a chunk's
+    elements before any is read, so a small chunk keeps that tree small.
+    Tags match under the root's namespace; only the page-level <id> counts.
+    A missing page id or timestamp reads as 0, a missing title as "", and
+    without <ns> the title decides the namespace. An element the export
+    schema allows once per parent is read from its first occurrence; a
+    contributor with <ip> and <username> is the ip.
     """
-    assembler = _PageAssembler(bot_config or BotConfig())
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-    parser.StartElementHandler = assembler.start
-    parser.EndElementHandler = assembler.end
-    parser.CharacterDataHandler = assembler.chars
+    parser = ET.XMLPullParser(("start", "end"))
+    root = None
     while True:
         chunk = stream.read(chunk_size)
-        try:
-            parser.Parse(chunk, not chunk)
-        except expat.ExpatError as exc:
-            raise DumpParseError(
-                f"malformed XML at byte offset {parser.ErrorByteIndex}: {exc}"
-            ) from exc
-        while assembler.done:
-            yield assembler.done.popleft()
+        try:  # a malformed chunk raises when its events are read
+            parser.feed(chunk)
+            if not chunk:
+                parser.close()
+            events = list(parser.read_events())
+        except ET.ParseError as exc:
+            raise DumpParseError(f"malformed XML: {exc}") from exc
+        for event, elem in events:
+            if root is None:  # the first event starts the root element
+                root, ns = elem, elem.tag[:elem.tag.find("}") + 1]
+            elif event == "end" and elem.tag == ns + "page":
+                yield _page_history(elem, ns, bot_config)
+                root.clear()
         if not chunk:
             break
 

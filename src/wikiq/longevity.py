@@ -50,13 +50,6 @@ class SelectionParams:
     theta: float = 0.9
 
 
-@dataclass
-class AuthorSelection:
-    page_id: int
-    authors: list[str]  # descending contribution, username tie-break
-    params: SelectionParams
-
-
 class _PageDistances:
     """Pairwise version distances of one page, computed lazily and cached.
 
@@ -139,8 +132,9 @@ def build_contributions(histories: Iterable[PageHistory],
 
 
 def select_authors(table: ContributionTable, page_id: int,
-                   params: SelectionParams = SelectionParams()) -> AuthorSelection:
-    """Pick a page's main contributors.
+                   params: SelectionParams = SelectionParams()) -> list[str]:
+    """Pick a page's main contributors, by descending contribution with a
+    username tie-break.
 
     Eligible authors (contribution above the minimum) are taken in descending
     order until they cover a theta fraction of the page total; a floor of
@@ -153,7 +147,7 @@ def select_authors(table: ContributionTable, page_id: int,
     ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
     total = sum(contribs.values())
     if total == 0:
-        return AuthorSelection(page_id, [], params)
+        return []
     selected: list[str] = []
     cum = 0.0
     for author in ordered:
@@ -173,12 +167,12 @@ def select_authors(table: ContributionTable, page_id: int,
                 selected.append(author)
                 chosen.add(author)
     selected.sort(key=lambda a: (-contribs[a], a))
-    return AuthorSelection(page_id, selected, params)
+    return selected
 
 
 def select_all(table: ContributionTable,
                params: SelectionParams = SelectionParams()
-               ) -> dict[int, AuthorSelection]:
+               ) -> dict[int, list[str]]:
     return {
         page_id: select_authors(table, page_id, params)
         for page_id in sorted(table.pages)
@@ -199,18 +193,14 @@ def read_contributions(lines: Iterable[str]) -> ContributionTable:
     return table
 
 
-def write_selections(selections: dict[int, AuthorSelection], fp: IO[str]) -> None:
+def write_selections(selections: dict[int, list[str]], fp: IO[str]) -> None:
     tsv.write_rows(fp, SELECTION, [
         (page_id, author, rank) for page_id in sorted(selections)
-        for rank, author in enumerate(selections[page_id].authors, start=1)])
+        for rank, author in enumerate(selections[page_id], start=1)])
 
 
-def read_selections(lines: Iterable[str],
-                    params: SelectionParams = SelectionParams()
-                    ) -> dict[int, AuthorSelection]:
-    selections: dict[int, AuthorSelection] = {}
+def read_selections(lines: Iterable[str]) -> dict[int, list[str]]:
+    selections: dict[int, list[str]] = {}
     for page_id, author, _rank in tsv.read_rows(lines, SELECTION):
-        if page_id not in selections:
-            selections[page_id] = AuthorSelection(page_id, [], params)
-        selections[page_id].authors.append(author)
+        selections.setdefault(page_id, []).append(author)
     return selections

@@ -12,7 +12,6 @@ from typing import IO, Callable, Iterable, Optional, Sequence
 
 from . import tsv
 from .ingest import AuthorKind, PageHistory, canonical_name
-from .longevity import AuthorSelection
 
 log = logging.getLogger(__name__)
 
@@ -42,12 +41,12 @@ class AuthorGraph:
         return self.edges.get((a, b), 0)
 
 
-def build_coauthor(selections: Iterable[AuthorSelection]) -> AuthorGraph:
+def build_coauthor(selections: Iterable[list[str]]) -> AuthorGraph:
     """Undirected net linking main contributors who share a page; weight =
     number of co-authored pages."""
     g = AuthorGraph(kind="coauthor", directed=False)
-    for sel in selections:
-        authors = sorted(set(sel.authors))
+    for selected in selections:
+        authors = sorted(set(selected))
         g.nodes.update(authors)
         for i, a in enumerate(authors):
             for b in authors[i + 1:]:

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import tempfile
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,10 +38,42 @@ log = logging.getLogger(__name__)
 # RunConfig fields that name a file outside the workdir; a stage that lists
 # one in its config_keys also records the file's hash among its inputs.
 INPUT_FILES = ("dump", "ratings")
+# the values RunConfig accepts for its network, metric and models fields
+NETWORKS = ("coauthor", "talk-sig", "talk-hist")
+METRICS = ("degree", "betweenness", "eigenvector", "pagerank")
+MODELS = ("longevity", "centrality", "combined")
 
 
-class PipelineError(Exception):
+class PipelineError(ValueError):
     """Data or sequencing error; maps to exit code 2 in the CLI."""
+
+
+def _is_a(value, hint) -> bool:
+    """Whether a JSON value has a config field's type; a bool is no number."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _is_a(v, typing.get_args(hint)[0]) for v in value)
+    types = (int, float) if hint is float else hint
+    return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
+
+
+def _from_dict(cls, data, prefix: str = ""):
+    """Build a config dataclass from parsed JSON; a ValueError names any key
+    the class lacks or whose value has the wrong type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config: {repr(prefix[:-1]) if prefix else 'the file'} "
+                         "is not a JSON object")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        hint = hints.get(key)
+        if hint is None:
+            raise ValueError(f"config: unknown key {prefix + key!r}")
+        if dataclasses.is_dataclass(hint):
+            data[key] = _from_dict(hint, value, f"{prefix}{key}.")
+        elif not _is_a(value, hint):
+            raise ValueError(f"config key {prefix + key!r}: {value!r} is not a "
+                             f"{hint.__name__ if isinstance(hint, type) else hint}")
+    return cls(**data)
 
 
 @dataclass
@@ -52,13 +85,26 @@ class RunConfig:
     exclude_bots: bool = True
     bot_list: list[str] = field(default_factory=list)
     bot_suffix_heuristic: bool = True
-    network: str = "talk-hist"  # coauthor | talk-sig | talk-hist
-    metric: str = "pagerank"
+    network: str = "talk-hist"  # one of NETWORKS
+    metric: str = "pagerank"  # one of METRICS
     damping: float = 0.85
-    models: list[str] = field(default_factory=lambda: ["longevity", "centrality", "combined"])
+    models: list[str] = field(default_factory=lambda: list(MODELS))
     eval_k: list[int] = field(default_factory=list)  # empty -> full corpus
     buckets: int = 10
     relevant_classes: list[str] = field(default_factory=lambda: sorted(DEFAULT_RELEVANT))
+
+    def __post_init__(self):
+        """Refuse a network, metric or model name outside its tuple; this
+        runs under dataclasses.replace too, so it checks CLI overrides."""
+        for key, names in (("network", NETWORKS), ("metric", METRICS),
+                           ("models", MODELS)):
+            value = getattr(self, key)
+            for name in value if key == "models" else [value]:
+                if name not in names:
+                    raise ValueError(f"config key {key!r}: unknown value "
+                                     f"{name!r} (one of {', '.join(names)})")
+        if not self.models:
+            raise ValueError("config key 'models': no model named")
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -66,10 +112,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        if "selection" in data:
-            data["selection"] = SelectionParams(**data["selection"])
-        return cls(**data)
+        return _from_dict(cls, json.loads(text))
 
     def bot_config(self) -> BotConfig:
         return BotConfig(
@@ -171,21 +214,17 @@ def stage_select(cfg: RunConfig, root: Path) -> None:
 
 
 def stage_net(cfg: RunConfig, root: Path) -> None:
-    selections = _read(root / "selection.tsv", read_selections, cfg.selection)
+    selections = _read(root / "selection.tsv", read_selections)
     if cfg.network == "coauthor":
         graph = networks.build_coauthor(selections.values())
-    elif cfg.network in ("talk-sig", "talk-hist"):
-        utps = _read_histories(root / "utp.jsonl")
-        if cfg.network == "talk-sig":
-            graph = networks.build_talk_signature(utps)
-        else:
-            graph = networks.build_talk_history(utps)
+    else:
+        build = (networks.build_talk_signature if cfg.network == "talk-sig"
+                 else networks.build_talk_history)
+        graph = build(_read_histories(root / "utp.jsonl"))
         # selected authors come from contributions, which drop bots under
         # exclude_bots, so the restriction drops the talk pages' bots too
-        project_authors = {a for sel in selections.values() for a in sel.authors}
+        project_authors = {a for authors in selections.values() for a in authors}
         graph = networks.restrict_and_filter(graph, project_authors)
-    else:
-        raise PipelineError(f"unknown network kind {cfg.network!r}")
     atomic_write(root / "edges.tsv",
                  lambda fp: networks.write_edge_list(graph, fp))
 
@@ -204,7 +243,7 @@ def stage_centrality(cfg: RunConfig, root: Path) -> None:
 
 
 def stage_score(cfg: RunConfig, root: Path) -> None:
-    selections = _read(root / "selection.tsv", read_selections, cfg.selection)
+    selections = _read(root / "selection.tsv", read_selections)
     contributions = _read(root / "contributions.tsv", read_contributions)
     cent = _read(root / "centrality.tsv", centrality_mod.read_centrality)
     tables = []
@@ -214,8 +253,6 @@ def stage_score(cfg: RunConfig, root: Path) -> None:
         tables.append(quality.centrality_qscore(selections, cent))
     if "combined" in cfg.models:
         tables.append(quality.combined_qscore(selections, contributions, cent))
-    if not tables:
-        raise PipelineError("no models configured")
     atomic_write(root / "scores.tsv",
                  lambda fp: quality.write_scores(tables, fp))
     provenance = {

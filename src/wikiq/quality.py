@@ -10,7 +10,7 @@ from typing import IO, Iterable
 
 from . import tsv
 from .centrality import CentralityTable
-from .longevity import AuthorSelection, ContributionTable
+from .longevity import ContributionTable
 
 log = logging.getLogger(__name__)
 
@@ -24,28 +24,28 @@ class QualityScoreTable:
     provenance: dict = field(default_factory=dict)
 
 
-def longevity_qscore(selections: dict[int, AuthorSelection],
+def longevity_qscore(selections: dict[int, list[str]],
                      contributions: ContributionTable) -> QualityScoreTable:
     """Sum of selected authors' contributions per page."""
     scores = {
         page_id: sum(
             contributions.pages.get(page_id, {}).get(a, 0.0)
-            for a in sel.authors
+            for a in authors
         )
-        for page_id, sel in selections.items()
+        for page_id, authors in selections.items()
     }
     return QualityScoreTable("longevity", scores)
 
 
-def centrality_qscore(selections: dict[int, AuthorSelection],
+def centrality_qscore(selections: dict[int, list[str]],
                       cent: CentralityTable) -> QualityScoreTable:
     """Sum of selected authors' centralities per page; authors absent from
     the network contribute zero."""
     scores: dict[int, float] = {}
     missing = 0
-    for page_id, sel in selections.items():
+    for page_id, authors in selections.items():
         total = 0.0
-        for a in sel.authors:
+        for a in authors:
             if a in cent.scores:
                 total += cent.scores[a]
             else:
@@ -70,7 +70,7 @@ def _normalize(v: float, lo: float, hi: float) -> float:
     return (v - lo) / (hi - lo)
 
 
-def combined_qscore(selections: dict[int, AuthorSelection],
+def combined_qscore(selections: dict[int, list[str]],
                     contributions: ContributionTable,
                     cent: CentralityTable) -> QualityScoreTable:
     """Per-author product of normalized contribution and centrality, summed
@@ -78,8 +78,8 @@ def combined_qscore(selections: dict[int, AuthorSelection],
     and are recorded in provenance."""
     contrib_values = [
         contributions.pages.get(page_id, {}).get(a, 0.0)
-        for page_id, sel in selections.items()
-        for a in sel.authors
+        for page_id, authors in selections.items()
+        for a in authors
     ]
     c_lo, c_hi = _minmax_bounds(contrib_values)
     x_lo, x_hi = _minmax_bounds(cent.scores.values())
@@ -88,9 +88,9 @@ def combined_qscore(selections: dict[int, AuthorSelection],
     if x_hi == x_lo:
         log.warning("degenerate centrality range, normalizing to 0.5")
     scores: dict[int, float] = {}
-    for page_id, sel in selections.items():
+    for page_id, authors in selections.items():
         total = 0.0
-        for a in sel.authors:
+        for a in authors:
             contrib = contributions.pages.get(page_id, {}).get(a, 0.0)
             centrality = cent.scores.get(a, 0.0)
             total += (

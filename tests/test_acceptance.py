@@ -258,7 +258,7 @@ def _score_models(seed: int):
     utps = [p for p in pages if p.namespace is Namespace.USER_TALK]
     table = build_contributions(articles, drop_bots=True)
     selections = select_all(table, SelectionParams())
-    project = {a for s in selections.values() for a in s.authors}
+    project = {a for s in selections.values() for a in s}
     g = restrict_and_filter(build_talk_history(utps), project)
     pr = pagerank(g)
     return labels, {
@@ -352,8 +352,8 @@ def test_criterion_7_network_conservation():
     selections = select_all(table, SelectionParams())
     coauthor = build_coauthor(selections.values())
     expected_pairs = set()
-    for sel in selections.values():
-        authors = sorted(sel.authors)
+    for selected in selections.values():
+        authors = sorted(selected)
         for i, a in enumerate(authors):
             for b in authors[i + 1:]:
                 expected_pairs.add((a, b))

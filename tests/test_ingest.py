@@ -1,14 +1,21 @@
 import io
+import logging
 import re
+from collections import deque
+from typing import IO, Iterator, Optional
+from xml.parsers import expat
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from hostile import names
 from wikiq import tsv
-from wikiq.ingest import (RATINGS, AuthorKind, BotConfig, DumpParseError,
-                          Namespace, RatingsError, load_ratings, make_author,
+from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
+                          BotConfig, DumpParseError, Namespace, PageHistory,
+                          RatingsError, RevisionRecord, _namespace_of,
+                          _parse_timestamp, load_ratings, log, make_author,
                           parse_dump, serialize_dump, tokenize)
+from wikiq.pipeline import _history_to_json
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
 
@@ -156,7 +163,7 @@ class TestParseDump:
 
     def test_malformed_xml_reports_offset(self):
         stream = io.BytesIO(b"<mediawiki><page><title>X</title></mediawiki>")
-        with pytest.raises(DumpParseError, match=r"byte offset \d+"):
+        with pytest.raises(DumpParseError, match=r"line \d+, column \d+"):
             list(parse_dump(stream, BOTS))
 
     def test_streaming_yields_before_end_of_stream(self):
@@ -207,6 +214,25 @@ class TestParseDump:
         # dump-in-memory failure mode but generous enough to be stable
         assert peak < 80 * 1024 * 1024
 
+    def test_memory_does_not_grow_with_page_count(self):
+        import tracemalloc
+
+        # 1,000 small pages: a parser that kept finished pages in its tree
+        # would hold ~20MB of elements by the end
+        revision = ("<revision><id>1</id><timestamp>2011-01-01T00:00:00Z</timestamp>"
+                    "<contributor><username>A</username><id>3</id></contributor>"
+                    "<comment>c</comment><model>wikitext</model>"
+                    "<text>" + "tok " * 30 + "</text><sha1>x</sha1></revision>\n")
+        raw = "".join(f"<page><title>P{i}</title><ns>0</ns><id>{i}</id>\n"
+                      + revision * 10 + "</page>\n" for i in range(1000))
+        stream = io.BytesIO(f"<mediawiki>\n{raw}</mediawiki>\n".encode())
+        tracemalloc.start()
+        count = sum(1 for _ in parse_dump(stream, BOTS))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert count == 1000
+        assert peak < 4 * 1024 * 1024
+
     def test_roundtrip_identity(self):
         dump = simple_dump([
             ("Stone Age", 0, 42, [
@@ -230,6 +256,250 @@ class TestParseDump:
             return list(parse_dump(dump, BOTS))
 
         assert parse() == parse()
+
+
+class _PageAssembler:
+    """Expat callback target that accumulates one page at a time."""
+
+    _CAPTURE = {"title", "ns", "id", "timestamp", "username", "ip", "text"}
+
+    def __init__(self, bot_config: BotConfig):
+        self.bot_config = bot_config
+        self.done: deque[PageHistory] = deque()
+        self._stack: list[str] = []
+        self._text: list[str] = []
+        self._capturing = False
+        self._page: Optional[dict] = None
+        self._rev: Optional[dict] = None
+
+    def start(self, name: str, attrs: dict) -> None:
+        self._stack.append(name)
+        if name == "page":
+            self._page = {"title": "", "ns": None, "id": None, "revs": []}
+        elif name == "revision" and self._page is not None:
+            self._rev = {"timestamp": None, "author": None, "text": ""}
+        elif name in self._CAPTURE:
+            self._capturing = True
+            self._text = []
+
+    def chars(self, data: str) -> None:
+        if self._capturing:
+            self._text.append(data)
+
+    def end(self, name: str) -> None:
+        self._stack.pop()
+        parent = self._stack[-1] if self._stack else ""
+        text = "".join(self._text)
+        self._capturing = False
+        if self._page is None:
+            return
+        if name == "title" and parent == "page":
+            self._page["title"] = text
+        elif name == "ns" and parent == "page":
+            self._page["ns"] = text
+        elif name == "id" and parent == "page" and self._page["id"] is None:
+            self._page["id"] = int(text)
+        elif self._rev is not None:
+            if name == "timestamp" and parent == "revision":
+                self._rev["timestamp"] = _parse_timestamp(text)
+            elif name == "username" and parent == "contributor":
+                self._rev["author"] = make_author(text, self.bot_config)
+            elif name == "ip" and parent == "contributor":
+                self._rev["author"] = AuthorId(text.strip(), AuthorKind.ANONYMOUS)
+            elif name == "text" and parent == "revision":
+                self._rev["text"] = text
+            elif name == "revision":
+                self._finish_revision()
+        if name == "page":
+            self._finish_page()
+
+    def _finish_revision(self) -> None:
+        rev = self._rev
+        self._rev = None
+        if rev["author"] is None:
+            log.warning(
+                "page %r: revision without contributor, treated as anonymous",
+                self._page["title"],
+            )
+            rev["author"] = AuthorId(ANONYMOUS_SENTINEL, AuthorKind.ANONYMOUS)
+        if rev["timestamp"] is None:
+            rev["timestamp"] = 0
+        self._page["revs"].append(rev)
+
+    def _finish_page(self) -> None:
+        page = self._page
+        self._page = None
+        page_id = page["id"] if page["id"] is not None else 0
+        revs = page["revs"]
+        stamps = [r["timestamp"] for r in revs]
+        if stamps != sorted(stamps):
+            log.warning(
+                "page %r: revisions out of chronological order, reordering",
+                page["title"],
+            )
+            # stable sort keeps dump order among identical timestamps
+            revs = sorted(revs, key=lambda r: r["timestamp"])
+        records = [
+            RevisionRecord(
+                page_id=page_id,
+                rev_ordinal=i + 1,
+                author=rev["author"],
+                timestamp=rev["timestamp"],
+                tokens=tokenize(rev["text"]),
+            )
+            for i, rev in enumerate(revs)
+        ]
+        self.done.append(
+            PageHistory(
+                page_id=page_id,
+                title=page["title"],
+                namespace=_namespace_of(page["ns"], page["title"]),
+                revisions=records,
+            )
+        )
+
+
+def reference_parse_dump(stream: IO[bytes], bot_config: Optional[BotConfig] = None,
+                         chunk_size: int = 1 << 16) -> Iterator[PageHistory]:
+    """The hand-written expat state machine that parse_dump replaced: a stack
+    of open tags and per-page and per-revision dicts rebuild each <page>."""
+    assembler = _PageAssembler(bot_config or BotConfig())
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = assembler.start
+    parser.EndElementHandler = assembler.end
+    parser.CharacterDataHandler = assembler.chars
+    while True:
+        chunk = stream.read(chunk_size)
+        try:
+            parser.Parse(chunk, not chunk)
+        except expat.ExpatError as exc:
+            raise DumpParseError(
+                f"malformed XML at byte offset {parser.ErrorByteIndex}: {exc}"
+            ) from exc
+        while assembler.done:
+            yield assembler.done.popleft()
+        if not chunk:
+            break
+
+
+# XML 1.0 allows no other code points in a document
+_XML_ILLEGAL = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+xml_names = names.map(lambda s: _XML_ILLEGAL.sub("", s))
+STAMPS = ("2011-01-01T00:00:00Z", "2011-01-02T00:00:00Z", "2011-01-03T12:30:00Z")
+
+
+def _escape(s):
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+@st.composite
+def xml_text(draw):
+    """Character data written as escaped text, character references, CDATA
+    sections and comments."""
+    out = []
+    for piece in draw(st.lists(xml_names | st.sampled_from(
+            ("192.168.0.1", " fe80::1 ", "Tidy_monkey", "SmackBot", "user talk:X",
+             "[[User:A|A]] 12:01, 3 March 2011 (UTC)")), max_size=3)):
+        how = draw(st.sampled_from(("plain", "charref", "cdata", "comment")))
+        if how == "charref":
+            out.append("".join(f"&#{ord(c)};" if c != "\r" else "&#xD;" for c in piece))
+        elif how == "cdata" and "]]>" not in piece:
+            out.append(f"<![CDATA[{piece}]]>")
+        else:
+            out.append(_escape(piece) + ("<!-- a comment -->" if how == "comment" else ""))
+    return "".join(out)
+
+
+@st.composite
+def revisions(draw):
+    out = ["<revision>"]
+    if draw(st.booleans()):
+        out.append(f"<id>{draw(st.integers(1, 10**6))}</id><parentid>3</parentid>")
+    stamp = draw(st.none() | st.sampled_from(STAMPS))
+    if stamp is not None:
+        out.append(f"<timestamp>{stamp}</timestamp>")
+    contributor = draw(st.sampled_from(("user", "user+id", "ip", "deleted", "none")))
+    if contributor == "deleted":
+        out.append('<contributor deleted="deleted" />')
+    elif contributor != "none":
+        tag = "ip" if contributor == "ip" else "username"
+        ident = "<id>17</id>" if contributor == "user+id" else ""
+        out.append(f"<contributor><{tag}>{draw(xml_text())}</{tag}>{ident}</contributor>")
+    if draw(st.booleans()):
+        out.append(f"<minor/><comment>{draw(xml_text())}</comment>")
+    out.append("<model>wikitext</model><format>text/x-wiki</format>")
+    text = draw(st.sampled_from(("text", "deleted", "none")))
+    if text == "text":
+        out.append(f'<text bytes="9" xml:space="preserve">{draw(xml_text())}</text>')
+    elif text == "deleted":
+        out.append('<text bytes="0" deleted="deleted" />')
+    if draw(st.booleans()):
+        out.append("<sha1>phoiac9h4m842xq45sp7s6u21eteeq1</sha1>")
+    out.append("</revision>")
+    return "\n      ".join(out)
+
+
+@st.composite
+def pages(draw):
+    prefix = draw(st.sampled_from(("", "User talk:", "Talk:", "Help talk:")))
+    out = ["<page>", f"<title>{_escape(prefix)}{draw(xml_text())}</title>"]
+    ns = draw(st.none() | st.sampled_from(("0", "1", "3", " 3 ", "")))
+    if ns is not None:
+        out.append(f"<ns>{ns}</ns>")
+    page_id = draw(st.none() | st.integers(0, 10**6))
+    if page_id is not None:
+        out.append(f"<id> {page_id}</id>")
+    if draw(st.booleans()):
+        out.append('<redirect title="Elsewhere" />')
+    out += draw(st.lists(revisions(), max_size=4))
+    out.append("</page>")
+    return "\n    ".join(out)
+
+
+@st.composite
+def dumps(draw):
+    """A MediaWiki-shaped export, ending at its root's end tag."""
+    xmlns = ' xmlns="http://www.mediawiki.org/xml/export-0.10/"'
+    out = [f'<mediawiki{draw(st.sampled_from(("", xmlns)))} xml:lang="en">']
+    if draw(st.booleans()):
+        out.append('<siteinfo><sitename>Wiki</sitename><namespaces><namespace key="3">'
+                   "User talk</namespace></namespaces></siteinfo>")
+    out += draw(st.lists(pages(), max_size=3))
+    out.append("</mediawiki>")
+    return "\n  ".join(out).encode()
+
+
+def parse_logged(parse, raw, chunk_size):
+    """The pages' JSON lines and the warning messages of one parse."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log.addHandler(handler)
+    try:
+        lines = [_history_to_json(page)
+                 for page in parse(io.BytesIO(raw), BOTS, chunk_size)]
+    finally:
+        log.removeHandler(handler)
+    return lines, [record.getMessage() for record in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dumps())
+def test_parse_dump_matches_reference(raw):
+    want = parse_logged(reference_parse_dump, raw, 1 << 16)
+    assert len(want[0]) == raw.count(b"<page>")
+    for chunk_size in (1, 7, 256, 1 << 16):
+        assert parse_logged(parse_dump, raw, chunk_size) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(dumps(), st.data())
+def test_truncated_dump_is_a_parse_error(raw, data):
+    cut = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    for parse in (reference_parse_dump, parse_dump):
+        with pytest.raises(DumpParseError):
+            list(parse(io.BytesIO(cut), BOTS, 5))
 
 
 class TestRatings:

@@ -205,27 +205,27 @@ class TestSelectAuthors:
     def test_theta_cutoff(self):
         table = make_table({"a": 50.0, "b": 30.0, "c": 10.0, "d": 5.0, "e": 5.0})
         sel = select_authors(table, 1, SelectionParams(0.0, 2, 0.9))
-        assert sel.authors == ["a", "b", "c", "d"]
+        assert sel == ["a", "b", "c", "d"]
 
     def test_population_caps_floor(self):
         table = make_table({"solo": 100.0})
         sel = select_authors(table, 1, SelectionParams(10.0, 20, 0.9))
-        assert sel.authors == ["solo"]
+        assert sel == ["solo"]
 
     def test_theta_zero_still_fills_floor(self):
         table = make_table({"a": 50.0, "b": 30.0, "c": 10.0})
         sel = select_authors(table, 1, SelectionParams(0.0, 2, 0.0))
-        assert sel.authors == ["a", "b"]
+        assert sel == ["a", "b"]
 
     def test_min_contrib_bar_with_floor_override(self):
         table = make_table({"a": 100.0, "b": 8.0, "c": 5.0})
         # only a is eligible; the floor of 2 still pulls b in
         sel = select_authors(table, 1, SelectionParams(10.0, 2, 0.99))
-        assert sel.authors == ["a", "b"]
+        assert sel == ["a", "b"]
 
     def test_empty_total(self):
         table = make_table({})
-        assert select_authors(table, 1).authors == []
+        assert select_authors(table, 1) == []
 
     def test_unknown_page(self):
         with pytest.raises(KeyError):
@@ -234,7 +234,7 @@ class TestSelectAuthors:
     def test_username_tiebreak(self):
         table = make_table({"zeta": 10.0, "alpha": 10.0, "mid": 10.0})
         sel = select_authors(table, 1, SelectionParams(0.0, 3, 1.0))
-        assert sel.authors == ["alpha", "mid", "zeta"]
+        assert sel == ["alpha", "mid", "zeta"]
 
     @given(
         st.dictionaries(st.sampled_from("abcdefgh"),
@@ -247,9 +247,9 @@ class TestSelectAuthors:
         lo_t, hi_t = sorted((t1, t2))
         lo_k, hi_k = sorted((k1, k2))
         table = make_table(contribs)
-        base = set(select_authors(table, 1, SelectionParams(0.0, lo_k, lo_t)).authors)
-        more_theta = set(select_authors(table, 1, SelectionParams(0.0, lo_k, hi_t)).authors)
-        more_k = set(select_authors(table, 1, SelectionParams(0.0, hi_k, lo_t)).authors)
+        base = set(select_authors(table, 1, SelectionParams(0.0, lo_k, lo_t)))
+        more_theta = set(select_authors(table, 1, SelectionParams(0.0, lo_k, hi_t)))
+        more_k = set(select_authors(table, 1, SelectionParams(0.0, hi_k, lo_t)))
         assert base <= more_theta
         assert base <= more_k
 
@@ -280,4 +280,4 @@ def test_selection_roundtrip(authors):
     buf = io.StringIO()
     write_selections(sel, buf)
     again = read_selections(io.StringIO(buf.getvalue()))
-    assert again[1].authors == sel[1].authors
+    assert again == sel

@@ -6,17 +6,10 @@ from hypothesis import example, given, strategies as st
 from hostile import names
 from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, tokenize)
-from wikiq.longevity import AuthorSelection, SelectionParams
 from wikiq.networks import (AuthorGraph, build_coauthor, build_talk_history,
                             build_talk_signature, iter_signatures,
                             read_edge_list, restrict_and_filter,
                             write_edge_list)
-
-PARAMS = SelectionParams()
-
-
-def sel(page_id, authors):
-    return AuthorSelection(page_id, list(authors), PARAMS)
 
 
 def utp(owner, texts_by, page_id=1):
@@ -37,12 +30,12 @@ def signed(name):
 
 class TestCoauthor:
     def test_single_page_clique(self):
-        g = build_coauthor([sel(1, ["x", "y", "z"])])
+        g = build_coauthor([["x", "y", "z"]])
         assert g.weight("x", "y") == g.weight("y", "z") == g.weight("x", "z") == 1
         assert not g.directed
 
     def test_weight_accumulates_over_pages(self):
-        g = build_coauthor([sel(1, ["x", "y"]), sel(2, ["x", "y"])])
+        g = build_coauthor([["x", "y"], ["x", "y"]])
         assert g.weight("x", "y") == 2
         assert g.weight("y", "x") == 2  # symmetric by storage
 
@@ -51,18 +44,18 @@ class TestCoauthor:
 
         rng = random.Random(7)
         selections = [
-            sel(p, rng.sample("abcdefghij", rng.randint(1, 6)))
-            for p in range(10)
+            rng.sample("abcdefghij", rng.randint(1, 6))
+            for _ in range(10)
         ]
         g = build_coauthor(selections)
         # brute-force oracle: count distinct unordered pairs and their multiplicity
         pairs = {}
         for s in selections:
-            for a, b in itertools.combinations(sorted(set(s.authors)), 2):
+            for a, b in itertools.combinations(sorted(set(s)), 2):
                 pairs[(a, b)] = pairs.get((a, b), 0) + 1
         assert g.edges == pairs
         assert sum(pairs.values()) == sum(
-            len(set(s.authors)) * (len(set(s.authors)) - 1) // 2
+            len(set(s)) * (len(set(s)) - 1) // 2
             for s in selections
         )
 
@@ -71,7 +64,7 @@ class TestCoauthor:
         assert not g.nodes and not g.edges
 
     def test_solo_author_is_isolated_node(self):
-        g = build_coauthor([sel(1, ["only"])])
+        g = build_coauthor([["only"]])
         assert g.nodes == {"only"} and not g.edges
 
 

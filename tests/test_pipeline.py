@@ -289,7 +289,7 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
     full = [p for p in pages if p.namespace is Namespace.USER_TALK]
     articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
     selections = select_all(build_contributions(articles), cfg.selection)
-    authors = {a for sel in selections.values() for a in sel.authors}
+    authors = {a for selected in selections.values() for a in selected}
     built = {
         "coauthor": networks.build_coauthor(selections.values()),
         "talk-sig": networks.restrict_and_filter(
@@ -428,6 +428,32 @@ class TestCli:
         report = (Path(make_config(corpus).workdir) / "report.tsv").read_text()
         models = {line.split("\t")[0] for line in report.strip().split("\n")[1:]}
         assert models == {"longevity"}
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"netwrok": "coauthor"}, "'netwrok'"),
+        ({"selection": {"thetaa": 0.5}}, "'selection.thetaa'"),
+        ({"selection": 0.5}, "selection"),
+        ({"models": ["longevity", "combinde"]}, "'combinde'"),
+        ({"models": []}, "'models'"),
+        ({"metric": "pagernk"}, "'pagernk'"),
+        ({"damping": "0.85"}, "'damping'"),
+        ({"exclude_bots": 1}, "'exclude_bots'"),
+        ({"eval_k": [10, True]}, "'eval_k'"),
+    ])
+    def test_bad_config_refused_before_any_stage(self, corpus, capsys, edit, named):
+        data = json.loads(make_config(corpus).to_json())
+        data.update(edit)
+        config = corpus / "config.json"
+        config.write_text(json.dumps(data))
+        assert main(["all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: config")
+        assert named in err[0]
+        assert not Path(make_config(corpus).workdir).exists()
+
+    def test_override_checked_like_the_file(self):
+        with pytest.raises(ValueError, match="'closeness'"):
+            dataclasses.replace(RunConfig(), metric="closeness")
 
     def test_synth_subcommand_writes_corpus(self, tmp_path, capsys):
         out = tmp_path / "corpus"

@@ -5,12 +5,10 @@ from hypothesis import assume, given
 
 from hostile import names
 from wikiq.centrality import CentralityTable
-from wikiq.longevity import AuthorSelection, ContributionTable, SelectionParams
+from wikiq.longevity import ContributionTable
 from wikiq.quality import (QualityScoreTable, centrality_qscore,
                            combined_qscore, longevity_qscore, read_scores,
                            write_scores)
-
-PARAMS = SelectionParams()
 
 
 def fixture(pages):
@@ -19,8 +17,7 @@ def fixture(pages):
     selections = {}
     for page_id, contribs in pages.items():
         table.pages[page_id] = dict(contribs)
-        ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
-        selections[page_id] = AuthorSelection(page_id, ordered, PARAMS)
+        selections[page_id] = sorted(contribs, key=lambda a: (-contribs[a], a))
     return selections, table
 
 
