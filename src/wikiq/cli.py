@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .ingest import tokenize
 from .pipeline import (INPUT_FILES, METRICS, MODELS, NETWORKS, STAGE_TABLE,
-                       RunConfig, run_all, run_stage)
+                       RunConfig, _from_dict, run_all, run_stage)
 from .synth import SynthSpec, generate
 from .worddiff import edit_distance
 
@@ -77,12 +77,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.spec:
-        data = json.loads(Path(args.spec).read_text())
-        data["seed"] = args.seed
-        spec = SynthSpec(**data)
-    else:
-        spec = SynthSpec(seed=args.seed)
+    spec = SynthSpec()
+    if args.spec:  # checked like a run config; --seed overrides its seed
+        spec = _from_dict(SynthSpec, json.loads(Path(args.spec).read_text()))
+    spec = dataclasses.replace(spec, seed=args.seed)
     dump, ratings = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,8 +10,10 @@ or missing intermediates are refused instead of silently corrupting a run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
@@ -20,7 +22,7 @@ import tempfile
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from . import centrality as centrality_mod
 from . import networks, quality, tsv
@@ -53,6 +55,10 @@ def _is_a(value, hint) -> bool:
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(
             _is_a(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_origin(hint) is dict:
+        key, item = typing.get_args(hint)
+        return isinstance(value, dict) and all(
+            _is_a(k, key) and _is_a(v, item) for k, v in value.items())
     types = (int, float) if hint is float else hint
     return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
 
@@ -121,17 +127,25 @@ class RunConfig:
         )
 
 
-def atomic_write(path: Path, write: Callable) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+@contextlib.contextmanager
+def _temp_file(path: Path) -> Iterator[tuple[str, BinaryIO]]:
+    """A binary temp file beside `path`, deleted on exit unless it was
+    renamed meanwhile, so readers never see partial output."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fp:
-            write(fp)
-        os.replace(tmp, path)
-    except BaseException:
+        with os.fdopen(fd, "w+b") as fp:
+            yield tmp, fp
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def atomic_write(path: Path, write: Callable) -> None:
+    """Write via temp file + rename so readers never see partial output."""
+    with _temp_file(path) as (tmp, raw):
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fp:
+            write(fp)
+        os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -177,26 +191,59 @@ def _read(path: Path, reader: Callable, *args):
         return reader(fp, *args)
 
 
-def _read_histories(path: Path) -> list[PageHistory]:
-    return _read(path, lambda fp: [_history_from_json(line) for line in fp
-                                   if line.strip()])
+def _read_histories(path: Path) -> Iterator[PageHistory]:
+    """Decode a JSONL artifact one page at a time."""
+    with open(path, encoding="utf-8") as fp:
+        for line in fp:
+            if line.strip():
+                yield _history_from_json(line)
+
+
+def _copy_by_page_id(src: BinaryIO, dst: BinaryIO) -> None:
+    """Copy the JSONL page lines of `src` to `dst` in page_id order; pages
+    that share an id keep their order in `src`."""
+    src.seek(0)
+    index, offset = [], 0
+    for line in src:
+        index.append((json.loads(line)["page_id"], offset, len(line)))
+        offset += len(line)
+    index.sort(key=lambda entry: entry[0])
+    for _page_id, offset, length in index:
+        src.seek(offset)
+        dst.write(src.read(length))
 
 
 def stage_ingest(cfg: RunConfig, root: Path) -> None:
-    articles: list[PageHistory] = []
-    utps: list[PageHistory] = []
-    with open(cfg.dump, "rb") as fp:
-        for page in parse_dump(fp, cfg.bot_config()):
-            if page.namespace is Namespace.ARTICLE:
-                articles.append(page)
-            elif page.namespace is Namespace.USER_TALK:
-                for rev in page.revisions[:-1]:
-                    rev.tokens = []
-                utps.append(page)
-    for name, pages in (("articles.jsonl", articles), ("utp.jsonl", utps)):
-        pages.sort(key=lambda p: p.page_id)
-        atomic_write(root / name, lambda fp: fp.writelines(
-            _history_to_json(page) + "\n" for page in pages))
+    """Write each page's line as parse_dump yields it, so the stage holds
+    one page at a time. Each artifact's lines go to a temp file, which
+    replaces the artifact only once the whole dump has parsed. An artifact
+    whose pages came out of page_id order is copied in order first; only
+    then does the stage index its lines, so a dump in page_id order, as
+    MediaWiki exports are, costs no memory per page."""
+    names = {Namespace.ARTICLE: "articles.jsonl", Namespace.USER_TALK: "utp.jsonl"}
+    with contextlib.ExitStack() as stack:
+        temps = {ns: stack.enter_context(_temp_file(root / name))
+                 for ns, name in names.items()}
+        last_id, unordered = {}, set()
+        with open(cfg.dump, "rb") as fp:
+            for page in parse_dump(fp, cfg.bot_config()):
+                ns = page.namespace
+                if ns not in temps:
+                    continue
+                if ns is Namespace.USER_TALK:
+                    for rev in page.revisions[:-1]:
+                        rev.tokens = []
+                if page.page_id < last_id.get(ns, page.page_id):
+                    unordered.add(ns)
+                last_id[ns] = page.page_id
+                temps[ns][1].write(_history_to_json(page).encode() + b"\n")
+        for ns in unordered:
+            src = temps[ns][1]
+            temps[ns] = stack.enter_context(_temp_file(root / names[ns]))
+            _copy_by_page_id(src, temps[ns][1])
+        for ns, (tmp, fp) in temps.items():
+            fp.close()
+            os.replace(tmp, root / names[ns])
 
 
 def stage_contrib(cfg: RunConfig, root: Path) -> None:

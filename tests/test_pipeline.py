@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import wikiq
 from wikiq import networks, pipeline
 from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
-from wikiq.ingest import Namespace, parse_dump
+from wikiq.ingest import DumpParseError, Namespace, parse_dump
 from wikiq.longevity import SelectionParams, build_contributions, select_all
 from wikiq.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineError,
                             RunConfig, run_all, run_stage)
@@ -305,6 +306,112 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
         assert (work / "edges.tsv").read_text(encoding="utf-8") == want.getvalue()
 
 
+def split_pages(dump: str) -> tuple[str, list[str], str]:
+    """A synth dump's text before its first page, its <page> elements, each
+    with its indent and newline, and the text after the last page."""
+    pages = re.findall(r"  <page>\n.*?</page>\n", dump, flags=re.S)
+    head = dump[:dump.index(pages[0])]
+    tail = dump[dump.rindex("</page>\n") + len("</page>\n"):]
+    assert head + "".join(pages) + tail == dump
+    return head, pages, tail
+
+
+def page_id(page: str) -> int:
+    return int(re.search(r"<id>(\d+)</id>", page).group(1))
+
+
+def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
+    """Ingest writes the artifacts of a dump whose pages are out of page_id
+    order as those of the same dump sorted by page id: pages that share an
+    id keep their dump order."""
+    dump, _ratings = generate(SynthSpec(seed=1))
+    head, pages, tail = split_pages(dump)
+    articles = [i for i, page in enumerate(pages) if "<ns>0</ns>" in page]
+    shared, other = articles[3], articles[30]
+    pages[other] = pages[other].replace(f"<id>{page_id(pages[other])}</id>",
+                                        f"<id>{page_id(pages[shared])}</id>", 1)
+    random.Random(7).shuffle(pages)
+    files = {}
+    for name, order in (("shuffled", pages), ("sorted", sorted(pages, key=page_id))):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "dump.xml").write_text(head + "".join(order) + tail,
+                                       encoding="utf-8")
+        run_stage("ingest", make_config(root))
+        files[name] = tree_bytes(root / "work")
+        assert sorted(files[name]) == ["articles.jsonl", "config_resolved.json",
+                                       "manifest.json", "utp.jsonl"]
+    for name in ("articles.jsonl", "utp.jsonl"):
+        assert files["shuffled"][name] == files["sorted"][name]
+        in_dump = [page_id(page) for page in pages
+                   if ("<ns>0</ns>" in page) == (name == "articles.jsonl")]
+        assert in_dump != sorted(in_dump)
+        lines = files["sorted"][name].decode().splitlines()
+        assert [json.loads(line)["page_id"] for line in lines] == sorted(in_dump)
+
+
+def test_failed_ingest_writes_nothing(corpus, capsys):
+    """A dump that turns malformed after some pages have been written fails
+    ingest with one line, and leaves the work directory as it was."""
+    dump_path = corpus / "dump.xml"
+    dump = dump_path.read_text(encoding="utf-8")
+    head, pages, tail = split_pages(dump)
+    broken = head + "".join(pages[:20]) + "  <page>\n    <title>X</titel>\n" + tail
+    parsed = parse_dump(io.BytesIO(broken.encode()))
+    for _ in range(10):  # ingest writes these before the error
+        next(parsed)
+    with pytest.raises(DumpParseError):
+        list(parsed)
+    config = corpus / "config.json"
+    config.write_text(make_config(corpus).to_json())
+    work = Path(make_config(corpus).workdir)
+
+    def failing_ingest():
+        dump_path.write_text(broken, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: malformed XML")
+
+    failing_ingest()
+    assert tree_bytes(work) == {}  # no artifact, temp file or manifest
+    dump_path.write_text(dump, encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 0
+    before = tree_bytes(work)
+    failing_ingest()
+    assert tree_bytes(work) == before
+
+
+def test_ingest_and_contrib_memory_does_not_grow_with_page_count(tmp_path):
+    """Ingest and contrib hold one page at a time. Over 1,000 tiny pages
+    the tracemalloc peak of each stage is 1.9 MB, about 1 MB of which is
+    the hash's read buffer; holding every page, as both stages once did,
+    peaks at 6.6 MB (ingest) and 7.1 MB (contrib)."""
+    import tracemalloc
+
+    revision = ("<revision><timestamp>2011-01-01T00:0{}:00Z</timestamp>"
+                "<contributor><username>{}</username></contributor>"
+                "<text>{}</text></revision>")
+    (tmp_path / "dump.xml").write_text("<mediawiki>\n" + "".join(
+        f"<page><title>P{i}</title><ns>0</ns><id>{i}</id>" + "".join(
+            revision.format(m, author, f"p{i} some words here " * (8 * m + 8))
+            for m, author in enumerate(("Ann", "Bob")))
+        + "</page>\n" for i in range(1000)) + "</mediawiki>\n")
+    cfg = make_config(tmp_path)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for stage in ("ingest", "contrib"):
+            tracemalloc.reset_peak()
+            run_stage(stage, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "work" / "contributions.tsv").read_text().splitlines()
+    assert len(lines) == 1 + 1000  # Bob's last revision has no judge
+    assert max(peaks) < 4 * 1024 * 1024, peaks
+
+
 def test_synth_bots_in_no_network(tmp_path):
     """The talk pages' bots leave the talk networks through the restriction
     to selected authors, who come from bot-free contributions."""
@@ -466,6 +573,31 @@ class TestCli:
         assert main(["synth", "--seed", "5", "--out", str(b)]) == 0
         assert (a / "dump.xml").read_bytes() == (b / "dump.xml").read_bytes()
         assert (a / "ratings.tsv").read_bytes() == (b / "ratings.tsv").read_bytes()
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"pages_per_clas": {"FA": 1}}, "'pages_per_clas'"),
+        ([1], "not a JSON object"),
+        ({"pages_per_class": {"FA": "1"}}, "'pages_per_class'"),
+    ])
+    def test_bad_synth_spec_exit_code(self, tmp_path, capsys, spec, named):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "corpus"
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: config")
+        assert named in err[0]
+        assert not out.exists()
+
+    def test_synth_spec_seed_overridden(self, tmp_path, capsys):
+        classes = {"FA": 1, "Stub": 2}
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"pages_per_class": classes, "seed": 9}))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        dump, ratings = generate(SynthSpec(pages_per_class=classes, seed=3))
+        assert (tmp_path / "dump.xml").read_text(encoding="utf-8") == dump
+        assert (tmp_path / "ratings.tsv").read_text(encoding="utf-8") == ratings
 
     def test_dump_edited_after_ingest_exit_code(self, corpus, capsys):
         config = self.write_config(corpus)
