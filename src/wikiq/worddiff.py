@@ -17,6 +17,18 @@ every block:
 2. Once no free run of K tokens is left, one scan over the free positions
    finds the shorter maximal free runs, bucketed the same way.
 
+Phase 1 looks up b's K-gram only at the positions j that can seed a run;
+skipping any other position leaves the buckets as they were:
+
+- A K-gram holding a token absent from a has no hit, so only the maximal
+  stretches of at least K tokens of b that occur in a are walked.
+- Let b[cj:cend] == a[ci:ci + cend - cj] be a run already found. For
+  cj < j <= cend - K, b's K-gram at j equals a's at i = ci + j - cj. If
+  that K-gram occurs once in a, (i, j) is its only hit, and it is no seed,
+  since a[i - 1] == b[j - 1]. So j jumps to the first position inside the
+  run whose aligned K-gram repeats in a (where another run may start), or
+  past cend - K.
+
 Buckets are taken longest first, each sorted by (a_start, b_start). A run
 whose positions are all still free is maximal among the free runs, and no
 longer free run exists, because every free run lies inside a run that was
@@ -28,6 +40,7 @@ result is the greedy's block list, in the greedy's order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,13 +122,33 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     index: dict[tuple[str, ...], list[int]] = {}
     for i, gram in enumerate(zip(*(a[s:] for s in range(K)))):
         index.setdefault(gram, []).append(i)
+    once = bytearray(len(a))  # a's K-gram at i occurs nowhere else in a
+    for starts in index.values():
+        if len(starts) == 1:
+            once[starts[0]] = 1
+    present = bytes(map(set(a).__contains__, b))
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for j, gram in enumerate(zip(*(b[s:] for s in range(K)))):
-        for i in index.get(gram, ()):
-            if i and j and a[i - 1] == b[j - 1]:
-                continue
-            length = K + _common_run(a, b, i + K, j + K)
-            buckets.setdefault(length, []).append((i, j))
+    # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
+    # furthest into b.
+    ci = cj = cend = 0
+    for stretch in re.finditer(rb"\x01{%d,}" % K, present):
+        j, stop = stretch.start(), stretch.end() - K + 1
+        while j < stop:
+            if cj < j <= cend - K:
+                # Jump to the first K-gram inside the run that repeats in a.
+                i = once.find(0, ci + j - cj, ci + cend - K - cj + 1)
+                if i < 0:
+                    j = cend - K + 1
+                    continue
+                j = cj + i - ci
+            for i in index.get(tuple(b[j:j + K]), ()):
+                if i and j and a[i - 1] == b[j - 1]:
+                    continue
+                length = K + _common_run(a, b, i + K, j + K)
+                buckets.setdefault(length, []).append((i, j))
+                if j + length > cend:
+                    ci, cj, cend = i, j, j + length
+            j += 1
     _take_runs(buckets, K, a_free, b_free, blocks)
     # Phase 2: the free runs left are shorter than K; find them in one scan
     # of the free positions.
@@ -175,7 +208,7 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> DiffBreakdown:
     The pair is matched in a canonical order so that the result is exactly
     symmetric (greedy tie-breaks would otherwise depend on argument order).
     """
-    swapped = (len(a), tuple(a)) > (len(b), tuple(b))
+    swapped = len(a) > len(b) or (len(a) == len(b) and tuple(a) > tuple(b))
     if swapped:
         a, b = b, a
     blocks = match_blocks(a, b)

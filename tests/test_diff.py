@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from unittest import mock
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wikiq import worddiff
+from wikiq.ingest import Namespace, parse_dump
+from wikiq.longevity import build_contributions
+from wikiq.synth import SynthSpec, generate
 from wikiq.worddiff import (K, Block, DiffBreakdown, edit_distance, match_blocks,
                             triangle_guard)
 
@@ -236,6 +240,74 @@ def runs_around_k(draw):
 @settings(max_examples=300)
 def test_matches_reference_on_runs_around_k(pair):
     assert_same_as_reference(*pair)
+
+
+@st.composite
+def stretches_split_by_absent_tokens(draw):
+    """b over a larger alphabet than a: tokens a lacks cut b into stretches
+    of K-1, K and K+1 tokens, each a slice of a or drawn from a's alphabet."""
+    a = draw(st.lists(st.sampled_from("abc"), max_size=40))
+    b = draw(st.lists(st.sampled_from("xyz"), max_size=2))
+    for n in draw(st.lists(st.sampled_from([K - 1, K, K + 1]), max_size=8)):
+        if len(a) >= n and draw(st.booleans()):
+            start = draw(st.integers(min_value=0, max_value=len(a) - n))
+            b += a[start:start + n]
+        else:
+            b += draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+        b += draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=2))
+    return a, b
+
+
+@given(stretches_split_by_absent_tokens())
+@settings(max_examples=300)
+def test_matches_reference_on_stretches_split_by_absent_tokens(pair):
+    assert_same_as_reference(*pair)
+
+
+@st.composite
+def duplicated_spans(draw):
+    """a holds a span twice, the second copy from an offset on, so K-grams
+    inside the run b shares with the first copy recur in a. b's run ends at
+    b's end, at a token a lacks (a stretch's end), or before more of a."""
+    tok = st.sampled_from("abcd")
+    span = draw(st.lists(tok, min_size=K + 1, max_size=12))
+    cut = draw(st.integers(min_value=1, max_value=len(span) - K))
+    a = (draw(st.lists(tok, max_size=4)) + span + draw(st.lists(tok, max_size=4))
+         + span[cut:] + draw(st.lists(tok, max_size=4)))
+    end = draw(st.sampled_from([[], ["x"], ["x", "y", "z"]]))
+    b = (draw(st.lists(tok, max_size=3)) + span + end
+         + draw(st.lists(tok, max_size=6)))
+    return a, b
+
+
+@given(duplicated_spans())
+@settings(max_examples=500)
+def test_matches_reference_on_duplicated_spans(pair):
+    assert_same_as_reference(*pair)
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=K - 1),
+       st.lists(st.sampled_from("abcx"), max_size=12))
+def test_matches_reference_with_a_side_shorter_than_k(short, other):
+    assert_same_as_reference(short, other)
+
+
+def test_matches_reference_on_synth_pipeline_pairs():
+    # Every (a, b) pair build_contributions diffs on the synth seed 1 corpus.
+    dump, _ = generate(SynthSpec(seed=1))
+    pages = [page for page in parse_dump(io.BytesIO(dump.encode()))
+             if page.namespace is Namespace.ARTICLE]
+    pairs = []
+
+    def record(a, b):
+        pairs.append((a, b))
+        return match_blocks(a, b)
+
+    with mock.patch.object(worddiff, "match_blocks", record):
+        build_contributions(pages)
+    assert (len(pages), len(pairs)) == (75, 4041)
+    for a, b in pairs:
+        assert match_blocks(a, b) == reference_match_blocks(a, b)
 
 
 def zipf_words(rng, n, vocabulary=2000):
