@@ -9,7 +9,6 @@ Only positive longevities accumulate into an author's page contribution.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -82,9 +81,11 @@ def judge_revision(history: PageHistory, i: int,
     dists = _dists if _dists is not None else _PageDistances(history)
     d_r = dists.d(i - 1, i)
     author = history.revisions[i - 1].author.name
-    judges = list(itertools.islice(
-        (j for j in range(i + 1, n + 1)
-         if history.revisions[j - 1].author.name != author), MAX_JUDGES))
+    judges = [
+        j
+        for j in range(i + 1, n + 1)
+        if history.revisions[j - 1].author.name != author
+    ][:MAX_JUDGES]
     if d_r == 0.0 or not judges:
         return RevisionJudgment(i, d_r, 0.0, 0.0, len(judges))
     alphas = []

@@ -47,6 +47,8 @@ from typing import Sequence
 
 # Phase 1 seeds the runs of at least K tokens from shared K-grams.
 K = 3
+# A stretch of at least K tokens of b that all occur in a.
+_STRETCH = re.compile(rb"\x01{%d,}" % K)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
     # furthest into b.
     ci = cj = cend = 0
-    for stretch in re.finditer(rb"\x01{%d,}" % K, present):
+    for stretch in _STRETCH.finditer(present):
         j, stop = stretch.start(), stretch.end() - K + 1
         while j < stop:
             if cj < j <= cend - K:

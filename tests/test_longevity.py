@@ -5,13 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hostile import names
 from wikiq.ingest import AuthorId, AuthorKind, Namespace, PageHistory, RevisionRecord
-from wikiq.longevity import (MAX_JUDGES, ContributionTable,
-                             RevisionJudgment, SelectionParams,
+from wikiq.longevity import (ContributionTable, SelectionParams,
                              build_contributions, judge_page, judge_revision,
                              read_contributions, read_selections,
                              select_authors, write_contributions,
                              write_selections)
-from wikiq.worddiff import edit_distance, triangle_guard
+from wikiq.worddiff import edit_distance
 
 
 def author(name, kind=AuthorKind.REGISTERED):
@@ -120,54 +119,6 @@ def test_alpha_bar_always_in_range(versions):
     for j in judge_page(history):
         assert -1.0 <= j.alpha_bar <= 1.0
         assert j.longevity == j.alpha_bar * j.d_r
-
-
-def reference_judge_revision(history, i):
-    """Judge revision i by the rule as written: the first MAX_JUDGES later
-    revisions by other authors, from the list of all of them."""
-    versions = [[]] + [rev.tokens for rev in history.revisions]
-    d = lambda x, y: edit_distance(versions[x], versions[y]).distance
-    d_r = d(i - 1, i)
-    author = history.revisions[i - 1].author.name
-    judges = [j for j in range(i + 1, len(versions))
-              if history.revisions[j - 1].author.name != author][:MAX_JUDGES]
-    if d_r == 0.0 or not judges:
-        return RevisionJudgment(i, d_r, 0.0, 0.0, len(judges))
-    alphas = []
-    for j in judges:
-        d_prev_j_g = triangle_guard(d_r, d(i, j), d(i - 1, j))
-        d_i_j_g = triangle_guard(d_r, d(i - 1, j), d(i, j))
-        alphas.append(max(-1.0, min(1.0, (d_prev_j_g - d_i_j_g) / d_r)))
-    alpha_bar = sum(alphas) / len(alphas)
-    return RevisionJudgment(i, d_r, alpha_bar, alpha_bar * d_r, len(judges))
-
-
-@given(st.lists(st.tuples(st.sampled_from(["A", "B", "C"]),
-                          st.integers(min_value=1, max_value=14), rev_tokens),
-                min_size=1, max_size=5))
-@settings(max_examples=50, deadline=None)
-def test_judges_match_reference_on_same_author_streaks(streaks):
-    # Each streak is one author's run of revisions, each adding a token, so
-    # a revision's judges can lie past a streak longer than MAX_JUDGES.
-    versions = [(who, tokens + [f"t{k}"] * k)
-                for who, length, tokens in streaks for k in range(length)]
-    history = page(versions)
-    for i in range(1, len(versions) + 1):
-        assert judge_revision(history, i) == reference_judge_revision(history, i)
-
-
-class _Unread:
-    @property
-    def name(self):
-        raise AssertionError("read an author past the tenth judge")
-
-
-def test_judge_scan_stops_at_max_judges():
-    versions = [("Alice", words(5))]
-    versions += [(f"Other{k}", words(5) + words(k + 1, "x"))
-                 for k in range(MAX_JUDGES)]
-    history = page(versions + [(_Unread(), words(3))])
-    assert judge_revision(history, 1).judge_count == MAX_JUDGES
 
 
 def test_scaling_tokens_scales_longevity():
