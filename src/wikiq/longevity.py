@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence
 
 from . import tsv
 from .ingest import AuthorKind, PageHistory
-from .worddiff import edit_distance, triangle_guard
+from .worddiff import Version, edit_distance, triangle_guard
 
 log = logging.getLogger(__name__)
 
@@ -53,13 +53,22 @@ class SelectionParams:
 class _PageDistances:
     """Pairwise version distances of one page, computed lazily and cached.
 
-    Version index i means v_i, with v_0 the implicit empty version.
+    Version index i means v_i, with v_0 the implicit empty version. A
+    version is wrapped as a `Version` the first time it is diffed, so its
+    diff index is built at most once while the page holds it.
     """
 
     def __init__(self, history: PageHistory):
-        self._versions: list[Sequence[str]] = [[]]
-        self._versions += [rev.tokens for rev in history.revisions]
+        self._tokens: list[Sequence[str]] = [()]
+        self._tokens += [rev.tokens for rev in history.revisions]
+        self._versions: dict[int, Version] = {}
         self._cache: dict[tuple[int, int], float] = {}
+
+    def _version(self, i: int) -> Version:
+        version = self._versions.get(i)
+        if version is None:
+            version = self._versions[i] = Version(self._tokens[i])
+        return version
 
     def d(self, i: int, j: int) -> float:
         if i > j:
@@ -67,9 +76,13 @@ class _PageDistances:
         key = (i, j)
         if key not in self._cache:
             self._cache[key] = edit_distance(
-                self._versions[i], self._versions[j]
+                self._version(i), self._version(j)
             ).distance
         return self._cache[key]
+
+    def release(self, i: int) -> None:
+        """Drop v_i and its diff index; a later d() on v_i builds both again."""
+        self._versions.pop(i, None)
 
 
 def judge_revision(history: PageHistory, i: int,
@@ -102,12 +115,23 @@ def judge_revision(history: PageHistory, i: int,
 
 
 def judge_page(history: PageHistory) -> list[RevisionJudgment]:
-    """Judge every revision of a page with a shared distance cache."""
+    """Judge every revision of a page with a shared distance cache.
+
+    Step i diffs v_(i-1), v_i and i's judges, all later than i, so no step
+    after i + 1 needs v_i, and it is released then. The versions held at
+    once are so bounded by MAX_JUDGES, not by the page's length: past step
+    s only judges of earlier steps are held, and such a judge of a step by
+    author A is among the first MAX_JUDGES revisions after s not by A.
+    Those are the next MAX_JUDGES revisions unless A wrote one of them, so
+    at most MAX_JUDGES * (MAX_JUDGES + 1) versions past s are held, besides
+    v_(s-1) and v_s.
+    """
     dists = _PageDistances(history)
-    return [
-        judge_revision(history, i, dists)
-        for i in range(1, len(history.revisions) + 1)
-    ]
+    judgments = []
+    for i in range(1, len(history.revisions) + 1):
+        judgments.append(judge_revision(history, i, dists))
+        dists.release(i - 1)
+    return judgments
 
 
 def build_contributions(histories: Iterable[PageHistory],

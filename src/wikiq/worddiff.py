@@ -29,6 +29,10 @@ skipping any other position leaves the buckets as they were:
   run whose aligned K-gram repeats in a (where another run may start), or
   past cend - K.
 
+What phase 1 needs of a (its K-gram index, the `once` marks and its token
+set) depends on a alone. A `Version` builds it the first time it is the a
+side and keeps it, so a version diffed against many others is indexed once.
+
 Buckets are taken longest first, each sorted by (a_start, b_start). A run
 whose positions are all still free is maximal among the free runs, and no
 longer free run exists, because every free run lies inside a run that was
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 
@@ -49,6 +55,9 @@ from typing import Sequence
 K = 3
 # A stretch of at least K tokens of b that all occur in a.
 _STRETCH = re.compile(rb"\x01{%d,}" % K)
+# A side's K-gram index (K-gram -> start positions), its `once` marks (its
+# K-gram at i occurs nowhere else in it) and its set of tokens.
+Grams = tuple[dict[tuple[str, ...], list[int]], bytes, frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,27 @@ class Block:
     a_start: int
     b_start: int
     length: int
+
+
+class Version(tuple):
+    """A version's tokens, with what `match_blocks` needs of it as the a
+    side, built the first time it is asked for. A tuple, so the tokens
+    cannot change under the index built from them."""
+
+    @cached_property
+    def grams(self) -> Grams:
+        return _grams(self)
+
+
+def _grams(a: Version) -> Grams:
+    index: dict[tuple[str, ...], list[int]] = {}
+    for i, gram in enumerate(zip(*(a[s:] for s in range(K)))):
+        index.setdefault(gram, []).append(i)
+    once = bytearray(len(a))
+    for starts in index.values():
+        if len(starts) == 1:
+            once[starts[0]] = 1
+    return index, bytes(once), frozenset(a)
 
 
 @dataclass(frozen=True)
@@ -115,20 +145,19 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
 
     Returns the blocks in the order the greedy takes them.
     """
-    a, b = list(a), list(b)  # the slice compares need one sequence type
+    # The slice compares need one sequence type: a tuple slice never equals
+    # a list slice.
+    if not isinstance(a, Version):
+        a = Version(a)
+    if not isinstance(b, tuple):
+        b = tuple(b)
     a_free = bytearray(b"\x01") * len(a)
     b_free = bytearray(b"\x01") * len(b)
     blocks: list[Block] = []
     # Phase 1: every maximal common run of at least K tokens starts at a
     # shared K-gram whose preceding tokens differ.
-    index: dict[tuple[str, ...], list[int]] = {}
-    for i, gram in enumerate(zip(*(a[s:] for s in range(K)))):
-        index.setdefault(gram, []).append(i)
-    once = bytearray(len(a))  # a's K-gram at i occurs nowhere else in a
-    for starts in index.values():
-        if len(starts) == 1:
-            once[starts[0]] = 1
-    present = bytes(map(set(a).__contains__, b))
+    index, once, tokens = a.grams
+    present = bytes(map(tokens.__contains__, b))
     buckets: dict[int, list[tuple[int, int]]] = {}
     # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
     # furthest into b.
@@ -143,7 +172,7 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
                     j = cend - K + 1
                     continue
                 j = cj + i - ci
-            for i in index.get(tuple(b[j:j + K]), ()):
+            for i in index.get(b[j:j + K], ()):
                 if i and j and a[i - 1] == b[j - 1]:
                     continue
                 length = K + _common_run(a, b, i + K, j + K)
@@ -157,14 +186,11 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     if a_free.find(1) < 0 or b_free.find(1) < 0:
         return blocks
     occ: dict[str, list[int]] = {}
-    for i, tok in enumerate(a):
-        if a_free[i]:
-            occ.setdefault(tok, []).append(i)
+    for i in compress(range(len(a)), a_free):
+        occ.setdefault(a[i], []).append(i)
     buckets = {}
-    for j, tok in enumerate(b):
-        if not b_free[j]:
-            continue
-        for i in occ.get(tok, ()):
+    for j in compress(range(len(b)), b_free):
+        for i in occ.get(b[j], ()):
             if i and j and a_free[i - 1] and b_free[j - 1] and a[i - 1] == b[j - 1]:
                 continue
             n = 1

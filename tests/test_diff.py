@@ -10,8 +10,8 @@ from wikiq import worddiff
 from wikiq.ingest import Namespace, parse_dump
 from wikiq.longevity import build_contributions
 from wikiq.synth import SynthSpec, generate
-from wikiq.worddiff import (K, Block, DiffBreakdown, edit_distance, match_blocks,
-                            triangle_guard)
+from wikiq.worddiff import (K, Block, DiffBreakdown, Version, edit_distance,
+                            match_blocks, triangle_guard)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=30)
 
@@ -290,6 +290,22 @@ def test_matches_reference_on_duplicated_spans(pair):
        st.lists(st.sampled_from("abcx"), max_size=12))
 def test_matches_reference_with_a_side_shorter_than_k(short, other):
     assert_same_as_reference(short, other)
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=40),
+       st.lists(st.lists(st.sampled_from("abcdx"), max_size=40), max_size=4))
+@settings(max_examples=200)
+def test_prepared_version_matches_reference_in_either_order(tokens, others):
+    # One Version, its index built on first use as the a side, diffed
+    # against several sides, plain and prepared, in both orders.
+    version = Version(tokens)
+    for other in [*others, tokens[:K - 1], [], list(tokens)]:
+        for side in (other, Version(other)):
+            for a, b in ((version, side), (side, version)):
+                expected = reference_match_blocks(list(a), list(b))
+                assert match_blocks(a, b) == expected
+                assert match_blocks(list(a), list(b)) == expected
+            assert edit_distance(version, side) == edit_distance(tokens, other)
 
 
 def test_matches_reference_on_synth_pipeline_pairs():

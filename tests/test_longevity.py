@@ -1,15 +1,20 @@
 import io
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hostile import names
-from wikiq.ingest import AuthorId, AuthorKind, Namespace, PageHistory, RevisionRecord
-from wikiq.longevity import (ContributionTable, SelectionParams,
+from wikiq import longevity, worddiff
+from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
+                          RevisionRecord, parse_dump)
+from wikiq.longevity import (MAX_JUDGES, ContributionTable, SelectionParams,
                              build_contributions, judge_page, judge_revision,
                              read_contributions, read_selections,
                              select_authors, write_contributions,
                              write_selections)
+from wikiq.synth import SynthSpec, generate
 from wikiq.worddiff import edit_distance
 
 
@@ -134,6 +139,64 @@ def test_scaling_tokens_scales_longevity():
     j2 = judge_revision(doubled, 2)
     assert j2.alpha_bar == j1.alpha_bar
     assert j2.longevity == pytest.approx(2 * j1.longevity)
+
+
+class _Tracked(worddiff.Version):
+    """A Version that counts how many of its kind are alive."""
+    live = 0
+
+    def __del__(self):
+        _Tracked.live -= 1
+
+
+def judge_tracked(history):
+    """judge_page with every version wrapped as a _Tracked: the diff-index
+    builds per version ordinal, and the most versions alive at once."""
+    ordinals = {id(tokens): k for k, tokens in
+                enumerate([(), *(rev.tokens for rev in history.revisions)])}
+    builds = Counter()
+    peak = 0
+    real_build = worddiff._grams
+
+    def wrap(tokens):
+        nonlocal peak
+        version = _Tracked(tokens)
+        version.ordinal = ordinals[id(tokens)]
+        _Tracked.live += 1
+        peak = max(peak, _Tracked.live)
+        return version
+
+    def build(version):
+        builds[version.ordinal] += 1
+        return real_build(version)
+
+    with mock.patch.object(longevity, "Version", wrap), \
+            mock.patch.object(worddiff, "_grams", build):
+        judge_page(history)
+    return builds, peak
+
+
+def test_judge_page_indexes_each_version_once_and_keeps_none():
+    dump, _ = generate(SynthSpec(seed=1))
+    pages = [page for page in parse_dump(io.BytesIO(dump.encode()))
+             if page.namespace is Namespace.ARTICLE]
+    total = 0
+    for history in pages:
+        builds, _ = judge_tracked(history)
+        assert _Tracked.live == 0, f"page {history.page_id} still holds versions"
+        assert max(builds.values(), default=1) == 1, history.page_id
+        total += sum(builds.values())
+    assert total > 0
+
+
+def test_judge_page_holds_versions_bounded_by_max_judges():
+    # Two authors take turns, so each revision's judges run MAX_JUDGES
+    # other-author revisions (2 * MAX_JUDGES - 1 revisions) ahead.
+    n = 150
+    history = page([("AB"[k % 2], words(10) + [f"x{k}"]) for k in range(n)])
+    _, peak = judge_tracked(history)
+    assert _Tracked.live == 0
+    assert peak <= MAX_JUDGES * (MAX_JUDGES + 1) + 2 < n
 
 
 class TestContributions:
