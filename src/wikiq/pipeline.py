@@ -34,6 +34,7 @@ from .ingest import (AuthorId, AuthorKind, BotConfig, Namespace, PageHistory,
 from .longevity import (SelectionParams, build_contributions,
                         read_contributions, read_selections, select_all,
                         write_contributions, write_selections)
+from .worddiff import _common_run
 
 log = logging.getLogger(__name__)
 
@@ -161,28 +162,59 @@ def _sha256(path: Path) -> str:
 
 
 def _history_to_json(page: PageHistory) -> str:
+    """One page as a JSON line. Each revision is a row `[ordinal, author,
+    kind, timestamp, tokens]`, where `tokens` holds only what changed from
+    the previous revision. A row that keeps the previous revision's first
+    `head` and last `tail` tokens appends `head, tail`; the two runs are
+    taken longest first, the tail only from what the head leaves of the
+    shorter side, so `head + tail <= min(len(prev), len(tokens))`. A row
+    that keeps nothing holds its full tokens and no `head, tail`, so a
+    line whose rows keep nothing, as `utp.jsonl`'s do, is a line of the
+    full-token format, which the decoder also reads."""
+    rows, prev = [], []
+    for r in page.revisions:
+        tokens = r.tokens
+        head = _common_run(prev, tokens, 0, 0)
+        tail = _common_run(prev[head:][::-1], tokens[head:][::-1], 0, 0)
+        rows.append([r.rev_ordinal, r.author.name, r.author.kind.value,
+                     r.timestamp, tokens[head:len(tokens) - tail]]
+                    + ([head, tail] if head or tail else []))
+        prev = tokens
     return json.dumps({
         "page_id": page.page_id,
         "title": page.title,
         "namespace": page.namespace.value,
-        "revisions": [
-            [r.rev_ordinal, r.author.name, r.author.kind.value, r.timestamp, r.tokens]
-            for r in page.revisions
-        ],
+        "revisions": rows,
     }, sort_keys=True)
 
 
 def _history_from_json(line: str) -> PageHistory:
+    """Decode a `_history_to_json` line. A revision's kept head and tail
+    are the previous revision's own `str` objects, so a decoded history
+    costs memory in proportion to its edits."""
     d = json.loads(line)
+    page_id, revisions, prev = d["page_id"], [], []
+    for row in d["revisions"]:
+        if len(row) not in (5, 7):
+            raise ValueError(f"page {page_id}: a revision row has {len(row)} "
+                             "fields, not 5 or 7")
+        ordinal, name, kind, ts, tokens, *kept = row
+        head, tail = kept or (0, 0)
+        if not (type(head) is int and type(tail) is int
+                and 0 <= head and 0 <= tail and head + tail <= len(prev)):
+            raise ValueError(f"page {page_id}: revision {ordinal} keeps head "
+                             f"{head!r} and tail {tail!r} of the previous "
+                             f"revision's {len(prev)} tokens")
+        if head or tail:
+            tokens = prev[:head] + tokens + prev[len(prev) - tail:]
+        revisions.append(RevisionRecord(
+            page_id, ordinal, AuthorId(name, AuthorKind(kind)), ts, tokens))
+        prev = tokens
     return PageHistory(
-        page_id=d["page_id"],
+        page_id=page_id,
         title=d["title"],
         namespace=Namespace(d["namespace"]),
-        revisions=[
-            RevisionRecord(d["page_id"], ordinal, AuthorId(name, AuthorKind(kind)),
-                           ts, tokens)
-            for ordinal, name, kind, ts, tokens in d["revisions"]
-        ],
+        revisions=revisions,
     )
 
 
@@ -192,11 +224,16 @@ def _read(path: Path, reader: Callable, *args):
 
 
 def _read_histories(path: Path) -> Iterator[PageHistory]:
-    """Decode a JSONL artifact one page at a time."""
+    """Decode a JSONL artifact one page at a time; a line that does not
+    decode is a ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fp:
-        for line in fp:
+        for number, line in enumerate(fp, start=1):
             if line.strip():
-                yield _history_from_json(line)
+                try:
+                    page = _history_from_json(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path.name}: line {number}: {exc}") from None
+                yield page
 
 
 def _copy_by_page_id(src: BinaryIO, dst: BinaryIO) -> None:

@@ -14,12 +14,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wikiq
 from wikiq import networks, pipeline
 from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
-from wikiq.ingest import DumpParseError, Namespace, parse_dump
+from wikiq.ingest import (AuthorId, AuthorKind, DumpParseError, Namespace,
+                          PageHistory, RevisionRecord, parse_dump)
 from wikiq.longevity import SelectionParams, build_contributions, select_all
 from wikiq.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineError,
                             RunConfig, run_all, run_stage)
@@ -304,6 +306,204 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
         networks.write_edge_list(graph, want)
         assert graph.edges
         assert (work / "edges.tsv").read_text(encoding="utf-8") == want.getvalue()
+
+
+def reference_history_to_json(page: PageHistory) -> str:
+    """The JSONL encoder before revisions were stored as edits: every row
+    holds its revision's full tokens."""
+    return json.dumps({
+        "page_id": page.page_id,
+        "title": page.title,
+        "namespace": page.namespace.value,
+        "revisions": [
+            [r.rev_ordinal, r.author.name, r.author.kind.value, r.timestamp, r.tokens]
+            for r in page.revisions
+        ],
+    }, sort_keys=True)
+
+
+def reference_history_from_json(line: str) -> PageHistory:
+    d = json.loads(line)
+    return PageHistory(
+        page_id=d["page_id"],
+        title=d["title"],
+        namespace=Namespace(d["namespace"]),
+        revisions=[
+            RevisionRecord(d["page_id"], ordinal, AuthorId(name, AuthorKind(kind)),
+                           ts, tokens)
+            for ordinal, name, kind, ts, tokens in d["revisions"]
+        ],
+    )
+
+
+AUTHORS = (AuthorId("Ann", AuthorKind.REGISTERED),
+           AuthorId("10.0.0.1", AuthorKind.ANONYMOUS),
+           AuthorId("FixBot", AuthorKind.BOT))
+
+
+def page_of(*versions: list[str], page_id: int = 7) -> PageHistory:
+    """A page whose revisions have the given tokens, authors taking turns."""
+    return PageHistory(page_id, "Page", Namespace.ARTICLE, [
+        RevisionRecord(page_id, n, AUTHORS[n % len(AUTHORS)], 1000 + n, tokens)
+        for n, tokens in enumerate(versions, start=1)])
+
+
+def kept_runs(prev: list[str], tokens: list[str]) -> tuple[int, int]:
+    """The longest head two versions share, then the longest tail they share
+    in what the head leaves of the shorter one, token by token."""
+    limit = min(len(prev), len(tokens))
+    head = 0
+    while head < limit and prev[head] == tokens[head]:
+        head += 1
+    tail = 0
+    while tail < limit - head and prev[-1 - tail] == tokens[-1 - tail]:
+        tail += 1
+    return head, tail
+
+
+@st.composite
+def edit_histories(draw) -> PageHistory:
+    """A page of 0-8 revisions, each made from the one before by one edit:
+    an insert, a delete, a replacement, no change, or a blanking. A few
+    words make edits beside repeated tokens common, and inserts into a
+    blanked page regrow it."""
+    words = st.lists(st.sampled_from(("a", "b", "[[", "é")), max_size=5)
+    versions = [draw(words)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 7)) if versions else 0):
+        tokens = versions[-1]
+        i = draw(st.integers(0, len(tokens)))
+        j = draw(st.integers(i, len(tokens)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "same", "blank")))
+        versions.append({
+            "insert": lambda: tokens[:i] + draw(words) + tokens[i:],
+            "delete": lambda: tokens[:i] + tokens[j:],
+            "replace": lambda: tokens[:i] + draw(words) + tokens[j:],
+            "same": lambda: list(tokens),
+            "blank": lambda: [],
+        }[edit]())
+    return page_of(*versions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit_histories())
+@example(page_of(["a", "a"], ["a"], ["a", "a"]))
+@example(page_of(["a", "b", "a"], ["a", "a"], [], ["a"], ["a"], ["b"]))
+@example(page_of())
+@example(page_of(["a"]))
+def test_history_codec_matches_reference(page):
+    """Each row keeps the longest head and tail it shares with the row
+    before; a row that shares nothing has the reference's bytes, and every
+    page decodes to the history it was made from."""
+    line = pipeline._history_to_json(page)
+    assert pipeline._history_from_json(line) == page
+    reference = reference_history_to_json(page)
+    rows = json.loads(line)["revisions"]
+    prev = []
+    for row, want, rev in zip(rows, json.loads(reference)["revisions"],
+                              page.revisions, strict=True):
+        head, tail = kept = kept_runs(prev, rev.tokens)
+        assert tuple(row[5:]) == (kept if head or tail else ())
+        assert row[4] == rev.tokens[head:len(rev.tokens) - tail]
+        if not head and not tail:
+            assert json.dumps(row) == json.dumps(want)
+        prev = rev.tokens
+    if all(len(row) == 5 for row in rows):
+        assert line == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit_histories())
+def test_reference_format_still_decodes(page):
+    """A line of the full-token format decodes to the same history."""
+    assert pipeline._history_from_json(reference_history_to_json(page)) == page
+
+
+def test_synth_artifacts_match_reference_codec(tmp_path):
+    """On synth seed 1, utp.jsonl has the reference encoder's bytes, and
+    every articles.jsonl page decodes to the reference's history."""
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cfg = make_config(tmp_path)
+    run_stage("ingest", cfg)
+    with open(cfg.dump, "rb") as fp:
+        pages = list(parse_dump(fp, cfg.bot_config()))
+    work = Path(cfg.workdir)
+    utps = [p for p in pages if p.namespace is Namespace.USER_TALK]
+    for page in utps:
+        for rev in page.revisions[:-1]:
+            rev.tokens = []
+    lines = (work / "utp.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [reference_history_to_json(page) for page in utps]
+    articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
+    lines = (work / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [pipeline._history_from_json(line) for line in lines] == [
+        reference_history_from_json(reference_history_to_json(page))
+        for page in articles]
+    assert sum(len(line) for line in lines) * 4 < sum(
+        len(reference_history_to_json(page)) for page in articles)
+
+
+def test_full_token_work_directory_feeds_contrib(corpus, monkeypatch):
+    """A work directory ingested in the full-token format, whose manifest
+    records that file's hash, runs contrib without a re-ingest, and gives
+    the contributions of a fresh run."""
+    fresh = make_config(corpus, "fresh")
+    run_stage("ingest", fresh)
+    run_stage("contrib", fresh)
+    old = make_config(corpus, "old")
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_history_to_json", reference_history_to_json)
+        run_stage("ingest", old)
+    fresh_dir, old_dir = Path(fresh.workdir), Path(old.workdir)
+    assert ((old_dir / "articles.jsonl").read_bytes()
+            != (fresh_dir / "articles.jsonl").read_bytes())
+    run_stage("contrib", old)
+    assert ((old_dir / "contributions.tsv").read_bytes()
+            == (fresh_dir / "contributions.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("kept, match", [
+    ((-1, 0), "head -1 and tail 0"),
+    ((0, -1), "head 0 and tail -1"),
+    ((2, 2), "head 2 and tail 2 of the previous revision's 3 tokens"),
+    ((True, 0), "head True"),
+    ((2,), "6 fields"),
+    ((1, 1, 0), "8 fields"),
+])
+def test_impossible_row_is_refused(kept, match):
+    line = json.dumps({"page_id": 42, "title": "T", "namespace": "article",
+                       "revisions": [[1, "Ann", "registered", 1, ["a", "b", "c"]],
+                                     [2, "Bob", "registered", 2, ["x"], *kept]]})
+    with pytest.raises(ValueError, match=r"^page 42: .*" + re.escape(match)):
+        pipeline._history_from_json(line)
+
+
+def test_decoded_history_costs_memory_per_edit():
+    """A page of 300 revisions of ~2,000 tokens, each gaining one word, is
+    a 33 KB line, and decoding it peaks at 4.9 MB: each kept token is the
+    previous revision's own object. Full tokens made it a 5.3 MB line
+    whose decoding peaked at 36 MB."""
+    import tracemalloc
+
+    rng = random.Random(11)
+    versions = [[f"w{rng.randrange(5000)}" for _ in range(1850)]]
+    for _ in range(299):
+        tokens = list(versions[-1])
+        tokens.insert(rng.randrange(1, len(tokens) + 1), f"w{rng.randrange(5000)}")
+        versions.append(tokens)
+    page = page_of(*versions)
+    line = pipeline._history_to_json(page)
+    assert len(line.encode()) < 100_000
+    tracemalloc.start()
+    try:
+        decoded = pipeline._history_from_json(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024, peak
+    assert decoded == page
+    revisions = decoded.revisions
+    assert all(after.tokens[0] is before.tokens[0]
+               for before, after in zip(revisions, revisions[1:]))
 
 
 def split_pages(dump: str) -> tuple[str, list[str], str]:
@@ -643,6 +843,29 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("wikiq: error: ")
         assert "selection.tsv: line 3: expected 3 fields" in err[0]
+
+    def test_impossible_history_row_exit_code(self, corpus, capsys):
+        config = self.write_config(corpus)
+        assert main(["ingest", "--config", str(config)]) == 0
+        work = Path(make_config(corpus).workdir)
+        articles = work / "articles.jsonl"
+        lines = articles.read_text(encoding="utf-8").splitlines()
+        page = json.loads(lines[1])
+        first, second = page["revisions"][:2]
+        second[4:] = [[], len(first[4]), 1]
+        lines[1] = json.dumps(page, sort_keys=True)
+        articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = json.loads((work / "manifest.json").read_text())
+        manifest["ingest"]["outputs"]["articles.jsonl"] = hashlib.sha256(
+            articles.read_bytes()).hexdigest()
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["contrib", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(
+            f"wikiq: error: articles.jsonl: line 2: page {page['page_id']}: "
+            f"revision {second[0]} keeps head {len(first[4])} and tail 1")
+        assert not (work / "contributions.tsv").exists()
 
     def test_ratings_title_with_backslash(self, corpus):
         ratings = corpus / "ratings.tsv"
