@@ -17,11 +17,12 @@ every block:
 2. Once no free run of K tokens is left, one scan over the free positions
    finds the shorter maximal free runs, bucketed the same way.
 
-Phase 1 looks up b's K-gram only at the positions j that can seed a run;
-skipping any other position leaves the buckets as they were:
+Phase 1 walks b once and looks up b's K-gram only at the positions j that
+can seed a run; skipping any other position leaves the buckets as they
+were:
 
-- A K-gram holding a token absent from a has no hit, so only the maximal
-  stretches of at least K tokens of b that occur in a are walked.
+- A K-gram holding a token absent from a has no hit. If b[j + K - 1] is
+  absent, each of the K-grams at j .. j + K - 1 holds it, so j jumps by K.
 - Let b[cj:cend] == a[ci:ci + cend - cj] be a run already found. For
   cj < j <= cend - K, b's K-gram at j equals a's at i = ci + j - cj. If
   that K-gram occurs once in a, (i, j) is its only hit, and it is no seed,
@@ -29,9 +30,12 @@ skipping any other position leaves the buckets as they were:
   run whose aligned K-gram repeats in a (where another run may start), or
   past cend - K.
 
-What phase 1 needs of a (its K-gram index, the `once` marks and its token
-set) depends on a alone. A `Version` builds it the first time it is the a
-side and keeps it, so a version diffed against many others is indexed once.
+What phase 1 needs of a depends on a alone: its K-gram index, the `once`
+marks and its token set. The index maps a K-gram that occurs once in a to
+its start, and one that repeats to the ascending list of its starts, each
+listed once, so no run is bucketed twice from one seed. A `Version` builds
+it the first time it is the a side and keeps it, so a version diffed
+against many others is indexed once.
 
 Buckets are taken longest first, each sorted by (a_start, b_start). A run
 whose positions are all still free is maximal among the free runs, and no
@@ -44,20 +48,18 @@ result is the greedy's block list, in the greedy's order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from typing import Sequence
 
 
 # Phase 1 seeds the runs of at least K tokens from shared K-grams.
 K = 3
-# A stretch of at least K tokens of b that all occur in a.
-_STRETCH = re.compile(rb"\x01{%d,}" % K)
-# A side's K-gram index (K-gram -> start positions), its `once` marks (its
-# K-gram at i occurs nowhere else in it) and its set of tokens.
-Grams = tuple[dict[tuple[str, ...], list[int]], bytes, frozenset[str]]
+# A side's K-gram index (K-gram -> its start, an int if it occurs once, else
+# the ascending list of its starts), its `once` marks (its K-gram at i occurs
+# nowhere else in it) and its set of tokens.
+Grams = tuple[dict[tuple[str, ...], int | list[int]], bytes, frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,20 @@ class Version(tuple):
 
 
 def _grams(a: Version) -> Grams:
-    index: dict[tuple[str, ...], list[int]] = {}
-    for i, gram in enumerate(zip(*(a[s:] for s in range(K)))):
-        index.setdefault(gram, []).append(i)
-    once = bytearray(len(a))
-    for starts in index.values():
-        if len(starts) == 1:
-            once[starts[0]] = 1
+    grams = list(zip(*(a[s:] for s in range(K))))
+    # Each K-gram maps to its last start; most versions repeat none.
+    index: dict[tuple[str, ...], int | list[int]] = dict(zip(grams, count()))
+    once = bytearray(b"\x01") * len(grams) + bytes(len(a) - len(grams))
+    if len(index) < len(grams):
+        repeats: dict[tuple[str, ...], list[int]] = {}
+        for i, gram in enumerate(grams):
+            if index[gram] != i:
+                repeats.setdefault(gram, []).append(i)
+        for gram, starts in repeats.items():
+            starts.append(index[gram])
+            index[gram] = starts
+            for i in starts:
+                once[i] = 0
     return index, bytes(once), frozenset(a)
 
 
@@ -145,6 +154,8 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
 
     Returns the blocks in the order the greedy takes them.
     """
+    if not a or not b:
+        return []
     # The slice compares need one sequence type: a tuple slice never equals
     # a list slice.
     if not isinstance(a, Version):
@@ -157,29 +168,32 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     # Phase 1: every maximal common run of at least K tokens starts at a
     # shared K-gram whose preceding tokens differ.
     index, once, tokens = a.grams
-    present = bytes(map(tokens.__contains__, b))
     buckets: dict[int, list[tuple[int, int]]] = {}
     # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
     # furthest into b.
     ci = cj = cend = 0
-    for stretch in _STRETCH.finditer(present):
-        j, stop = stretch.start(), stretch.end() - K + 1
-        while j < stop:
-            if cj < j <= cend - K:
-                # Jump to the first K-gram inside the run that repeats in a.
-                i = once.find(0, ci + j - cj, ci + cend - K - cj + 1)
-                if i < 0:
-                    j = cend - K + 1
-                    continue
-                j = cj + i - ci
-            for i in index.get(b[j:j + K], ()):
-                if i and j and a[i - 1] == b[j - 1]:
-                    continue
-                length = K + _common_run(a, b, i + K, j + K)
-                buckets.setdefault(length, []).append((i, j))
-                if j + length > cend:
-                    ci, cj, cend = i, j, j + length
-            j += 1
+    j, stop = 0, len(b) - K + 1
+    while j < stop:
+        if b[j + K - 1] not in tokens:
+            # Each K-gram from j to j + K - 1 holds that token.
+            j += K
+            continue
+        if cj < j <= cend - K:
+            # Jump to the first K-gram inside the run that repeats in a.
+            i = once.find(0, ci + j - cj, ci + cend - K - cj + 1)
+            if i < 0:
+                j = cend - K + 1
+                continue
+            j = cj + i - ci
+        hits = index.get(b[j:j + K], ())
+        for i in (hits,) if isinstance(hits, int) else hits:
+            if i and j and a[i - 1] == b[j - 1]:
+                continue
+            length = K + _common_run(a, b, i + K, j + K)
+            buckets.setdefault(length, []).append((i, j))
+            if j + length > cend:
+                ci, cj, cend = i, j, j + length
+        j += 1
     _take_runs(buckets, K, a_free, b_free, blocks)
     # Phase 2: the free runs left are shorter than K; find them in one scan
     # of the free positions.
@@ -234,7 +248,11 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> DiffBreakdown:
     """Move-aware edit distance with its I / D / M components.
 
     The pair is matched in a canonical order so that the result is exactly
-    symmetric (greedy tie-breaks would otherwise depend on argument order).
+    symmetric (greedy tie-breaks would otherwise depend on argument order):
+    the shorter side first, and between equal lengths the smaller token
+    tuple. So the distance can depend on how the tokens are spelled:
+    `baaabbb` vs `bbbaaba` gives 18/7 (2.571), but the same pair with a and
+    b swapped, `abbbaaa` vs `aaabbab`, gives 24/7 (3.429).
     """
     swapped = len(a) > len(b) or (len(a) == len(b) and tuple(a) > tuple(b))
     if swapped:

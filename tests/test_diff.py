@@ -308,6 +308,85 @@ def test_prepared_version_matches_reference_in_either_order(tokens, others):
             assert edit_distance(version, side) == edit_distance(tokens, other)
 
 
+@st.composite
+def bursts_of_absent_tokens(draw):
+    """b cut by bursts of 1 to 2K tokens a lacks. The pieces between them
+    hold 0 to 2K - 1 tokens, so bursts sit at the start, the middle and the
+    end of b, at every offset mod K, next to runs shorter than K; each piece
+    is a slice of a or drawn from a's alphabet."""
+    a = draw(st.lists(st.sampled_from("abc"), max_size=30))
+    burst = st.lists(st.sampled_from("xyz"), min_size=1, max_size=2 * K)
+
+    def piece():
+        n = draw(st.integers(min_value=0, max_value=2 * K - 1))
+        if len(a) >= n and draw(st.booleans()):
+            start = draw(st.integers(min_value=0, max_value=len(a) - n))
+            return a[start:start + n]
+        return draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+
+    b = piece()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        b += draw(burst) + piece()
+    return a, b
+
+
+@given(bursts_of_absent_tokens())
+@settings(max_examples=500)
+def test_matches_reference_on_bursts_of_absent_tokens(pair):
+    assert_same_as_reference(*pair)
+
+
+def brute_grams(text):
+    starts: dict[tuple[str, ...], list[int]] = {}
+    for i in range(len(text) - K + 1):
+        starts.setdefault(tuple(text[i:i + K]), []).append(i)
+    return starts
+
+
+@st.composite
+def texts_with_repeated_grams(draw):
+    """Distinct tokens, so every K-gram is unique, with spans copied 2 to 5
+    times into them; a span may be shorter than K."""
+    text = [f"u{i}" for i in range(draw(st.integers(min_value=0, max_value=12)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        span = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=K + 2))
+        for _ in range(draw(st.integers(min_value=2, max_value=5))):
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            text[at:at] = span
+    return text
+
+
+@given(st.one_of(texts_with_repeated_grams(),
+                 st.lists(st.sampled_from("ab"), max_size=K - 1),
+                 st.lists(st.sampled_from("abc"), max_size=20)))
+@settings(max_examples=300)
+def test_gram_index_matches_brute_force(text):
+    index, once, tokens = Version(text).grams
+    expected = brute_grams(text)
+    assert index.keys() == expected.keys()
+    for gram, starts in expected.items():
+        if len(starts) == 1:
+            assert index[gram] == starts[0] and isinstance(index[gram], int)
+        else:
+            # Ascending, each start once: a start listed twice would seed
+            # the same run twice, which the block lists cannot show.
+            assert index[gram] == starts
+    assert once == bytes(len(expected.get(tuple(text[i:i + K]), ())) == 1
+                         for i in range(len(text)))
+    assert once[max(len(text) - K + 1, 0):] == bytes(min(K - 1, len(text)))
+    assert tokens == frozenset(text)
+
+
+def test_token_spelling_moves_the_distance():
+    # Equal-length versions are matched in the order of their token tuples,
+    # so swapping the spellings of a and b swaps the order the greedy sees
+    # and changes the distance.
+    for a, b, distance in (("baaabbb", "bbbaaba", 18 / 7),
+                           ("abbbaaa", "aaabbab", 24 / 7)):
+        assert edit_distance(list(a), list(b)).distance == pytest.approx(distance)
+        assert edit_distance(list(b), list(a)).distance == pytest.approx(distance)
+
+
 def test_matches_reference_on_synth_pipeline_pairs():
     # Every (a, b) pair build_contributions diffs on the synth seed 1 corpus.
     dump, _ = generate(SynthSpec(seed=1))

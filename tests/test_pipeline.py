@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -548,6 +549,44 @@ def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
         assert in_dump != sorted(in_dump)
         lines = files["sorted"][name].decode().splitlines()
         assert [json.loads(line)["page_id"] for line in lines] == sorted(in_dump)
+
+
+def test_pages_in_other_namespaces_change_no_artifact(tmp_path):
+    """Talk: and Wikipedia: copies of an article and of a user talk page
+    added to the dump move no artifact; the manifest differs only in the
+    hash and size of the dump ingest read."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    head, pages, tail = split_pages(dump)
+    article = next(page for page in pages if "<ns>0</ns>" in page)
+    user_talk = next(page for page in pages if "<ns>3</ns>" in page)
+    next_id = max(map(page_id, pages)) + 1
+    copies = []
+    for page in (article, user_talk):
+        for prefix, ns in (("Talk:", 1), ("Wikipedia:", 4)):
+            copy = re.sub(r"<ns>\d+</ns>", f"<ns>{ns}</ns>", page, count=1)
+            copy = copy.replace("<title>", f"<title>{prefix}", 1)
+            copies.append(copy.replace(f"<id>{page_id(page)}</id>",
+                                       f"<id>{next_id}</id>", 1))
+            next_id += 1
+    more = pages[:5] + copies[:2] + pages[5:] + copies[2:]
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    files = []
+    for order in (pages, more):
+        (tmp_path / "dump.xml").write_text(head + "".join(order) + tail,
+                                           encoding="utf-8")
+        shutil.rmtree(tmp_path / "work", ignore_errors=True)
+        run_all(make_config(tmp_path))
+        files.append(tree_bytes(tmp_path / "work"))
+    base, other = files
+    assert base.keys() == other.keys()
+    for name in base.keys() - {"manifest.json"}:
+        assert base[name] == other[name], name
+    manifests = [json.loads(f["manifest.json"]) for f in files]
+    for manifest in manifests:
+        assert manifest["ingest"]["inputs"].pop("dump.xml")
+        assert manifest["ingest"]["sizes"].pop("dump.xml")
+    assert manifests[0] == manifests[1]
+    assert base["manifest.json"] != other["manifest.json"]
 
 
 def test_failed_ingest_writes_nothing(corpus, capsys):
