@@ -8,9 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-DEFAULT_GAINS: dict[str, int] = {
-    "FA": 6, "A": 5, "GA": 4, "B": 3, "C": 2, "Start": 1, "Stub": 0,
-}
+from .ingest import QUALITY_CLASSES
 
 DEFAULT_RELEVANT = frozenset({"FA", "A", "GA"})
 
@@ -41,14 +39,14 @@ def _dcg(gains: Sequence[int], k: int) -> float:
     )
 
 
-def ndcg(ranking: Sequence[RankedPage], k: Optional[int] = None,
-         gains: Mapping[str, int] = DEFAULT_GAINS) -> float:
-    """Normalized discounted cumulative gain at k (default: full corpus)."""
+def ndcg(ranking: Sequence[RankedPage], k: Optional[int] = None) -> float:
+    """Normalized discounted cumulative gain at k (default: full corpus),
+    with each class's level as its gain."""
     if k is None:
         k = len(ranking)
     if k > len(ranking):
         raise ValueError(f"k={k} exceeds corpus size {len(ranking)}")
-    ranked_gains = [gains[p.cls] for p in ranking]
+    ranked_gains = [QUALITY_CLASSES[p.cls] for p in ranking]
     ideal = sorted(ranked_gains, reverse=True)
     z = _dcg(ideal, k)
     if z == 0.0:
@@ -56,23 +54,23 @@ def ndcg(ranking: Sequence[RankedPage], k: Optional[int] = None,
     return _dcg(ranked_gains, k) / z
 
 
-def filtered_eval(scores: Mapping[int, float], labels: Mapping[int, str],
-                  keep: Iterable[str], k: Optional[int] = None,
-                  gains: Mapping[str, int] = DEFAULT_GAINS) -> float:
-    """NDCG after restricting the corpus to the kept classes and re-ranking."""
+def filtered_eval(ranking: Sequence[RankedPage], keep: Iterable[str]) -> float:
+    """NDCG after restricting the corpus to the kept classes.  The kept
+    pages stay in ranking order, which is the order build_ranking gives
+    the subset: scores are finite, so its key (-score, page_id) is a total
+    order."""
     keep = set(keep)
-    sub = {pid: cls for pid, cls in labels.items() if cls in keep}
+    sub = [p for p in ranking if p.cls in keep]
     if not sub:
         raise ValueError("empty corpus after class filtering")
-    return ndcg(build_ranking(scores, sub), k=k, gains=gains)
+    return ndcg(sub)
 
 
-def precision_recall(scores: Mapping[int, float], labels: Mapping[int, str],
+def precision_recall(ranking: Sequence[RankedPage],
                      relevant: Iterable[str] = DEFAULT_RELEVANT
                      ) -> list[tuple[float, float]]:
     """Sweep the rank cutoff 1..N and emit (recall, precision) points."""
     relevant = set(relevant)
-    ranking = build_ranking(scores, labels)
     total_rel = sum(1 for p in ranking if p.cls in relevant)
     if total_rel == 0 or total_rel == len(ranking):
         raise ValueError("need at least one relevant and one irrelevant page")
@@ -85,13 +83,12 @@ def precision_recall(scores: Mapping[int, float], labels: Mapping[int, str],
     return curve
 
 
-def percentile_table(scores: Mapping[int, float], labels: Mapping[int, str],
+def percentile_table(ranking: Sequence[RankedPage],
                      buckets: int = 10) -> dict[str, list[float]]:
     """Per class, the proportion of its pages in each equal-count score
     percentile bucket (bucket 0 = top scores).  Rows sum to 1."""
     if buckets < 2:
         raise ValueError("need at least 2 buckets")
-    ranking = build_ranking(scores, labels)
     n = len(ranking)
     base, extra = divmod(n, buckets)
     counts: dict[str, list[int]] = {}

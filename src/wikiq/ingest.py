@@ -21,7 +21,9 @@ from . import tsv
 
 log = logging.getLogger(__name__)
 
-QUALITY_CLASSES = ("FA", "A", "GA", "B", "C", "Start", "Stub")
+# The editorial quality classes, best first, each with its level: the gain
+# NDCG gives the class, and the amount of text synth writes for it.
+QUALITY_CLASSES = {"FA": 6, "A": 5, "GA": 4, "B": 3, "C": 2, "Start": 1, "Stub": 0}
 
 ANONYMOUS_SENTINEL = "0.0.0.0"
 

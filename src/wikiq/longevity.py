@@ -10,7 +10,7 @@ Only positive longevities accumulate into an author's page contribution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from . import tsv
@@ -33,14 +33,9 @@ class RevisionJudgment:
     judge_count: int
 
 
-@dataclass
-class ContributionTable:
-    """Per (page, author) accumulated positive edit longevity.
-
-    Pages with no positive contribution keep an (empty) entry.
-    """
-
-    pages: dict[int, dict[str, float]] = field(default_factory=dict)
+# Per (page, author) accumulated positive edit longevity: page -> author ->
+# contribution. Pages with no positive contribution keep an (empty) entry.
+ContributionTable = dict[int, dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ def judge_page(history: PageHistory) -> list[RevisionJudgment]:
 def build_contributions(histories: Iterable[PageHistory],
                         drop_bots: bool = True) -> ContributionTable:
     """Accumulate positive longevity per (page, registered author)."""
-    table = ContributionTable()
+    table: ContributionTable = {}
     for history in histories:
         contribs: dict[str, float] = {}
         judgments = judge_page(history)
@@ -151,7 +146,7 @@ def build_contributions(histories: Iterable[PageHistory],
                 contribs[rev.author.name] = (
                     contribs.get(rev.author.name, 0.0) + judgment.longevity
                 )
-        table.pages[history.page_id] = contribs
+        table[history.page_id] = contribs
     return table
 
 
@@ -164,34 +159,26 @@ def select_authors(table: ContributionTable, page_id: int,
     order until they cover a theta fraction of the page total; a floor of
     min(min_authors, positive-contribution population) is applied regardless,
     so pages dominated by a few contributors still yield enough authors.
+    Eligible authors lead the order, so the floor only extends their prefix:
+    contributions are finite, so the key (-contribution, name) is a total
+    order and the selection is a prefix of one sort.
     """
-    if page_id not in table.pages:
+    if page_id not in table:
         raise KeyError(f"page {page_id} not in contribution table")
-    contribs = table.pages[page_id]
-    ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
+    contribs = table[page_id]
     total = sum(contribs.values())
     if total == 0:
         return []
-    selected: list[str] = []
-    cum = 0.0
+    ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
+    n, cum = 0, 0.0
     for author in ordered:
         if contribs[author] <= params.min_contrib:
-            continue
-        selected.append(author)
+            break
+        n += 1
         cum += contribs[author]
         if cum / total > params.theta:
             break
-    floor = min(params.min_authors, len(ordered))
-    if len(selected) < floor:
-        chosen = set(selected)
-        for author in ordered:
-            if len(selected) >= floor:
-                break
-            if author not in chosen:
-                selected.append(author)
-                chosen.add(author)
-    selected.sort(key=lambda a: (-contribs[a], a))
-    return selected
+    return ordered[:max(n, min(params.min_authors, len(ordered)))]
 
 
 def select_all(table: ContributionTable,
@@ -199,21 +186,21 @@ def select_all(table: ContributionTable,
                ) -> dict[int, list[str]]:
     return {
         page_id: select_authors(table, page_id, params)
-        for page_id in sorted(table.pages)
+        for page_id in sorted(table)
     }
 
 
 def write_contributions(table: ContributionTable, fp: IO[str]) -> None:
     tsv.write_rows(fp, CONTRIBUTIONS, [
         (page_id, author, contribs[author])
-        for page_id, contribs in sorted(table.pages.items())
+        for page_id, contribs in sorted(table.items())
         for author in sorted(contribs, key=lambda a: (-contribs[a], a))])
 
 
 def read_contributions(lines: Iterable[str]) -> ContributionTable:
-    table = ContributionTable()
+    table: ContributionTable = {}
     for page_id, author, contrib in tsv.read_rows(lines, CONTRIBUTIONS):
-        table.pages.setdefault(page_id, {})[author] = contrib
+        table.setdefault(page_id, {})[author] = contrib
     return table
 
 

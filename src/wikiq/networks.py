@@ -64,8 +64,7 @@ def utp_owner(title: str) -> Optional[str]:
 _TIMESTAMP_TOKENS = ("(", "UTC", ")")
 
 
-def iter_signatures(tokens: Sequence[str],
-                    window: int = SIGNATURE_WINDOW) -> Iterable[str]:
+def iter_signatures(tokens: Sequence[str]) -> Iterable[str]:
     """Yield signer names: a [[User:...]] / [[User talk:...]] link followed
     by a (UTC) timestamp marker within the token window."""
     n = len(tokens)
@@ -91,7 +90,7 @@ def iter_signatures(tokens: Sequence[str],
         if not name_toks:
             i += 1
             continue
-        end = min(n - 2, k + window)
+        end = min(n - 2, k + SIGNATURE_WINDOW)
         for t in range(k, end):
             if (tokens[t], tokens[t + 1], tokens[t + 2]) == _TIMESTAMP_TOKENS:
                 yield canonical_name(" ".join(name_toks))

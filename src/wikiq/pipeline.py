@@ -350,6 +350,8 @@ def stage_eval(cfg: RunConfig, root: Path) -> None:
     by_model = _read(root / "scores.tsv", quality.read_scores)
     labels = _read(Path(cfg.ratings), load_ratings)
     ks = cfg.eval_k or [len(labels)]
+    rankings = {model: build_ranking(by_model[model], labels)
+                for model in sorted(by_model)}
 
     def ndcg_row(model, configuration, compute):
         try:
@@ -361,30 +363,27 @@ def stage_eval(cfg: RunConfig, root: Path) -> None:
 
     def write_report(fp):
         rows = []
-        for model in sorted(by_model):
-            scores = by_model[model]
+        for model, ranking in rankings.items():
             for k in ks:
                 rows.append(ndcg_row(model, f"all@k={k}", lambda: ndcg(
-                    build_ranking(scores, labels), k=min(k, len(labels)))))
+                    ranking, k=min(k, len(labels)))))
             for name, keep in FILTER_CONFIGS:
                 rows.append(ndcg_row(model, name,
-                                     lambda: filtered_eval(scores, labels, keep)))
+                                     lambda: filtered_eval(ranking, keep)))
         tsv.write_rows(fp, ("model", "configuration", "ndcg"), rows)
 
     def write_percentiles(fp):
-        tables = {model: percentile_table(by_model[model], labels, cfg.buckets)
-                  for model in sorted(by_model)}
+        tables = {model: percentile_table(ranking, cfg.buckets)
+                  for model, ranking in rankings.items()}
         tsv.write_rows(fp, ("model", "class", "bucket", "proportion"), [
             (model, cls, b, prop) for model, table in tables.items()
             for cls in sorted(table) for b, prop in enumerate(table[cls], start=1)])
 
     def write_pr(fp):
         rows = []
-        for model in sorted(by_model):
+        for model, ranking in rankings.items():
             try:
-                curve = precision_recall(
-                    by_model[model], labels, cfg.relevant_classes
-                )
+                curve = precision_recall(ranking, cfg.relevant_classes)
             except ValueError as exc:  # no relevant or no irrelevant page
                 log.warning("PR curve undefined for model %s: %s; writing "
                             "no rows", model, exc)
@@ -439,10 +438,11 @@ def _lineage(stage: Stage) -> list[Stage]:
     return [s for s in STAGE_TABLE if s.name in names]
 
 
-def _config_values(config: RunConfig, stage: Stage) -> dict:
+def _config_values(data: dict, stage: Stage) -> dict:
     """The config values a stage's outputs depend on (its lineage's
-    config_keys) as JSON stores them, nested fields as dotted keys."""
-    data, values = json.loads(config.to_json()), {}
+    config_keys), from the config's JSON form `data`, nested fields as dotted
+    keys."""
+    values = {}
     for key in {k for s in _lineage(stage) for k in s.config_keys}:
         value = data[key]
         values.update({f"{key}.{k}": v for k, v in value.items()}
@@ -467,15 +467,15 @@ def _written_ns(root: Path, stage: Stage) -> int:
         return -1
 
 
-def _check_inputs(stage: Stage, config: RunConfig,
+def _check_inputs(stage: Stage, config: RunConfig, data: dict,
                   manifest: dict) -> tuple[dict[str, str], dict[str, int]]:
     """Hash each input once and refuse a missing input, one whose hash is
     not the one its producer recorded, any upstream stage that ran under
     other config values, and an input file that changed since an upstream
     stage read it. Such a file is re-hashed only if its size differs from
     the recorded one or it is not older than that stage's outputs, so the
-    record stays free of timestamps. Returns the input hashes and the
-    input files' sizes to record."""
+    record stays free of timestamps. `data` is the config as JSON stores
+    it. Returns the input hashes and the input files' sizes to record."""
     hashes, sizes = {}, {}
     for key in stage.config_keys:
         if key in INPUT_FILES:
@@ -494,7 +494,7 @@ def _check_inputs(stage: Stage, config: RunConfig,
     for upstream in _lineage(stage)[:-1]:
         entry = manifest.get(upstream.name, {})
         recorded = entry.get("config", {})
-        for key, value in sorted(_config_values(config, upstream).items()):
+        for key, value in sorted(_config_values(data, upstream).items()):
             if key not in recorded or recorded[key] != value:
                 raise PipelineError(
                     f"stage {stage.name!r}: {upstream.name!r} ran with {key}="
@@ -524,13 +524,14 @@ def run_stage(stage: str, config: RunConfig) -> None:
     manifest_path = root / "manifest.json"
     manifest = (json.loads(manifest_path.read_text())
                 if manifest_path.exists() else {})
-    inputs, sizes = _check_inputs(spec, config, manifest)
+    data = json.loads(config.to_json())
+    inputs, sizes = _check_inputs(spec, config, data, manifest)
     root.mkdir(parents=True, exist_ok=True)
     log.info("running stage %s in %s", stage, root)
     spec.fn(config, root)
-    _write_json(root / "config_resolved.json", dataclasses.asdict(config))
+    _write_json(root / "config_resolved.json", data)
     manifest[stage] = {
-        "config": _config_values(config, spec),
+        "config": _config_values(data, spec),
         "inputs": inputs,
         "outputs": {name: _sha256(root / name) for name in spec.outputs},
         "sizes": sizes,

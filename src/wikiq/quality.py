@@ -29,7 +29,7 @@ def longevity_qscore(selections: dict[int, list[str]],
     """Sum of selected authors' contributions per page."""
     scores = {
         page_id: sum(
-            contributions.pages.get(page_id, {}).get(a, 0.0)
+            contributions.get(page_id, {}).get(a, 0.0)
             for a in authors
         )
         for page_id, authors in selections.items()
@@ -77,7 +77,7 @@ def combined_qscore(selections: dict[int, list[str]],
     per page.  Normalization bounds come from the whole corpus being scored
     and are recorded in provenance."""
     contrib_values = [
-        contributions.pages.get(page_id, {}).get(a, 0.0)
+        contributions.get(page_id, {}).get(a, 0.0)
         for page_id, authors in selections.items()
         for a in authors
     ]
@@ -91,7 +91,7 @@ def combined_qscore(selections: dict[int, list[str]],
     for page_id, authors in selections.items():
         total = 0.0
         for a in authors:
-            contrib = contributions.pages.get(page_id, {}).get(a, 0.0)
+            contrib = contributions.get(page_id, {}).get(a, 0.0)
             centrality = cent.scores.get(a, 0.0)
             total += (
                 _normalize(contrib, c_lo, c_hi)

@@ -18,8 +18,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import tsv
-from .ingest import (RATINGS, AuthorId, AuthorKind, Namespace, PageHistory,
-                     RevisionRecord, serialize_dump, tokenize)
+from .ingest import (QUALITY_CLASSES, RATINGS, AuthorId, AuthorKind,
+                     Namespace, PageHistory, RevisionRecord, serialize_dump,
+                     tokenize)
 
 
 def _default_pages_per_class() -> dict[str, int]:
@@ -41,8 +42,14 @@ class SynthSpec:
     plant_anomaly: bool = True  # one Start page with top-tier contribution
     seed: int = 1
 
-
-_CLASS_LEVEL = {"FA": 6, "A": 5, "GA": 4, "B": 3, "C": 2, "Start": 1, "Stub": 0}
+    def __post_init__(self):
+        """Refuse a class outside the ladder; this runs under
+        dataclasses.replace too."""
+        for cls in self.pages_per_class:
+            if cls not in QUALITY_CLASSES:
+                raise ValueError(
+                    f"config key 'pages_per_class': unknown class {cls!r} "
+                    f"(one of {', '.join(QUALITY_CLASSES)})")
 
 
 def _word(rng: random.Random) -> str:
@@ -136,8 +143,8 @@ class _Corpus:
         spec = self.spec
         noisy_left = spec.noisy_pages
         anomaly_left = 1 if spec.plant_anomaly else 0
-        for cls in sorted(spec.pages_per_class, key=lambda c: -_CLASS_LEVEL[c]):
-            level = _CLASS_LEVEL[cls]
+        for cls in sorted(spec.pages_per_class, key=lambda c: -QUALITY_CLASSES[c]):
+            level = QUALITY_CLASSES[cls]
             for k in range(spec.pages_per_class[cls]):
                 name = f"{cls} article {k}"
                 elite_team = rng.sample(

@@ -240,7 +240,7 @@ def test_criterion_4_ranking_metric():
     assert ideal == pytest.approx(1.0, abs=1e-12)
     sep_labels = {i: "FA" for i in range(3)} | {i + 10: "Stub" for i in range(3)}
     sep_scores = {i: 50.0 - i for i in range(3)} | {i + 10: float(3 - i) for i in range(3)}
-    sep = filtered_eval(sep_scores, sep_labels, {"FA", "Stub"})
+    sep = filtered_eval(build_ranking(sep_scores, sep_labels), {"FA", "Stub"})
     assert sep == pytest.approx(1.0, abs=1e-12)
     report(
         "criterion 4 (ranking metric)",
@@ -278,11 +278,11 @@ def test_criterion_5_behavioral_ordering(tmp_path):
         if n["combined"] >= n["longevity"] >= n["centrality"]:
             ordered += 1
     labels, models = _score_models(1)
-    chain = [filtered_eval(models["combined"], labels, keep)
+    chain = [filtered_eval(build_ranking(models["combined"], labels), keep)
              for _, keep in FILTER_CONFIGS]
     monotone = all(chain[i] <= chain[i + 1] + 1e-12
                    for i in range(len(chain) - 1))
-    deciles = percentile_table(models["combined"], labels, 10)
+    deciles = percentile_table(build_ranking(models["combined"], labels), 10)
     anomaly_top = deciles["Start"][0] > 0.0
 
     dump, ratings_tsv = generate(SynthSpec(seed=1))

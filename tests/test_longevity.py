@@ -9,7 +9,7 @@ from hostile import names
 from wikiq import longevity, worddiff
 from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, parse_dump)
-from wikiq.longevity import (MAX_JUDGES, ContributionTable, SelectionParams,
+from wikiq.longevity import (MAX_JUDGES, SelectionParams,
                              build_contributions, judge_page, judge_revision,
                              read_contributions, read_selections,
                              select_authors, write_contributions,
@@ -204,7 +204,7 @@ class TestContributions:
         base = words(100)
         history = page([("Alice", base), ("Bob", base + ["x"])])
         table = build_contributions([history])
-        assert table.pages[1]["Alice"] == pytest.approx(100.0)
+        assert table[1]["Alice"] == pytest.approx(100.0)
 
     def test_fully_reverted_author_gets_zero(self):
         base = words(10)
@@ -215,7 +215,7 @@ class TestContributions:
             ("Bob", base + ["fine"]),
         ])
         table = build_contributions([history])
-        assert "Mallory" not in table.pages[1]
+        assert "Mallory" not in table[1]
 
     def test_anonymous_dropped(self):
         base = words(50)
@@ -224,7 +224,7 @@ class TestContributions:
             ("Bob", base + ["x"]),
         ])
         table = build_contributions([history])
-        assert "10.0.0.1" not in table.pages[1]
+        assert "10.0.0.1" not in table[1]
 
     def test_bots_dropped_when_configured(self):
         base = words(30)
@@ -232,13 +232,13 @@ class TestContributions:
             (author("SmackBot", AuthorKind.BOT), base),
             ("Bob", base + ["x"]),
         ])
-        assert "SmackBot" not in build_contributions([history], drop_bots=True).pages[1]
-        assert "SmackBot" in build_contributions([history], drop_bots=False).pages[1]
+        assert "SmackBot" not in build_contributions([history], drop_bots=True)[1]
+        assert "SmackBot" in build_contributions([history], drop_bots=False)[1]
 
     def test_empty_page_still_present(self):
         history = page([("Alice", words(5))])  # no judges -> zero longevity
         table = build_contributions([history])
-        assert table.pages == {1: {}}
+        assert table == {1: {}}
 
     def test_additive_over_revisions(self):
         base = words(10)
@@ -255,13 +255,43 @@ class TestContributions:
             for rev, j in zip(history.revisions, judgments)
             if rev.author.name == "Alice" and j.longevity > 0
         )
-        assert table.pages[1]["Alice"] == pytest.approx(expected)
+        assert table[1]["Alice"] == pytest.approx(expected)
 
 
 def make_table(contribs, page_id=1):
-    table = ContributionTable()
-    table.pages[page_id] = dict(contribs)
-    return table
+    return {page_id: dict(contribs)}
+
+
+def reference_select_authors(table, page_id, params=SelectionParams()):
+    """The two-pass selection: the eligible authors up to theta, then a
+    fill from the whole order up to the floor, then a re-sort."""
+    if page_id not in table:
+        raise KeyError(f"page {page_id} not in contribution table")
+    contribs = table[page_id]
+    ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
+    total = sum(contribs.values())
+    if total == 0:
+        return []
+    selected = []
+    cum = 0.0
+    for author in ordered:
+        if contribs[author] <= params.min_contrib:
+            continue
+        selected.append(author)
+        cum += contribs[author]
+        if cum / total > params.theta:
+            break
+    floor = min(params.min_authors, len(ordered))
+    if len(selected) < floor:
+        chosen = set(selected)
+        for author in ordered:
+            if len(selected) >= floor:
+                break
+            if author not in chosen:
+                selected.append(author)
+                chosen.add(author)
+    selected.sort(key=lambda a: (-contribs[a], a))
+    return selected
 
 
 class TestSelectAuthors:
@@ -316,6 +346,22 @@ class TestSelectAuthors:
         assert base <= more_theta
         assert base <= more_k
 
+    # few distinct values, so ties, zeros and negatives are common
+    @given(
+        st.dictionaries(st.sampled_from("abcdefghijkl"), st.one_of(
+            st.sampled_from([-10.0, -0.5, 0.0, 0.5, 10.0, 10.5, 40.0]),
+            st.floats(-100.0, 100.0)), max_size=12),
+        st.one_of(st.floats(-1.0, 2.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0])),
+        st.integers(-1, 25),
+        st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-1.0, 0.0, 10.0])),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, contribs, theta, min_authors, min_contrib):
+        table = make_table(contribs)
+        params = SelectionParams(min_contrib, min_authors, theta)
+        assert (select_authors(table, 1, params)
+                == reference_select_authors(table, 1, params))
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -325,14 +371,14 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                        max_size=4))
 def test_contribution_roundtrip(pages):
     table = make_table({"a": 5.5, "b": 1.25}, page_id=3)
-    table.pages[4] = {"c": 9.0}
+    table[4] = {"c": 9.0}
     buf = io.StringIO()
     write_contributions(table, buf)
     again = read_contributions(io.StringIO(buf.getvalue()))
-    assert again.pages == {3: {"a": 5.5, "b": 1.25}, 4: {"c": 9.0}}
+    assert again == {3: {"a": 5.5, "b": 1.25}, 4: {"c": 9.0}}
     buf = io.StringIO()
-    write_contributions(ContributionTable(pages), buf)
-    assert read_contributions(io.StringIO(buf.getvalue())).pages == pages
+    write_contributions(pages, buf)
+    assert read_contributions(io.StringIO(buf.getvalue())) == pages
 
 
 @example(["a", "b"])

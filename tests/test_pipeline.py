@@ -225,6 +225,17 @@ class TestStages:
         for stage in ("net", "centrality", "score", "eval"):
             run_stage(stage, changed)
 
+    def test_eval_ranks_each_model_once(self, corpus, monkeypatch):
+        cfg = make_config(corpus)
+        run_all(cfg)
+        ranked = []
+        real_build_ranking = pipeline.build_ranking
+        monkeypatch.setattr(pipeline, "build_ranking",
+                            lambda scores, labels: ranked.append(id(scores))
+                            or real_build_ranking(scores, labels))
+        run_stage("eval", cfg)
+        assert len(ranked) == len(set(ranked)) == len(cfg.models)
+
     def test_undefined_ndcg_row_is_nan(self, tmp_path, caplog):
         dump, ratings = generate(SynthSpec(
             pages_per_class={"GA": 10, "C": 15, "Start": 20, "Stub": 25}))
@@ -817,6 +828,7 @@ class TestCli:
         ({"pages_per_clas": {"FA": 1}}, "'pages_per_clas'"),
         ([1], "not a JSON object"),
         ({"pages_per_class": {"FA": "1"}}, "'pages_per_class'"),
+        ({"pages_per_class": {"Foo": 1}}, "'Foo'"),
     ])
     def test_bad_synth_spec_exit_code(self, tmp_path, capsys, spec, named):
         (tmp_path / "spec.json").write_text(json.dumps(spec))

@@ -5,7 +5,6 @@ from hypothesis import assume, given
 
 from hostile import names
 from wikiq.centrality import CentralityTable
-from wikiq.longevity import ContributionTable
 from wikiq.quality import (QualityScoreTable, centrality_qscore,
                            combined_qscore, longevity_qscore, read_scores,
                            write_scores)
@@ -13,10 +12,10 @@ from wikiq.quality import (QualityScoreTable, centrality_qscore,
 
 def fixture(pages):
     """pages: page_id -> dict author -> contrib; selection = all authors."""
-    table = ContributionTable()
+    table = {}
     selections = {}
     for page_id, contribs in pages.items():
-        table.pages[page_id] = dict(contribs)
+        table[page_id] = dict(contribs)
         selections[page_id] = sorted(contribs, key=lambda a: (-contribs[a], a))
     return selections, table
 
@@ -154,7 +153,7 @@ class TestCombinedModel:
         selections, table = fixture({1: {"a": 50.0, "z": 100.0}, 2: {"b": 30.0, "z": 100.0}})
         centrality = cent({"a": 0.75, "b": 0.5, "z": 1.0})
         before = combined_qscore(selections, table, centrality).scores
-        table.pages[1]["a"] = 80.0  # bounds unchanged (max is z's 100 partner contrib)
+        table[1]["a"] = 80.0  # bounds unchanged (max is z's 100 partner contrib)
         after = combined_qscore(selections, table, centrality).scores
         assert after[1] > before[1]
         assert after[2] == before[2]
@@ -177,7 +176,7 @@ class TestCombinedModel:
                              for a, c in contribs.items())
             return out
 
-        naive = per_page_percentage(table.pages)
+        naive = per_page_percentage(table)
         assert naive[1] == pytest.approx(naive[2])  # heavy page not ranked first
 
 
