@@ -4,8 +4,11 @@ eigenvector (power iteration), and PageRank.
 The kernels work on an indexed view of the graph (`_indexed`): node i is the
 i-th name in sorted order, and each node's weighted successors are a list of
 (index, weight) pairs in the order the edges first name them. Per-node state
-is a plain list indexed the same way; eigenvector also flattens the rows into
-one index list and one weight list, so each power step runs in C-level maps.
+is a plain list indexed the same way. Eigenvector also flattens the rows into
+one index list and one weight list: each power step gathers x through those
+indices with one `operator.itemgetter` call, multiplies by the weights only
+when some weight is not 1.0 (`1.0 * v == v` exactly), and sums each row as a
+precomputed slice of that tuple, all in C-level calls.
 
 Every score is bit-for-bit what a name-keyed walk over the same sorted order
 gives, because each float comes from the same operations in the same order:
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import add, mul, sub, truediv
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import IO, Iterable
 
 from . import tsv
@@ -135,13 +138,17 @@ def eigenvector(g: AuthorGraph, tol: float = 1e-10,
                                {"tol": tol})
     index = [m for row in nbrs for m, _ in row]
     weight = [w for row in nbrs for _, w in row]
-    lengths = list(map(len, nbrs))
+    # itemgetter of one index returns the bare item, not a 1-tuple
+    gather = itemgetter(*index) if len(index) > 1 else lambda x: (x[index[0]],)
+    unit = all(w == 1.0 for w in weight)  # then w * v == v: skip the products
+    ends = list(accumulate(map(len, nbrs), initial=0))
+    rows = list(map(slice, ends, ends[1:]))
     x = [1.0] * len(order)
     residual = float("inf")
     for _ in range(max_iter):
-        products = map(mul, weight, map(x.__getitem__, index))
-        row_sums = map(sum, map(islice, repeat(products), lengths))
-        nxt = list(map(add, x, row_sums))
+        products = gather(x) if unit else tuple(map(mul, weight, gather(x)))
+        nxt = list(map(add, x, map(sum, map(products.__getitem__, rows))))
+        del products  # else the next step's products overlap these in memory
         norm = max(map(abs, nxt))
         nxt = list(map(truediv, nxt, repeat(norm)))
         residual = max(map(abs, map(sub, nxt, x)))

@@ -1,17 +1,22 @@
 """Staged pipeline over persisted TSV/JSONL intermediates.
 
 `STAGE_TABLE` declares each stage once: the workdir artifacts it reads and
-writes and the config fields its outputs depend on. `run_stage` checks every
-input's hash and config against the manifest entry of the stage that made
-it, runs the stage, which writes its artifacts atomically (temp file +
-rename), and records the hashes and config values in the manifest, so stale
-or missing intermediates are refused instead of silently corrupting a run.
+writes and the config fields its outputs depend on. `run_stage` computes the
+manifest entry a run would record: the lineage's config values, the input
+hashes and sizes, and a fingerprint of the program's sources. It refuses an
+input whose hash or config differs from the manifest entry of the stage that
+made it, so stale or missing intermediates never corrupt a run. It skips the
+stage, writing nothing, when that entry equals the recorded one and every
+output still has its recorded hash. Otherwise it runs the stage, which
+writes its artifacts atomically (temp file + rename), and records the entry
+with the output hashes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -101,8 +106,9 @@ class RunConfig:
     relevant_classes: list[str] = field(default_factory=lambda: sorted(DEFAULT_RELEVANT))
 
     def __post_init__(self):
-        """Refuse a network, metric or model name outside its tuple; this
-        runs under dataclasses.replace too, so it checks CLI overrides."""
+        """Refuse a network, metric or model name outside its tuple, an
+        eval cutoff below 1 and fewer than 2 buckets; this runs under
+        dataclasses.replace too, so it checks CLI overrides."""
         for key, names in (("network", NETWORKS), ("metric", METRICS),
                            ("models", MODELS)):
             value = getattr(self, key)
@@ -112,6 +118,10 @@ class RunConfig:
                                      f"{name!r} (one of {', '.join(names)})")
         if not self.models:
             raise ValueError("config key 'models': no model named")
+        if self.eval_k and min(self.eval_k) < 1:
+            raise ValueError(f"config key 'eval_k': {min(self.eval_k)!r} is below 1")
+        if self.buckets < 2:
+            raise ValueError(f"config key 'buckets': {self.buckets!r} is below 2")
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -467,15 +477,28 @@ def _written_ns(root: Path, stage: Stage) -> int:
         return -1
 
 
-def _check_inputs(stage: Stage, config: RunConfig, data: dict,
-                  manifest: dict) -> tuple[dict[str, str], dict[str, int]]:
-    """Hash each input once and refuse a missing input, one whose hash is
+@functools.cache
+def _program() -> str:
+    """A sha256 over the sources of the wikiq package's modules, taken once
+    per process, so a stage that ran under other code runs again."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(b"%s\0%d\0" % (path.name.encode(), len(source)) + source)
+    return h.hexdigest()
+
+
+def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
+    """The manifest entry a run of `stage` would record, but its outputs:
+    its lineage's config values, its input hashes, the sizes of the input
+    files it reads, and the program. `data` is the config as JSON stores it.
+
+    Hashes each input once and refuses a missing input, one whose hash is
     not the one its producer recorded, any upstream stage that ran under
     other config values, and an input file that changed since an upstream
     stage read it. Such a file is re-hashed only if its size differs from
     the recorded one or it is not older than that stage's outputs, so the
-    record stays free of timestamps. `data` is the config as JSON stores
-    it. Returns the input hashes and the input files' sizes to record."""
+    record stays free of timestamps."""
     hashes, sizes = {}, {}
     for key in stage.config_keys:
         if key in INPUT_FILES:
@@ -510,13 +533,40 @@ def _check_inputs(stage: Stage, config: RunConfig, data: dict,
                 raise PipelineError(
                     f"stage {stage.name!r}: {key} {path} changed since "
                     f"{upstream.name!r} read it (re-run {upstream.name!r})")
-    return hashes, sizes
+    return {"config": _config_values(data, stage), "inputs": hashes,
+            "program": _program(), "sizes": sizes}
+
+
+def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
+                root: Path) -> str | None:
+    """Why a run of `stage` may not be skipped: the first part in which
+    `entry` differs from the recorded entry (a config key, an input, the
+    program), else an output that is missing or lost its recorded hash.
+    None means the stage is up to date."""
+    if recorded is None:
+        return "no recorded run"
+    for part, what in (("config", "config key"), ("inputs", "input"),
+                       ("sizes", "input")):
+        old = recorded.get(part, {})
+        for key in sorted(entry[part].keys() | old.keys()):
+            if entry[part].get(key) != old.get(key):
+                return f"{what} {key} changed"
+    if entry["program"] != recorded.get("program"):
+        return "program changed"
+    for name in stage.outputs:
+        path = root / name
+        if not path.exists():
+            return f"output {name} missing"
+        if _sha256(path) != recorded.get("outputs", {}).get(name):
+            return f"output {name} changed"
+    return None
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
     """Run one stage once its inputs pass the manifest checks, then write the
     resolved config and record the stage in the manifest. A refused stage
-    writes nothing."""
+    writes nothing, and so does one that is up to date. Logs at INFO
+    whether the stage ran, and why, or was skipped."""
     if stage not in _BY_NAME:
         raise PipelineError(f"unknown stage {stage!r}")
     spec = _BY_NAME[stage]
@@ -525,18 +575,18 @@ def run_stage(stage: str, config: RunConfig) -> None:
     manifest = (json.loads(manifest_path.read_text())
                 if manifest_path.exists() else {})
     data = json.loads(config.to_json())
-    inputs, sizes = _check_inputs(spec, config, data, manifest)
+    entry = _entry(spec, config, data, manifest)
+    stale = _stale_part(spec, entry, manifest.get(stage), root)
+    if stale is None:
+        log.info("stage %s skipped in %s: up to date", stage, root)
+        return
     root.mkdir(parents=True, exist_ok=True)
-    log.info("running stage %s in %s", stage, root)
     spec.fn(config, root)
     _write_json(root / "config_resolved.json", data)
-    manifest[stage] = {
-        "config": _config_values(data, spec),
-        "inputs": inputs,
-        "outputs": {name: _sha256(root / name) for name in spec.outputs},
-        "sizes": sizes,
-    }
+    entry["outputs"] = {name: _sha256(root / name) for name in spec.outputs}
+    manifest[stage] = entry
     _write_json(manifest_path, manifest)
+    log.info("stage %s ran in %s: %s", stage, root, stale)
 
 
 def run_all(config: RunConfig) -> None:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import random
 import re
@@ -227,7 +228,8 @@ class TestStages:
 
     def test_eval_ranks_each_model_once(self, corpus, monkeypatch):
         cfg = make_config(corpus)
-        run_all(cfg)
+        for stage in STAGES[:-1]:
+            run_stage(stage, cfg)
         ranked = []
         real_build_ranking = pipeline.build_ranking
         monkeypatch.setattr(pipeline, "build_ranking",
@@ -255,6 +257,146 @@ class TestStages:
         assert (work / "percentiles.tsv").exists()
         assert (work / "pr_curve.tsv").exists()
         assert "FA-Stub" in caplog.text
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The names of the stages whose code ran, in the order they ran."""
+    calls = []
+    for spec in STAGE_TABLE:
+        def fn(cfg, root, spec=spec):
+            calls.append(spec.name)
+            spec.fn(cfg, root)
+        monkeypatch.setitem(pipeline._BY_NAME, spec.name, spec._replace(fn=fn))
+    return calls
+
+
+def edit_ratings(cfg, work, monkeypatch):
+    ratings = Path(cfg.ratings)
+    ratings.write_text(ratings.read_text(encoding="utf-8").replace(
+        "\tStub\n", "\tStart\n", 1), encoding="utf-8")
+    return cfg
+
+
+def rerun_centrality(cfg, work, monkeypatch):
+    cfg = dataclasses.replace(cfg, metric="degree")
+    run_stage("centrality", cfg)
+    return cfg
+
+
+def edit_report(cfg, work, monkeypatch):
+    with open(work / "report.tsv", "a", encoding="utf-8") as fp:
+        fp.write("longevity\tall@k=1\t1.0\n")
+    return cfg
+
+
+def new_program(cfg, work, monkeypatch):
+    manifest = json.loads((work / "manifest.json").read_text())
+    assert manifest["ingest"]["program"] == pipeline._program()
+    assert len(pipeline._program()) == 64
+    monkeypatch.setattr(pipeline, "_program", lambda: "0" * 64)
+    return cfg
+
+
+# kind: (the stage run again, an edit after `wikiq all`, the reason logged)
+MISMATCHES = {
+    "input": ("eval", edit_ratings, "input ratings.tsv changed"),
+    "upstream_config": ("score", rerun_centrality, "config key metric changed"),
+    "own_config": ("eval", lambda cfg, work, monkeypatch: dataclasses.replace(
+        cfg, buckets=5), "config key buckets changed"),
+    "edited_output": ("eval", edit_report, "output report.tsv changed"),
+    "missing_output": ("eval", lambda cfg, work, monkeypatch: (
+        work / "pr_curve.tsv").unlink() or cfg, "output pr_curve.tsv missing"),
+    "program": ("ingest", new_program, "program changed"),
+}
+
+
+@pytest.mark.parametrize("kind", MISMATCHES)
+def test_stage_runs_unless_its_entry_matches(corpus, monkeypatch, caplog,
+                                             stage_calls, kind):
+    """A stage is skipped only when its config values, input hashes and
+    sizes and the program equal the recorded ones and every output still
+    has its recorded hash; a run logs the first part that differed."""
+    cfg = make_config(corpus)
+    run_all(cfg)
+    work = Path(cfg.workdir)
+    first = artifact_bytes(work)
+    stage, edit, reason = MISMATCHES[kind]
+    cfg = edit(cfg, work, monkeypatch)
+    stage_calls.clear()
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="wikiq.pipeline")
+    run_stage(stage, cfg)
+    assert stage_calls == [stage]
+    assert caplog.messages == [f"stage {stage} ran in {work}: {reason}"]
+    if kind in ("edited_output", "missing_output", "program"):
+        assert artifact_bytes(work) == first
+    caplog.clear()
+    run_stage(stage, cfg)
+    assert stage_calls == [stage]
+    assert caplog.messages == [f"stage {stage} skipped in {work}: up to date"]
+
+
+def test_second_run_writes_no_file(corpus, caplog, stage_calls):
+    """A second `wikiq all` skips every stage: each workdir file keeps its
+    bytes, inode and mtime, and the directory gains no temp file. Another
+    metric re-runs only centrality, score and eval, and -v says why."""
+    config = corpus / "config.json"
+    config.write_text(make_config(corpus).to_json())
+    assert main(["all", "--config", str(config)]) == 0
+    assert stage_calls == list(STAGES)
+    work = Path(make_config(corpus).workdir)
+
+    def snapshot():
+        files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+                 for p in sorted(work.iterdir())}
+        return files, work.stat().st_mtime_ns
+
+    before = snapshot()
+    stage_calls.clear()
+    caplog.set_level(logging.INFO, logger="wikiq.pipeline")
+    assert main(["-v", "all", "--config", str(config)]) == 0
+    assert stage_calls == []
+    assert snapshot() == before
+    assert caplog.messages == [f"stage {stage} skipped in {work}: up to date"
+                               for stage in STAGES]
+    caplog.clear()
+    assert main(["-v", "all", "--config", str(config), "--metric", "degree"]) == 0
+    assert stage_calls == ["centrality", "score", "eval"]
+    assert caplog.messages == [
+        f"stage {stage} skipped in {work}: up to date" for stage in STAGES[:4]
+    ] + [
+        f"stage centrality ran in {work}: config key metric changed",
+        f"stage score ran in {work}: config key metric changed",
+        f"stage eval ran in {work}: config key metric changed"]
+
+
+def test_grid_builds_each_network_once(tmp_path, monkeypatch, stage_calls):
+    """The 3 networks x 4 metrics grid in one workdir, after one ingest,
+    contrib and select, runs `net` once per network and gives every
+    configuration the artifacts of a grid that runs every stage."""
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cfg = make_config(tmp_path)
+    for stage in ("ingest", "contrib", "select"):
+        run_stage(stage, cfg)
+    shutil.copytree(tmp_path / "work", tmp_path / "every")
+    grids = {}
+    for workdir in ("work", "every"):
+        if workdir == "every":
+            monkeypatch.setattr(pipeline, "_stale_part", lambda *args: "forced")
+        stage_calls.clear()
+        grids[workdir] = []
+        for network in pipeline.NETWORKS:
+            for metric in pipeline.METRICS:
+                grid_cfg = dataclasses.replace(
+                    cfg, workdir=str(tmp_path / workdir), network=network,
+                    metric=metric)
+                for stage in ("net", "centrality", "score", "eval"):
+                    run_stage(stage, grid_cfg)
+                grids[workdir].append(artifact_bytes(tmp_path / workdir))
+        assert stage_calls.count("net") == (3 if workdir == "work" else 12)
+        assert stage_calls.count("eval") == 12
+    assert grids["work"] == grids["every"]
 
 
 def test_articles_only_dump_finishes(tmp_path, caplog):
@@ -796,6 +938,8 @@ class TestCli:
         ({"damping": "0.85"}, "'damping'"),
         ({"exclude_bots": 1}, "'exclude_bots'"),
         ({"eval_k": [10, True]}, "'eval_k'"),
+        ({"eval_k": [-1, 0, 5]}, "'eval_k': -1"),
+        ({"buckets": 1}, "'buckets': 1"),
     ])
     def test_bad_config_refused_before_any_stage(self, corpus, capsys, edit, named):
         data = json.loads(make_config(corpus).to_json())
