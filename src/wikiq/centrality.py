@@ -195,16 +195,6 @@ def pagerank(g: AuthorGraph, damping: float = 0.85, tol: float = 1e-12,
     raise ConvergenceError("pagerank", max_iter, residual)
 
 
-def compute(metric: str, g: AuthorGraph, **kwargs) -> CentralityTable:
-    funcs = {
-        "degree": degree,
-        "betweenness": betweenness,
-        "eigenvector": eigenvector,
-        "pagerank": pagerank,
-    }
-    return funcs[metric](g, **kwargs)
-
-
 def write_centrality(table: CentralityTable, fp: IO[str]) -> None:
     tsv.write_meta(fp, metric=table.metric, graph=table.graph_kind,
                    **dict(sorted((table.params or {}).items())))

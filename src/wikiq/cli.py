@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 
 from .ingest import tokenize
-from .pipeline import (INPUT_FILES, METRICS, MODELS, NETWORKS, STAGE_TABLE,
-                       RunConfig, _from_dict, run_all, run_stage)
+from .pipeline import (METRICS, MODELS, NETWORKS, STAGE_TABLE, RunConfig,
+                       _from_dict, run_all, run_stage)
 from .synth import SynthSpec, generate
 from .worddiff import edit_distance
 
@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for stage in STAGE_TABLE:
-        reads = stage.inputs + tuple(k for k in stage.config_keys if k in INPUT_FILES)
+        reads = stage.inputs + stage.files
         _add_stage_options(sub.add_parser(stage.name, help=(
             f"reads {', '.join(reads)}; writes {', '.join(stage.outputs)}")))
     _add_stage_options(sub.add_parser("all", help="run every stage in order"))

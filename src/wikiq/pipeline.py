@@ -1,15 +1,18 @@
 """Staged pipeline over persisted TSV/JSONL intermediates.
 
 `STAGE_TABLE` declares each stage once: the workdir artifacts it reads and
-writes and the config fields its outputs depend on. `run_stage` computes the
-manifest entry a run would record: the lineage's config values, the input
-hashes and sizes, and a fingerprint of the program's sources. It refuses an
-input whose hash or config differs from the manifest entry of the stage that
-made it, so stale or missing intermediates never corrupt a run. It skips the
-stage, writing nothing, when that entry equals the recorded one and every
-output still has its recorded hash. Otherwise it runs the stage, which
-writes its artifacts atomically (temp file + rename), and records the entry
-with the output hashes.
+writes, the config fields that name the outside files it reads, and the
+config fields its outputs depend on. `run_stage` computes the manifest entry
+a run would record: the lineage's config values, the hashes and sizes of its
+inputs, outside files by base name only, and a fingerprint of the program's
+sources. That entry is the only record of what a stage ran with, so a corpus
+and work directory moved elsewhere give the same bytes. `run_stage` refuses
+an input whose hash or config differs from the manifest entry of the stage
+that made it, so stale or missing intermediates never corrupt a run. It
+skips the stage, writing nothing, when that entry equals the recorded one
+and every output still has its recorded hash. Otherwise it runs the stage,
+which writes its artifacts atomically (temp file + rename), and records the
+entry with the output hashes.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from .worddiff import _common_run
 
 log = logging.getLogger(__name__)
 
-# RunConfig fields that name a file outside the workdir; a stage that lists
-# one in its config_keys also records the file's hash among its inputs.
-INPUT_FILES = ("dump", "ratings")
 # the values RunConfig accepts for its network, metric and models fields
 NETWORKS = ("coauthor", "talk-sig", "talk-hist")
 METRICS = ("degree", "betweenness", "eigenvector", "pagerank")
@@ -228,9 +228,9 @@ def _history_from_json(line: str) -> PageHistory:
     )
 
 
-def _read(path: Path, reader: Callable, *args):
+def _read(path: Path, reader: Callable):
     with open(path, encoding="utf-8") as fp:
-        return reader(fp, *args)
+        return reader(fp)
 
 
 def _read_histories(path: Path) -> Iterator[PageHistory]:
@@ -327,7 +327,7 @@ def stage_centrality(cfg: RunConfig, root: Path) -> None:
     graph = _read(root / "edges.tsv", networks.read_edge_list)
     if graph.nodes:
         kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
-        table = centrality_mod.compute(cfg.metric, graph, **kwargs)
+        table = getattr(centrality_mod, cfg.metric)(graph, **kwargs)
     else:  # e.g. a dump without user talk pages under a talk network
         log.warning("the %s network has no nodes; writing an empty %s table",
                     graph.kind, cfg.metric)
@@ -349,11 +349,8 @@ def stage_score(cfg: RunConfig, root: Path) -> None:
         tables.append(quality.combined_qscore(selections, contributions, cent))
     atomic_write(root / "scores.tsv",
                  lambda fp: quality.write_scores(tables, fp))
-    provenance = {
-        "config": json.loads(cfg.to_json()),
-        "models": {t.model: t.provenance for t in tables},
-    }
-    _write_json(root / "provenance.json", provenance)
+    _write_json(root / "provenance.json",
+                {"models": {t.model: t.provenance for t in tables}})
 
 
 def stage_eval(cfg: RunConfig, root: Path) -> None:
@@ -413,13 +410,16 @@ class Stage(NamedTuple):
     outputs: tuple[str, ...]
     config_keys: tuple[str, ...]  # RunConfig fields the stage itself reads
     fn: Callable[[RunConfig, Path], None]  # writes the outputs under a root
+    # RunConfig fields naming the outside files the stage reads, recorded
+    # among its inputs by base name, hash and size, never by path
+    files: tuple[str, ...] = ()
 
 
 STAGE_TABLE = (
     # utp.jsonl keeps every user-talk revision's author and timestamp but the
     # tokens of the current one only: the talk networks read nothing else.
     Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
-          ("dump", "bot_list", "bot_suffix_heuristic"), stage_ingest),
+          ("bot_list", "bot_suffix_heuristic"), stage_ingest, ("dump",)),
     Stage("contrib", ("articles.jsonl",), ("contributions.tsv",),
           ("exclude_bots",), stage_contrib),
     Stage("select", ("contributions.tsv",), ("selection.tsv",),
@@ -431,7 +431,7 @@ STAGE_TABLE = (
     Stage("score", ("selection.tsv", "contributions.tsv", "centrality.tsv"),
           ("scores.tsv", "provenance.json"), ("models",), stage_score),
     Stage("eval", ("scores.tsv",), ("report.tsv", "percentiles.tsv", "pr_curve.tsv"),
-          ("ratings", "eval_k", "buckets", "relevant_classes"), stage_eval),
+          ("eval_k", "buckets", "relevant_classes"), stage_eval, ("ratings",)),
 )
 STAGES = tuple(s.name for s in STAGE_TABLE)
 ARTIFACTS = {s.name: s.outputs for s in STAGE_TABLE}
@@ -491,7 +491,8 @@ def _program() -> str:
 def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
     """The manifest entry a run of `stage` would record, but its outputs:
     its lineage's config values, its input hashes, the sizes of the input
-    files it reads, and the program. `data` is the config as JSON stores it.
+    files it reads (both keyed by base name), and the program. `data` is
+    the config as JSON stores it.
 
     Hashes each input once and refuses a missing input, one whose hash is
     not the one its producer recorded, any upstream stage that ran under
@@ -500,10 +501,9 @@ def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
     the recorded one or it is not older than that stage's outputs, so the
     record stays free of timestamps."""
     hashes, sizes = {}, {}
-    for key in stage.config_keys:
-        if key in INPUT_FILES:
-            path, st = _input_file(config, key)
-            hashes[path.name], sizes[path.name] = _sha256(path), st.st_size
+    for key in stage.files:
+        path, st = _input_file(config, key)
+        hashes[path.name], sizes[path.name] = _sha256(path), st.st_size
     for name in stage.inputs:
         producer = PRODUCER[name].name
         path = Path(config.workdir) / name
@@ -523,9 +523,7 @@ def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
                     f"stage {stage.name!r}: {upstream.name!r} ran with {key}="
                     f"{recorded.get(key)!r}, the config has {value!r} "
                     f"(re-run {upstream.name!r})")
-        for key in upstream.config_keys:
-            if key not in INPUT_FILES:
-                continue
+        for key in upstream.files:
             path, st = _input_file(config, key)
             if ((st.st_size != entry.get("sizes", {}).get(path.name)
                  or st.st_mtime_ns >= _written_ns(Path(config.workdir), upstream))
@@ -545,8 +543,7 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
     None means the stage is up to date."""
     if recorded is None:
         return "no recorded run"
-    for part, what in (("config", "config key"), ("inputs", "input"),
-                       ("sizes", "input")):
+    for part, what in (("config", "config key"), ("inputs", "input")):
         old = recorded.get(part, {})
         for key in sorted(entry[part].keys() | old.keys()):
             if entry[part].get(key) != old.get(key):
@@ -563,10 +560,10 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
-    """Run one stage once its inputs pass the manifest checks, then write the
-    resolved config and record the stage in the manifest. A refused stage
-    writes nothing, and so does one that is up to date. Logs at INFO
-    whether the stage ran, and why, or was skipped."""
+    """Run one stage once its inputs pass the manifest checks, then record
+    the stage in the manifest. A refused stage writes nothing, and so does
+    one that is up to date. Logs at INFO whether the stage ran, and why, or
+    was skipped."""
     if stage not in _BY_NAME:
         raise PipelineError(f"unknown stage {stage!r}")
     spec = _BY_NAME[stage]
@@ -582,7 +579,6 @@ def run_stage(stage: str, config: RunConfig) -> None:
         return
     root.mkdir(parents=True, exist_ok=True)
     spec.fn(config, root)
-    _write_json(root / "config_resolved.json", data)
     entry["outputs"] = {name: _sha256(root / name) for name in spec.outputs}
     manifest[stage] = entry
     _write_json(manifest_path, manifest)

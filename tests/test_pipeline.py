@@ -61,17 +61,9 @@ def tree_bytes(root: Path) -> dict:
 
 
 def artifact_bytes(workdir: Path) -> dict:
-    """All stage outputs, with the run config (which embeds absolute paths)
-    stripped out of the provenance record."""
-    out = {}
-    for names in ARTIFACTS.values():
-        for name in names:
-            if name == "provenance.json":
-                payload = json.loads((workdir / name).read_text())
-                out[name] = json.dumps(payload["models"], sort_keys=True)
-            else:
-                out[name] = (workdir / name).read_bytes()
-    return out
+    """The bytes of every stage output."""
+    return {name: (workdir / name).read_bytes()
+            for names in ARTIFACTS.values() for name in names}
 
 
 class TestSynth:
@@ -399,6 +391,43 @@ def test_grid_builds_each_network_once(tmp_path, monkeypatch, stage_calls):
     assert grids["work"] == grids["every"]
 
 
+def test_moved_corpus_and_workdir_give_identical_bytes(tmp_path, monkeypatch):
+    """The same corpus run through `all` with absolute paths from two
+    directories of different path lengths leaves byte-identical work
+    directories: the manifest records input files by base name, and no
+    file records the config's paths."""
+    trees = []
+    for root in (tmp_path / "a", tmp_path / "a_longer_directory_name"):
+        assert main(["synth", "--seed", "1", "--out", str(root)]) == 0
+        config = root / "config.json"
+        config.write_text(make_config(root).to_json())
+        monkeypatch.chdir(root)
+        assert main(["all", "--config", str(config)]) == 0
+        trees.append(tree_bytes(root / "work"))
+    assert {"manifest.json", "provenance.json"} <= trees[0].keys()
+    assert trees[0] == trees[1]
+
+
+def test_new_eval_k_is_recorded_once(corpus, stage_calls):
+    """After `wikiq all`, `wikiq all` with other eval cutoffs runs eval
+    only, and the work directory records the cutoffs in one place: the
+    manifest's eval entry."""
+    config = corpus / "config.json"
+    config.write_text(make_config(corpus).to_json())
+    assert main(["all", "--config", str(config)]) == 0
+    config.write_text(dataclasses.replace(make_config(corpus), eval_k=[5]).to_json())
+    stage_calls.clear()
+    assert main(["all", "--config", str(config)]) == 0
+    assert stage_calls == ["eval"]
+    work = Path(make_config(corpus).workdir)
+    assert [p.name for p in sorted(work.iterdir())
+            if b"eval_k" in p.read_bytes()] == ["manifest.json"]
+    manifest = json.loads((work / "manifest.json").read_text())
+    assert [stage for stage, entry in manifest.items()
+            if "eval_k" in entry["config"]] == ["eval"]
+    assert manifest["eval"]["config"]["eval_k"] == [5]
+
+
 def test_articles_only_dump_finishes(tmp_path, caplog):
     """Without user talk pages the talk network is empty: the run still
     writes every score, with a zero centrality model."""
@@ -693,8 +722,8 @@ def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
                                        encoding="utf-8")
         run_stage("ingest", make_config(root))
         files[name] = tree_bytes(root / "work")
-        assert sorted(files[name]) == ["articles.jsonl", "config_resolved.json",
-                                       "manifest.json", "utp.jsonl"]
+        assert sorted(files[name]) == ["articles.jsonl", "manifest.json",
+                                       "utp.jsonl"]
     for name in ("articles.jsonl", "utp.jsonl"):
         assert files["shuffled"][name] == files["sorted"][name]
         in_dump = [page_id(page) for page in pages
@@ -840,15 +869,18 @@ def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
 
 def test_stage_table_is_a_closed_graph():
     """Every input has one producer earlier in the table, and every config
-    field but workdir is some stage's config key, so a field cannot escape
-    the manifest's staleness check."""
+    field but workdir is some stage's config key or names an outside file
+    a stage reads, never both, so a field cannot escape the manifest's
+    staleness check."""
     for i, stage in enumerate(STAGE_TABLE):
         for name in stage.inputs:
             producers = [j for j, s in enumerate(STAGE_TABLE) if name in s.outputs]
             assert len(producers) == 1 and producers[0] < i, (stage.name, name)
     keys = {k for s in STAGE_TABLE for k in s.config_keys}
+    files = {k for s in STAGE_TABLE for k in s.files}
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert keys == fields - {"workdir"}
+    assert keys | files == fields - {"workdir"}
+    assert not keys & files
 
 
 class TestCli:
