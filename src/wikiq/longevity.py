@@ -21,7 +21,6 @@ log = logging.getLogger(__name__)
 
 MAX_JUDGES = 10
 CONTRIBUTIONS = {"page_id": int, "author": str, "contrib": float}
-SELECTION = {"page_id": int, "author": str, "rank": int}
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,8 @@ class RevisionJudgment:
 
 # Per (page, author) accumulated positive edit longevity: page -> author ->
 # contribution. Pages with no positive contribution keep an (empty) entry.
+# A selection is a sub-table: each page's main contributors, in selection
+# order, with their contributions.
 ContributionTable = dict[int, dict[str, float]]
 
 
@@ -183,14 +184,17 @@ def select_authors(table: ContributionTable, page_id: int,
 
 def select_all(table: ContributionTable,
                params: SelectionParams = SelectionParams()
-               ) -> dict[int, list[str]]:
+               ) -> ContributionTable:
     return {
-        page_id: select_authors(table, page_id, params)
+        page_id: {a: table[page_id][a]
+                  for a in select_authors(table, page_id, params)}
         for page_id in sorted(table)
     }
 
 
 def write_contributions(table: ContributionTable, fp: IO[str]) -> None:
+    """Each page's rows by descending contribution, ties by name: the
+    order of `select_authors`, so a selection round-trips in order."""
     tsv.write_rows(fp, CONTRIBUTIONS, [
         (page_id, author, contribs[author])
         for page_id, contribs in sorted(table.items())
@@ -202,16 +206,3 @@ def read_contributions(lines: Iterable[str]) -> ContributionTable:
     for page_id, author, contrib in tsv.read_rows(lines, CONTRIBUTIONS):
         table.setdefault(page_id, {})[author] = contrib
     return table
-
-
-def write_selections(selections: dict[int, list[str]], fp: IO[str]) -> None:
-    tsv.write_rows(fp, SELECTION, [
-        (page_id, author, rank) for page_id in sorted(selections)
-        for rank, author in enumerate(selections[page_id], start=1)])
-
-
-def read_selections(lines: Iterable[str]) -> dict[int, list[str]]:
-    selections: dict[int, list[str]] = {}
-    for page_id, author, _rank in tsv.read_rows(lines, SELECTION):
-        selections.setdefault(page_id, []).append(author)
-    return selections

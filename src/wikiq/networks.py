@@ -41,7 +41,7 @@ class AuthorGraph:
         return self.edges.get((a, b), 0)
 
 
-def build_coauthor(selections: Iterable[list[str]]) -> AuthorGraph:
+def build_coauthor(selections: Iterable[Iterable[str]]) -> AuthorGraph:
     """Undirected net linking main contributors who share a page; weight =
     number of co-authored pages."""
     g = AuthorGraph(kind="coauthor", directed=False)

@@ -40,11 +40,13 @@ from .evaluation import (DEFAULT_RELEVANT, FILTER_CONFIGS, build_ranking,
 from .ingest import (AuthorId, AuthorKind, BotConfig, Namespace, PageHistory,
                      RevisionRecord, load_ratings, parse_dump)
 from .longevity import (SelectionParams, build_contributions,
-                        read_contributions, read_selections, select_all,
-                        write_contributions, write_selections)
+                        read_contributions, select_all, write_contributions)
 from .worddiff import _common_run
 
 log = logging.getLogger(__name__)
+
+# a selection is a sub-table of the contribution table, in the same codec
+read_selections, write_selections = read_contributions, write_contributions
 
 # the values RunConfig accepts for its network, metric and models fields
 NETWORKS = ("coauthor", "talk-sig", "talk-hist")
@@ -338,15 +340,14 @@ def stage_centrality(cfg: RunConfig, root: Path) -> None:
 
 def stage_score(cfg: RunConfig, root: Path) -> None:
     selections = _read(root / "selection.tsv", read_selections)
-    contributions = _read(root / "contributions.tsv", read_contributions)
     cent = _read(root / "centrality.tsv", centrality_mod.read_centrality)
     tables = []
     if "longevity" in cfg.models:
-        tables.append(quality.longevity_qscore(selections, contributions))
+        tables.append(quality.longevity_qscore(selections))
     if "centrality" in cfg.models:
         tables.append(quality.centrality_qscore(selections, cent))
     if "combined" in cfg.models:
-        tables.append(quality.combined_qscore(selections, contributions, cent))
+        tables.append(quality.combined_qscore(selections, cent))
     atomic_write(root / "scores.tsv",
                  lambda fp: quality.write_scores(tables, fp))
     _write_json(root / "provenance.json",
@@ -428,7 +429,7 @@ STAGE_TABLE = (
           ("network",), stage_net),
     Stage("centrality", ("edges.tsv",), ("centrality.tsv",),
           ("metric", "damping"), stage_centrality),
-    Stage("score", ("selection.tsv", "contributions.tsv", "centrality.tsv"),
+    Stage("score", ("selection.tsv", "centrality.tsv"),
           ("scores.tsv", "provenance.json"), ("models",), stage_score),
     Stage("eval", ("scores.tsv",), ("report.tsv", "percentiles.tsv", "pr_curve.tsv"),
           ("eval_k", "buckets", "relevant_classes"), stage_eval, ("ratings",)),

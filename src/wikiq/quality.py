@@ -24,20 +24,14 @@ class QualityScoreTable:
     provenance: dict = field(default_factory=dict)
 
 
-def longevity_qscore(selections: dict[int, list[str]],
-                     contributions: ContributionTable) -> QualityScoreTable:
+def longevity_qscore(selections: ContributionTable) -> QualityScoreTable:
     """Sum of selected authors' contributions per page."""
-    scores = {
-        page_id: sum(
-            contributions.get(page_id, {}).get(a, 0.0)
-            for a in authors
-        )
-        for page_id, authors in selections.items()
-    }
+    scores = {page_id: sum(selected.values())
+              for page_id, selected in selections.items()}
     return QualityScoreTable("longevity", scores)
 
 
-def centrality_qscore(selections: dict[int, list[str]],
+def centrality_qscore(selections: ContributionTable,
                       cent: CentralityTable) -> QualityScoreTable:
     """Sum of selected authors' centralities per page; authors absent from
     the network contribute zero."""
@@ -70,32 +64,25 @@ def _normalize(v: float, lo: float, hi: float) -> float:
     return (v - lo) / (hi - lo)
 
 
-def combined_qscore(selections: dict[int, list[str]],
-                    contributions: ContributionTable,
+def combined_qscore(selections: ContributionTable,
                     cent: CentralityTable) -> QualityScoreTable:
     """Per-author product of normalized contribution and centrality, summed
     per page.  Normalization bounds come from the whole corpus being scored
     and are recorded in provenance."""
-    contrib_values = [
-        contributions.get(page_id, {}).get(a, 0.0)
-        for page_id, authors in selections.items()
-        for a in authors
-    ]
-    c_lo, c_hi = _minmax_bounds(contrib_values)
+    c_lo, c_hi = _minmax_bounds(
+        c for selected in selections.values() for c in selected.values())
     x_lo, x_hi = _minmax_bounds(cent.scores.values())
     if c_hi == c_lo:
         log.warning("degenerate contribution range, normalizing to 0.5")
     if x_hi == x_lo:
         log.warning("degenerate centrality range, normalizing to 0.5")
     scores: dict[int, float] = {}
-    for page_id, authors in selections.items():
+    for page_id, selected in selections.items():
         total = 0.0
-        for a in authors:
-            contrib = contributions.get(page_id, {}).get(a, 0.0)
-            centrality = cent.scores.get(a, 0.0)
+        for a, contrib in selected.items():
             total += (
                 _normalize(contrib, c_lo, c_hi)
-                * _normalize(centrality, x_lo, x_hi)
+                * _normalize(cent.scores.get(a, 0.0), x_lo, x_hi)
             )
         scores[page_id] = total
     return QualityScoreTable(

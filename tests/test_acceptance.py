@@ -262,9 +262,9 @@ def _score_models(seed: int):
     g = restrict_and_filter(build_talk_history(utps), project)
     pr = pagerank(g)
     return labels, {
-        "longevity": longevity_qscore(selections, table).scores,
+        "longevity": longevity_qscore(selections).scores,
         "centrality": centrality_qscore(selections, pr).scores,
-        "combined": combined_qscore(selections, table, pr).scores,
+        "combined": combined_qscore(selections, pr).scores,
     }
 
 

@@ -11,9 +11,9 @@ from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, parse_dump)
 from wikiq.longevity import (MAX_JUDGES, SelectionParams,
                              build_contributions, judge_page, judge_revision,
-                             read_contributions, read_selections,
-                             select_authors, write_contributions,
-                             write_selections)
+                             read_contributions, select_all, select_authors,
+                             write_contributions)
+from wikiq.pipeline import read_selections, write_selections
 from wikiq.synth import SynthSpec, generate
 from wikiq.worddiff import edit_distance
 
@@ -384,9 +384,31 @@ def test_contribution_roundtrip(pages):
 @example(["a", "b"])
 @given(st.lists(names, min_size=1, max_size=8, unique=True))
 def test_selection_roundtrip(authors):
+    """A selection is written and read by the contribution codec, and
+    round-trips its authors, their contributions and their order."""
+    assert (write_selections, read_selections) == (write_contributions,
+                                                   read_contributions)
     table = make_table({a: 50.0 - i for i, a in enumerate(authors)})
-    sel = {1: select_authors(table, 1, SelectionParams(0.0, 2, 0.9))}
+    sel = select_all(table, SelectionParams(0.0, 2, 0.9))
     buf = io.StringIO()
     write_selections(sel, buf)
     again = read_selections(io.StringIO(buf.getvalue()))
     assert again == sel
+    assert list(again[1]) == list(sel[1]) == select_authors(
+        table, 1, SelectionParams(0.0, 2, 0.9))
+
+
+def test_selection_is_a_sub_table_of_contributions():
+    """On every synth seed 1 page, the selection holds the selected
+    authors' contributions, in select_authors order."""
+    dump, _ = generate(SynthSpec(seed=1))
+    table = build_contributions(
+        page for page in parse_dump(io.BytesIO(dump.encode()))
+        if page.namespace is Namespace.ARTICLE)
+    for params in (SelectionParams(), SelectionParams(0.0, 2, 0.5)):
+        selections = select_all(table, params)
+        assert list(selections) == sorted(table)
+        for page_id, selected in selections.items():
+            authors = select_authors(table, page_id, params)
+            assert list(selected) == authors
+            assert selected == {a: table[page_id][a] for a in authors}

@@ -408,6 +408,50 @@ def test_moved_corpus_and_workdir_give_identical_bytes(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
+RENAME_PREFIX = "Zq"  # canonical_name leaves it alone; keeps name order
+
+
+def rename_users(dump: str) -> str:
+    """The dump with every username, user talk page owner and signature
+    name prefixed by RENAME_PREFIX."""
+    dump = re.sub(r"<username>(.*?)</username>",
+                  rf"<username>{RENAME_PREFIX}\1</username>", dump)
+    dump = dump.replace("<title>User talk:", f"<title>User talk:{RENAME_PREFIX}")
+    return re.sub(r"\[\[ User : (\S+) \| (\S+) \]\]",
+                  rf"[[ User : {RENAME_PREFIX}\1 | {RENAME_PREFIX}\2 ]]", dump)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_order_preserving_rename_renames_every_artifact(tmp_path, seed):
+    """Prefixing every registered author's name, an order-preserving
+    rename, gives every artifact of `all` equal to the unrenamed run's with
+    the rename applied. The manifest differs only in its hashes and in the
+    size of the dump."""
+    dump, ratings = generate(SynthSpec(seed=seed))
+    users = set(re.findall(r"<username>(.*?)</username>", dump))
+    rename = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(map(re.escape, users)))
+    files = []
+    for name, text in (("plain", dump), ("renamed", rename_users(dump))):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "dump.xml").write_text(text, encoding="utf-8")
+        (root / "ratings.tsv").write_text(ratings, encoding="utf-8")
+        run_all(make_config(root))
+        files.append(tree_bytes(root / "work"))
+    plain, renamed = files
+    assert plain.keys() == renamed.keys()
+    assert b"ZqEditor00" in renamed["edges.tsv"]
+    for name in plain.keys() - {"manifest.json"}:
+        expected = rename.sub(rf"{RENAME_PREFIX}\1", plain[name].decode())
+        assert renamed[name].decode() == expected, name
+    manifests = [json.loads(f["manifest.json"]) for f in files]
+    for manifest in manifests:
+        for entry in manifest.values():
+            for part in ("inputs", "outputs", "sizes"):
+                entry[part] = sorted(entry.get(part, ()))
+    assert manifests[0] == manifests[1]
+
+
 def test_new_eval_k_is_recorded_once(corpus, stage_calls):
     """After `wikiq all`, `wikiq all` with other eval cutoffs runs eval
     only, and the work directory records the cutoffs in one place: the
@@ -1055,21 +1099,71 @@ class TestCli:
     def test_malformed_artifact_row_exit_code(self, corpus, capsys):
         config = self.write_config(corpus)
         assert main(["all", "--config", str(config)]) == 0
-        work = Path(make_config(corpus).workdir)
-        selection = work / "selection.tsv"
-        lines = selection.read_text(encoding="utf-8").split("\n")
+        lines = self.selection_lines(corpus)
         lines[2] += "\textra"
-        selection.write_text("\n".join(lines), encoding="utf-8")
-        # record the edit, so that the stale-artifact check passes it
-        manifest = json.loads((work / "manifest.json").read_text())
-        manifest["select"]["outputs"]["selection.tsv"] = hashlib.sha256(
-            selection.read_bytes()).hexdigest()
-        (work / "manifest.json").write_text(json.dumps(manifest))
+        self.record_selection(corpus, lines)
         capsys.readouterr()
         assert main(["score", "--config", str(config)]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("wikiq: error: ")
         assert "selection.tsv: line 3: expected 3 fields" in err[0]
+
+    def selection_lines(self, corpus):
+        work = Path(make_config(corpus).workdir)
+        return (work / "selection.tsv").read_text(encoding="utf-8").split("\n")
+
+    def record_selection(self, corpus, lines):
+        """Write selection.tsv and record its hash in the manifest, so that
+        the stale-artifact check passes it."""
+        work = Path(make_config(corpus).workdir)
+        selection = work / "selection.tsv"
+        selection.write_text("\n".join(lines), encoding="utf-8")
+        manifest = json.loads((work / "manifest.json").read_text())
+        manifest["select"]["outputs"]["selection.tsv"] = hashlib.sha256(
+            selection.read_bytes()).hexdigest()
+        (work / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_selection_with_rank_column_exit_code(self, corpus, capsys):
+        """A selection.tsv in the old `page_id, author, rank` format exits
+        2 on score, with one line that names the file and the line."""
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        lines = self.selection_lines(corpus)
+        assert lines[0] == "page_id\tauthor\tcontrib"
+        ranks = {}
+        for k, line in enumerate(lines[1:], start=1):
+            if line:
+                page, author, _contrib = line.split("\t")
+                ranks[page] = ranks.get(page, 0) + 1
+                lines[k] = f"{page}\t{author}\t{ranks[page]}"
+        self.record_selection(corpus, ["page_id\tauthor\trank"] + lines[1:])
+        capsys.readouterr()
+        assert main(["score", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: ")
+        assert "selection.tsv: line 1: expected the header" in err[0]
+
+    def test_score_reads_no_contributions(self, corpus):
+        """After `all`, score and eval of the longevity and combined models
+        run without contributions.tsv and give those models the same
+        scores.tsv rows."""
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        work = Path(make_config(corpus).workdir)
+
+        def rows():
+            lines = (work / "scores.tsv").read_text().split("\n")[1:]
+            return [line for line in lines
+                    if line and line.split("\t")[1] in ("longevity", "com_pagerank")]
+
+        before = rows()
+        assert len(before) > 0
+        (work / "contributions.tsv").unlink()
+        for stage in ("score", "eval"):
+            assert main([stage, "--config", str(config), "--model", "longevity",
+                         "--model", "combined"]) == 0
+        assert rows() == before
+        assert "cen_pagerank" not in (work / "scores.tsv").read_text()
 
     def test_impossible_history_row_exit_code(self, corpus, capsys):
         config = self.write_config(corpus)

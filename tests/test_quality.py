@@ -11,13 +11,11 @@ from wikiq.quality import (QualityScoreTable, centrality_qscore,
 
 
 def fixture(pages):
-    """pages: page_id -> dict author -> contrib; selection = all authors."""
-    table = {}
-    selections = {}
-    for page_id, contribs in pages.items():
-        table[page_id] = dict(contribs)
-        selections[page_id] = sorted(contribs, key=lambda a: (-contribs[a], a))
-    return selections, table
+    """pages: page_id -> dict author -> contrib; the selection is every
+    author, as a sub-table in selection order."""
+    return {page_id: {a: contribs[a]
+                      for a in sorted(contribs, key=lambda a: (-contribs[a], a))}
+            for page_id, contribs in pages.items()}
 
 
 def cent(scores, metric="pagerank"):
@@ -26,12 +24,12 @@ def cent(scores, metric="pagerank"):
 
 class TestLongevityModel:
     def test_sum(self):
-        selections, table = fixture({1: {"a": 100.0, "b": 50.0}})
-        assert longevity_qscore(selections, table).scores == {1: 150.0}
+        selections = fixture({1: {"a": 100.0, "b": 50.0}})
+        assert longevity_qscore(selections).scores == {1: 150.0}
 
     def test_empty_selection_scores_zero(self):
-        selections, table = fixture({1: {}})
-        assert longevity_qscore(selections, table).scores == {1: 0.0}
+        selections = fixture({1: {}})
+        assert longevity_qscore(selections).scores == {1: 0.0}
 
     def test_matches_tsv_recomputation(self):
         import random
@@ -41,13 +39,13 @@ class TestLongevityModel:
             p: {f"a{i}": rng.uniform(1, 100) for i in range(rng.randint(1, 5))}
             for p in range(10)
         }
-        selections, table = fixture(pages)
-        scores = longevity_qscore(selections, table).scores
+        selections = fixture(pages)
+        scores = longevity_qscore(selections).scores
         # oracle: re-sum from the serialized contribution TSV
         from wikiq.longevity import write_contributions
 
         buf = io.StringIO()
-        write_contributions(table, buf)
+        write_contributions(selections, buf)
         sums = {}
         for line in buf.getvalue().splitlines()[1:]:
             page_id, _author, contrib = line.split("\t")
@@ -58,36 +56,36 @@ class TestLongevityModel:
 
 class TestCentralityModel:
     def test_single_author(self):
-        selections, _ = fixture({1: {"a": 5.0}})
+        selections = fixture({1: {"a": 5.0}})
         assert centrality_qscore(selections, cent({"a": 0.3})).scores == {1: 0.3}
 
     def test_isolated_authors_zero(self):
-        selections, _ = fixture({1: {"a": 5.0, "b": 2.0}})
+        selections = fixture({1: {"a": 5.0, "b": 2.0}})
         table = centrality_qscore(selections, cent({"a": 0.0, "b": 0.0}, "degree"))
         assert table.scores == {1: 0.0}
 
     def test_missing_author_contributes_zero(self):
-        selections, _ = fixture({1: {"a": 5.0, "ghost": 2.0}})
+        selections = fixture({1: {"a": 5.0, "ghost": 2.0}})
         assert centrality_qscore(selections, cent({"a": 0.4})).scores == {1: 0.4}
 
     def test_hub_pages_outrank_leaf_pages(self):
-        selections, _ = fixture({1: {"hub": 5.0}, 2: {"leaf": 5.0}})
+        selections = fixture({1: {"hub": 5.0}, 2: {"leaf": 5.0}})
         table = centrality_qscore(selections, cent({"hub": 0.9, "leaf": 0.1}))
         assert table.scores[1] > table.scores[2]
 
 
 class TestCombinedModel:
     def test_double_maximum_scores_one(self):
-        selections, table = fixture({1: {"top": 100.0}, 2: {"low": 1.0}})
+        selections = fixture({1: {"top": 100.0}, 2: {"low": 1.0}})
         scores = combined_qscore(
-            selections, table, cent({"top": 0.8, "low": 0.1})
+            selections, cent({"top": 0.8, "low": 0.1})
         ).scores
         assert scores[1] == pytest.approx(1.0)
 
     def test_min_centrality_author_contributes_nothing(self):
-        selections, table = fixture({1: {"big": 100.0}, 2: {"alt": 60.0}})
+        selections = fixture({1: {"big": 100.0}, 2: {"alt": 60.0}})
         scores = combined_qscore(
-            selections, table, cent({"big": 0.1, "alt": 0.5})
+            selections, cent({"big": 0.1, "alt": 0.5})
         ).scores
         assert scores[1] == 0.0  # big sits at the centrality minimum
 
@@ -101,8 +99,8 @@ class TestCombinedModel:
         }
         authors = {a for c in pages.values() for a in c}
         centrality = {a: rng.uniform(0, 1) for a in sorted(authors)}
-        selections, table = fixture(pages)
-        result = combined_qscore(selections, table, cent(centrality))
+        selections = fixture(pages)
+        result = combined_qscore(selections, cent(centrality))
         # independent recomputation from first principles
         all_contribs = [c for p in pages.values() for c in p.values()]
         c_lo, c_hi = min(all_contribs), max(all_contribs)
@@ -116,17 +114,17 @@ class TestCombinedModel:
         assert result.provenance["contrib_bounds"] == [c_lo, c_hi]
 
     def test_score_bounded_by_author_count(self):
-        selections, table = fixture({1: {"a": 100.0, "b": 90.0, "c": 1.0}})
+        selections = fixture({1: {"a": 100.0, "b": 90.0, "c": 1.0}})
         scores = combined_qscore(
-            selections, table, cent({"a": 1.0, "b": 0.9, "c": 0.1})
+            selections, cent({"a": 1.0, "b": 0.9, "c": 0.1})
         ).scores
         assert scores[1] <= 3.0
 
     def test_degenerate_bounds_warn(self, caplog):
-        selections, table = fixture({1: {"a": 5.0}, 2: {"b": 5.0}})
+        selections = fixture({1: {"a": 5.0}, 2: {"b": 5.0}})
         with caplog.at_level("WARNING"):
             scores = combined_qscore(
-                selections, table, cent({"a": 0.5, "b": 0.5})
+                selections, cent({"a": 0.5, "b": 0.5})
             ).scores
         assert scores[1] == pytest.approx(0.25)
         assert "degenerate" in caplog.text
@@ -142,19 +140,19 @@ class TestCombinedModel:
         authors = sorted({a for c in pages.values() for a in c})
         centrality = {a: rng.uniform(0, 1) for a in authors}
         rescaled = {a: 7.0 * v + 3.0 for a, v in centrality.items()}
-        selections, table = fixture(pages)
-        s1 = combined_qscore(selections, table, cent(centrality)).scores
-        s2 = combined_qscore(selections, table, cent(rescaled)).scores
+        selections = fixture(pages)
+        s1 = combined_qscore(selections, cent(centrality)).scores
+        s2 = combined_qscore(selections, cent(rescaled)).scores
         rank1 = sorted(pages, key=lambda p: (-s1[p], p))
         rank2 = sorted(pages, key=lambda p: (-s2[p], p))
         assert rank1 == rank2
 
     def test_monotone_in_contribution(self):
-        selections, table = fixture({1: {"a": 50.0, "z": 100.0}, 2: {"b": 30.0, "z": 100.0}})
+        selections = fixture({1: {"a": 50.0, "z": 100.0}, 2: {"b": 30.0, "z": 100.0}})
         centrality = cent({"a": 0.75, "b": 0.5, "z": 1.0})
-        before = combined_qscore(selections, table, centrality).scores
-        table[1]["a"] = 80.0  # bounds unchanged (max is z's 100 partner contrib)
-        after = combined_qscore(selections, table, centrality).scores
+        before = combined_qscore(selections, centrality).scores
+        selections[1]["a"] = 80.0  # bounds unchanged (max is z's 100 partner contrib)
+        after = combined_qscore(selections, centrality).scores
         assert after[1] > before[1]
         assert after[2] == before[2]
 
@@ -163,9 +161,9 @@ class TestCombinedModel:
         # percentage normalization treats the tiny page's sole author as a
         # 100% contributor and ranks the pages equal; global min-max keeps
         # the heavy page on top.
-        selections, table = fixture({1: {"major": 500.0}, 2: {"minor": 2.0}})
+        selections = fixture({1: {"major": 500.0}, 2: {"minor": 2.0}})
         centrality = cent({"major": 0.6, "minor": 0.6})
-        global_scores = combined_qscore(selections, table, centrality).scores
+        global_scores = combined_qscore(selections, centrality).scores
         assert global_scores[1] > global_scores[2]
 
         def per_page_percentage(pages):
@@ -176,15 +174,15 @@ class TestCombinedModel:
                              for a, c in contribs.items())
             return out
 
-        naive = per_page_percentage(table)
+        naive = per_page_percentage(selections)
         assert naive[1] == pytest.approx(naive[2])  # heavy page not ranked first
 
 
 @given(model=names)
 def test_scores_roundtrip(model):
     assume(model != "longevity")
-    selections, table = fixture({1: {"a": 10.0}, 2: {"b": 4.0}})
-    t = longevity_qscore(selections, table)
+    selections = fixture({1: {"a": 10.0}, 2: {"b": 4.0}})
+    t = longevity_qscore(selections)
     buf = io.StringIO()
     write_scores([t, QualityScoreTable(model, {3: 0.5})], buf)
     again = read_scores(io.StringIO(buf.getvalue()))
