@@ -67,11 +67,14 @@ def _normalize(v: float, lo: float, hi: float) -> float:
 def combined_qscore(selections: ContributionTable,
                     cent: CentralityTable) -> QualityScoreTable:
     """Per-author product of normalized contribution and centrality, summed
-    per page.  Normalization bounds come from the whole corpus being scored
-    and are recorded in provenance."""
+    per page.  Both normalizations take their bounds over every selected
+    (page, author) slot of the corpus being scored, an author absent from
+    the network at centrality 0.0, so no factor is negative; the bounds are
+    recorded in provenance."""
     c_lo, c_hi = _minmax_bounds(
         c for selected in selections.values() for c in selected.values())
-    x_lo, x_hi = _minmax_bounds(cent.scores.values())
+    x_lo, x_hi = _minmax_bounds(
+        cent.scores.get(a, 0.0) for selected in selections.values() for a in selected)
     if c_hi == c_lo:
         log.warning("degenerate contribution range, normalizing to 0.5")
     if x_hi == x_lo:

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import assume, given
 
 from hostile import names
+from wikiq import centrality
 from wikiq.centrality import CentralityTable
+from wikiq.ingest import Namespace, parse_dump
+from wikiq.longevity import build_contributions, select_all
+from wikiq.networks import (build_talk_history, build_talk_signature,
+                            restrict_and_filter)
 from wikiq.quality import (QualityScoreTable, centrality_qscore,
                            combined_qscore, longevity_qscore, read_scores,
                            write_scores)
+from wikiq.synth import SynthSpec, generate
 
 
 def fixture(pages):
@@ -156,6 +162,14 @@ class TestCombinedModel:
         assert after[1] > before[1]
         assert after[2] == before[2]
 
+    def test_absent_author_normalizes_to_zero(self):
+        # the centrality bounds are taken over the selected slots, an author
+        # absent from the network at 0.0, so that author adds nothing
+        selections = fixture({1: {"a": 10.0, "ghost": 5.0}, 2: {"b": 1.0}})
+        result = combined_qscore(selections, cent({"a": 0.4, "b": 0.2}))
+        assert result.provenance["centrality_bounds"] == [0.0, 0.4]
+        assert result.scores == {1: 1.0, 2: 0.0}
+
     def test_global_beats_per_page_percentage_normalization(self):
         # one heavily edited near-FA page vs one tiny page: per-page
         # percentage normalization treats the tiny page's sole author as a
@@ -187,3 +201,26 @@ def test_scores_roundtrip(model):
     write_scores([t, QualityScoreTable(model, {3: 0.5})], buf)
     again = read_scores(io.StringIO(buf.getvalue()))
     assert again == {"longevity": {1: 10.0, 2: 4.0}, model: {3: 0.5}}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_combined_score_is_negative_on_talk_networks(seed):
+    """On every talk network x metric cell of synth seeds 1-3, where some
+    selected authors are absent from the network, no page's combined score
+    is negative."""
+    dump, _ = generate(SynthSpec(seed=seed))
+    pages = list(parse_dump(io.BytesIO(dump.encode())))
+    selections = select_all(build_contributions(
+        p for p in pages if p.namespace is Namespace.ARTICLE))
+    project = {a for selected in selections.values() for a in selected}
+    talk = [p for p in pages if p.namespace is Namespace.USER_TALK]
+    absent = 0
+    for build in (build_talk_signature, build_talk_history):
+        graph = restrict_and_filter(build(talk), project)
+        absent += len(project - graph.nodes)
+        for metric in ("degree", "betweenness", "eigenvector", "pagerank"):
+            scores = combined_qscore(
+                selections, getattr(centrality, metric)(graph)).scores
+            low = min(scores, key=scores.get)
+            assert scores[low] >= 0.0, (build.__name__, metric, low)
+    assert absent > 0
