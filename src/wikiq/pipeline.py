@@ -2,7 +2,9 @@
 
 `STAGE_TABLE` declares each stage once: the workdir artifacts it reads and
 writes, the config fields that name the outside files it reads, and the
-config fields its outputs depend on. `run_stage` computes the manifest entry
+config fields its outputs depend on. Each artifact name is written there and
+nowhere else: `run_stage` opens the files, and a stage function gets each
+one by keyword, the name's stem. `run_stage` computes the manifest entry
 a run would record: the lineage's config values, the hashes and sizes of its
 inputs, outside files by base name only, and a fingerprint of the program's
 sources. That entry is the only record of what a stage ran with, so a corpus
@@ -10,9 +12,10 @@ and work directory moved elsewhere give the same bytes. `run_stage` refuses
 an input whose hash or config differs from the manifest entry of the stage
 that made it, so stale or missing intermediates never corrupt a run. It
 skips the stage, writing nothing, when that entry equals the recorded one
-and every output still has its recorded hash. Otherwise it runs the stage,
-which writes its artifacts atomically (temp file + rename), and records the
-entry with the output hashes.
+and every output still has its recorded hash. Otherwise it runs the stage
+with a temp file beside each output, and only once the stage has returned
+renames them, then the manifest with the entry and the output hashes over
+the old one, so a stage that fails leaves the work directory as it was.
 """
 
 from __future__ import annotations
@@ -21,16 +24,16 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
 import os
+import shutil
 import tempfile
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 from . import centrality as centrality_mod
 from . import networks, quality, tsv
@@ -141,28 +144,21 @@ class RunConfig:
 
 
 @contextlib.contextmanager
-def _temp_file(path: Path) -> Iterator[tuple[str, BinaryIO]]:
-    """A binary temp file beside `path`, deleted on exit unless it was
-    renamed meanwhile, so readers never see partial output."""
+def _temp_file(path: Path) -> Iterator[IO[str]]:
+    """A UTF-8 temp file beside `path`, named by its `name`, open for
+    writing and reading back; deleted on exit unless it was renamed."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w+b") as fp:
-            yield tmp, fp
+        with open(tmp, "w+", encoding="utf-8", newline="\n") as fp:
+            yield fp
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def atomic_write(path: Path, write: Callable) -> None:
-    """Write via temp file + rename so readers never see partial output."""
-    with _temp_file(path) as (tmp, raw):
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fp:
-            write(fp)
-        os.replace(tmp, path)
-
-
-def _write_json(path: Path, obj) -> None:
-    atomic_write(path, lambda fp: fp.write(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
+def _write_json(fp: IO[str], obj) -> None:
+    fp.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -230,103 +226,89 @@ def _history_from_json(line: str) -> PageHistory:
     )
 
 
-def _read(path: Path, reader: Callable):
-    with open(path, encoding="utf-8") as fp:
-        return reader(fp)
-
-
-def _read_histories(path: Path) -> Iterator[PageHistory]:
+def _read_histories(fp: IO[str]) -> Iterator[PageHistory]:
     """Decode a JSONL artifact one page at a time; a line that does not
     decode is a ValueError naming the file and line."""
-    with open(path, encoding="utf-8") as fp:
-        for number, line in enumerate(fp, start=1):
-            if line.strip():
-                try:
-                    page = _history_from_json(line)
-                except ValueError as exc:
-                    raise ValueError(f"{path.name}: line {number}: {exc}") from None
-                yield page
+    for number, line in enumerate(fp, start=1):
+        if line.strip():
+            try:
+                page = _history_from_json(line)
+            except ValueError as exc:
+                raise ValueError(f"{Path(fp.name).name}: line {number}: {exc}") from None
+            yield page
 
 
-def _copy_by_page_id(src: BinaryIO, dst: BinaryIO) -> None:
-    """Copy the JSONL page lines of `src` to `dst` in page_id order; pages
-    that share an id keep their order in `src`."""
-    src.seek(0)
-    index, offset = [], 0
-    for line in src:
-        index.append((json.loads(line)["page_id"], offset, len(line)))
-        offset += len(line)
-    index.sort(key=lambda entry: entry[0])
-    for _page_id, offset, length in index:
-        src.seek(offset)
-        dst.write(src.read(length))
+def _sort_by_page_id(fp: IO[str]) -> None:
+    """Rewrite the JSONL page lines of `fp` in page_id order, from a copy,
+    over the same bytes; pages that share an id keep their order."""
+    fp.flush()
+    with tempfile.TemporaryFile(dir=Path(fp.name).parent) as src:
+        fp.buffer.seek(0)
+        shutil.copyfileobj(fp.buffer, src)
+        src.seek(0)
+        index, offset = [], 0
+        for line in src:
+            index.append((json.loads(line)["page_id"], offset, len(line)))
+            offset += len(line)
+        index.sort(key=lambda entry: entry[0])
+        fp.buffer.seek(0)
+        for _page_id, offset, length in index:
+            src.seek(offset)
+            fp.buffer.write(src.read(length))
 
 
-def stage_ingest(cfg: RunConfig, root: Path) -> None:
+def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
     """Write each page's line as parse_dump yields it, so the stage holds
-    one page at a time. Each artifact's lines go to a temp file, which
-    replaces the artifact only once the whole dump has parsed. An artifact
-    whose pages came out of page_id order is copied in order first; only
-    then does the stage index its lines, so a dump in page_id order, as
-    MediaWiki exports are, costs no memory per page."""
-    names = {Namespace.ARTICLE: "articles.jsonl", Namespace.USER_TALK: "utp.jsonl"}
-    with contextlib.ExitStack() as stack:
-        temps = {ns: stack.enter_context(_temp_file(root / name))
-                 for ns, name in names.items()}
-        last_id, unordered = {}, set()
-        with open(cfg.dump, "rb") as fp:
-            for page in parse_dump(fp, cfg.bot_config()):
-                ns = page.namespace
-                if ns not in temps:
-                    continue
-                if ns is Namespace.USER_TALK:
-                    for rev in page.revisions[:-1]:
-                        rev.tokens = []
-                if page.page_id < last_id.get(ns, page.page_id):
-                    unordered.add(ns)
-                last_id[ns] = page.page_id
-                temps[ns][1].write(_history_to_json(page).encode() + b"\n")
-        for ns in unordered:
-            src = temps[ns][1]
-            temps[ns] = stack.enter_context(_temp_file(root / names[ns]))
-            _copy_by_page_id(src, temps[ns][1])
-        for ns, (tmp, fp) in temps.items():
-            fp.close()
-            os.replace(tmp, root / names[ns])
+    one page at a time. An artifact whose pages came out of page_id order
+    is sorted once the whole dump has parsed; only then does the stage
+    index its lines, so a dump in page_id order, as MediaWiki exports are,
+    costs no memory per page."""
+    out = {Namespace.ARTICLE: articles, Namespace.USER_TALK: utp}
+    last_id, unordered = {}, set()
+    with open(cfg.dump, "rb") as fp:
+        for page in parse_dump(fp, cfg.bot_config()):
+            ns = page.namespace
+            if ns not in out:
+                continue
+            if ns is Namespace.USER_TALK:
+                for rev in page.revisions[:-1]:
+                    rev.tokens = []
+            if page.page_id < last_id.get(ns, page.page_id):
+                unordered.add(ns)
+            last_id[ns] = page.page_id
+            out[ns].write(_history_to_json(page) + "\n")
+    for ns in unordered:
+        _sort_by_page_id(out[ns])
 
 
-def stage_contrib(cfg: RunConfig, root: Path) -> None:
-    histories = _read_histories(root / "articles.jsonl")
-    table = build_contributions(histories, drop_bots=cfg.exclude_bots)
-    atomic_write(root / "contributions.tsv",
-                 lambda fp: write_contributions(table, fp))
+def stage_contrib(cfg: RunConfig, articles: IO[str], contributions: IO[str]) -> None:
+    table = build_contributions(_read_histories(articles), drop_bots=cfg.exclude_bots)
+    write_contributions(table, contributions)
 
 
-def stage_select(cfg: RunConfig, root: Path) -> None:
-    table = _read(root / "contributions.tsv", read_contributions)
-    selections = select_all(table, cfg.selection)
-    atomic_write(root / "selection.tsv",
-                 lambda fp: write_selections(selections, fp))
+def stage_select(cfg: RunConfig, contributions: IO[str], selection: IO[str]) -> None:
+    selections = select_all(read_contributions(contributions), cfg.selection)
+    write_selections(selections, selection)
 
 
-def stage_net(cfg: RunConfig, root: Path) -> None:
-    selections = _read(root / "selection.tsv", read_selections)
+def stage_net(cfg: RunConfig, utp: IO[str], selection: IO[str],
+              edges: IO[str]) -> None:
+    selections = read_selections(selection)
     if cfg.network == "coauthor":
         graph = networks.build_coauthor(selections.values())
     else:
         build = (networks.build_talk_signature if cfg.network == "talk-sig"
                  else networks.build_talk_history)
-        graph = build(_read_histories(root / "utp.jsonl"))
+        graph = build(_read_histories(utp))
         # selected authors come from contributions, which drop bots under
         # exclude_bots, so the restriction drops the talk pages' bots too
         project_authors = {a for authors in selections.values() for a in authors}
         graph = networks.restrict_and_filter(graph, project_authors)
-    atomic_write(root / "edges.tsv",
-                 lambda fp: networks.write_edge_list(graph, fp))
+    networks.write_edge_list(graph, edges)
 
 
-def stage_centrality(cfg: RunConfig, root: Path) -> None:
-    graph = _read(root / "edges.tsv", networks.read_edge_list)
+def stage_centrality(cfg: RunConfig, edges: IO[str], centrality: IO[str]) -> None:
+    graph = networks.read_edge_list(edges)
     if graph.nodes:
         kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
         table = getattr(centrality_mod, cfg.metric)(graph, **kwargs)
@@ -334,13 +316,13 @@ def stage_centrality(cfg: RunConfig, root: Path) -> None:
         log.warning("the %s network has no nodes; writing an empty %s table",
                     graph.kind, cfg.metric)
         table = centrality_mod.CentralityTable(cfg.metric, graph.kind, {})
-    atomic_write(root / "centrality.tsv",
-                 lambda fp: centrality_mod.write_centrality(table, fp))
+    centrality_mod.write_centrality(table, centrality)
 
 
-def stage_score(cfg: RunConfig, root: Path) -> None:
-    selections = _read(root / "selection.tsv", read_selections)
-    cent = _read(root / "centrality.tsv", centrality_mod.read_centrality)
+def stage_score(cfg: RunConfig, selection: IO[str], centrality: IO[str],
+                scores: IO[str], provenance: IO[str]) -> None:
+    selections = read_selections(selection)
+    cent = centrality_mod.read_centrality(centrality)
     tables = []
     if "longevity" in cfg.models:
         tables.append(quality.longevity_qscore(selections))
@@ -348,15 +330,15 @@ def stage_score(cfg: RunConfig, root: Path) -> None:
         tables.append(quality.centrality_qscore(selections, cent))
     if "combined" in cfg.models:
         tables.append(quality.combined_qscore(selections, cent))
-    atomic_write(root / "scores.tsv",
-                 lambda fp: quality.write_scores(tables, fp))
-    _write_json(root / "provenance.json",
-                {"models": {t.model: t.provenance for t in tables}})
+    quality.write_scores(tables, scores)
+    _write_json(provenance, {"models": {t.model: t.provenance for t in tables}})
 
 
-def stage_eval(cfg: RunConfig, root: Path) -> None:
-    by_model = _read(root / "scores.tsv", quality.read_scores)
-    labels = _read(Path(cfg.ratings), load_ratings)
+def stage_eval(cfg: RunConfig, scores: IO[str], report: IO[str],
+               percentiles: IO[str], pr_curve: IO[str]) -> None:
+    by_model = quality.read_scores(scores)
+    with open(cfg.ratings, encoding="utf-8") as fp:
+        labels = load_ratings(fp)
     ks = cfg.eval_k or [len(labels)]
     rankings = {model: build_ranking(by_model[model], labels)
                 for model in sorted(by_model)}
@@ -369,40 +351,32 @@ def stage_eval(cfg: RunConfig, root: Path) -> None:
                         model, configuration, exc)
             return model, configuration, math.nan
 
-    def write_report(fp):
-        rows = []
-        for model, ranking in rankings.items():
-            for k in ks:
-                rows.append(ndcg_row(model, f"all@k={k}", lambda: ndcg(
-                    ranking, k=min(k, len(labels)))))
-            for name, keep in FILTER_CONFIGS:
-                rows.append(ndcg_row(model, name,
-                                     lambda: filtered_eval(ranking, keep)))
-        tsv.write_rows(fp, ("model", "configuration", "ndcg"), rows)
+    rows = []
+    for model, ranking in rankings.items():
+        for k in ks:
+            rows.append(ndcg_row(model, f"all@k={k}", lambda: ndcg(
+                ranking, k=min(k, len(labels)))))
+        for name, keep in FILTER_CONFIGS:
+            rows.append(ndcg_row(model, name, lambda: filtered_eval(ranking, keep)))
+    tsv.write_rows(report, ("model", "configuration", "ndcg"), rows)
 
-    def write_percentiles(fp):
-        tables = {model: percentile_table(ranking, cfg.buckets)
-                  for model, ranking in rankings.items()}
-        tsv.write_rows(fp, ("model", "class", "bucket", "proportion"), [
-            (model, cls, b, prop) for model, table in tables.items()
-            for cls in sorted(table) for b, prop in enumerate(table[cls], start=1)])
+    tables = {model: percentile_table(ranking, cfg.buckets)
+              for model, ranking in rankings.items()}
+    tsv.write_rows(percentiles, ("model", "class", "bucket", "proportion"), [
+        (model, cls, b, prop) for model, table in tables.items()
+        for cls in sorted(table) for b, prop in enumerate(table[cls], start=1)])
 
-    def write_pr(fp):
-        rows = []
-        for model, ranking in rankings.items():
-            try:
-                curve = precision_recall(ranking, cfg.relevant_classes)
-            except ValueError as exc:  # no relevant or no irrelevant page
-                log.warning("PR curve undefined for model %s: %s; writing "
-                            "no rows", model, exc)
-                continue
-            rows += [(model, cutoff, recall, precision)
-                     for cutoff, (recall, precision) in enumerate(curve, start=1)]
-        tsv.write_rows(fp, ("model", "cutoff", "recall", "precision"), rows)
-
-    atomic_write(root / "report.tsv", write_report)
-    atomic_write(root / "percentiles.tsv", write_percentiles)
-    atomic_write(root / "pr_curve.tsv", write_pr)
+    rows = []
+    for model, ranking in rankings.items():
+        try:
+            curve = precision_recall(ranking, cfg.relevant_classes)
+        except ValueError as exc:  # no relevant or no irrelevant page
+            log.warning("PR curve undefined for model %s: %s; writing "
+                        "no rows", model, exc)
+            continue
+        rows += [(model, cutoff, recall, precision)
+                 for cutoff, (recall, precision) in enumerate(curve, start=1)]
+    tsv.write_rows(pr_curve, ("model", "cutoff", "recall", "precision"), rows)
 
 
 class Stage(NamedTuple):
@@ -410,7 +384,7 @@ class Stage(NamedTuple):
     inputs: tuple[str, ...]  # workdir artifacts, each made by an earlier stage
     outputs: tuple[str, ...]
     config_keys: tuple[str, ...]  # RunConfig fields the stage itself reads
-    fn: Callable[[RunConfig, Path], None]  # writes the outputs under a root
+    fn: Callable[..., None]  # fn(cfg, **files), each file keyed by its name's stem
     # RunConfig fields naming the outside files the stage reads, recorded
     # among its inputs by base name, hash and size, never by path
     files: tuple[str, ...] = ()
@@ -561,10 +535,10 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
-    """Run one stage once its inputs pass the manifest checks, then record
-    the stage in the manifest. A refused stage writes nothing, and so does
-    one that is up to date. Logs at INFO whether the stage ran, and why, or
-    was skipped."""
+    """Run one stage once its inputs pass the manifest checks, then commit
+    its outputs and its manifest entry together. A refused stage writes
+    nothing, and so does one that is up to date or fails. Logs at INFO
+    whether the stage ran, and why, or was skipped."""
     if stage not in _BY_NAME:
         raise PipelineError(f"unknown stage {stage!r}")
     spec = _BY_NAME[stage]
@@ -579,10 +553,21 @@ def run_stage(stage: str, config: RunConfig) -> None:
         log.info("stage %s skipped in %s: up to date", stage, root)
         return
     root.mkdir(parents=True, exist_ok=True)
-    spec.fn(config, root)
-    entry["outputs"] = {name: _sha256(root / name) for name in spec.outputs}
-    manifest[stage] = entry
-    _write_json(manifest_path, manifest)
+    with contextlib.ExitStack() as stack:
+        files = {Path(name).stem: stack.enter_context(open(root / name, encoding="utf-8"))
+                 for name in spec.inputs}
+        temps = {name: stack.enter_context(_temp_file(root / name))
+                 for name in spec.outputs}
+        spec.fn(config, **files, **{Path(name).stem: fp for name, fp in temps.items()})
+        for fp in temps.values():
+            fp.close()
+        entry["outputs"] = {name: _sha256(fp.name) for name, fp in temps.items()}
+        manifest[stage] = entry
+        temps[manifest_path.name] = fp = stack.enter_context(_temp_file(manifest_path))
+        _write_json(fp, manifest)
+        fp.close()
+        for name, fp in temps.items():  # the manifest last
+            os.replace(fp.name, root / name)
     log.info("stage %s ran in %s: %s", stage, root, stale)
 
 

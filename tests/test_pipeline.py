@@ -256,9 +256,9 @@ def stage_calls(monkeypatch):
     """The names of the stages whose code ran, in the order they ran."""
     calls = []
     for spec in STAGE_TABLE:
-        def fn(cfg, root, spec=spec):
+        def fn(cfg, spec=spec, **files):
             calls.append(spec.name)
-            spec.fn(cfg, root)
+            spec.fn(cfg, **files)
         monkeypatch.setitem(pipeline._BY_NAME, spec.name, spec._replace(fn=fn))
     return calls
 
@@ -845,6 +845,50 @@ def test_failed_ingest_writes_nothing(corpus, capsys):
     before = tree_bytes(work)
     failing_ingest()
     assert tree_bytes(work) == before
+
+
+def test_failed_stage_writes_nothing(corpus, monkeypatch):
+    """A stage that fails after writing one of its outputs, here eval after
+    report.tsv, leaves every output, temp file and the manifest as they
+    were."""
+    cfg = make_config(corpus)
+    run_all(cfg)
+    work = Path(cfg.workdir)
+    before = tree_bytes(work)
+
+    def fail(ranking, buckets):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pipeline, "percentile_table", fail)
+    with pytest.raises(OSError, match="no space left"):
+        run_stage("eval", dataclasses.replace(cfg, eval_k=[5]))
+    assert tree_bytes(work) == before
+    assert not list(work.glob("*.tmp*"))
+
+
+def test_each_artifact_name_is_declared_once():
+    """A workdir artifact's name is a string constant of the package only
+    inside `STAGE_TABLE`: the runner opens the files, and a stage gets each
+    one by keyword."""
+    import ast
+
+    names = {name for s in STAGE_TABLE for name in s.inputs + s.outputs}
+    src = Path(__file__).resolve().parent.parent / "src" / "wikiq"
+    declared, found = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = {id(node) for assign in ast.walk(tree)
+                 if isinstance(assign, ast.Assign)
+                 and any(getattr(t, "id", None) == "STAGE_TABLE" for t in assign.targets)
+                 for node in ast.walk(assign)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in names:
+                if id(node) in table:
+                    declared.add(node.value)
+                else:
+                    found.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert declared == names
+    assert not found, f"artifact names outside STAGE_TABLE: {found}"
 
 
 def test_ingest_and_contrib_memory_does_not_grow_with_page_count(tmp_path):
