@@ -197,16 +197,29 @@ def _history_to_json(page: PageHistory) -> str:
 
 
 def _history_from_json(line: str) -> PageHistory:
-    """Decode a `_history_to_json` line. A revision's kept head and tail
-    are the previous revision's own `str` objects, so a decoded history
-    costs memory in proportion to its edits."""
+    """Decode a `_history_to_json` line; a line of another shape is a
+    ValueError. A revision's kept head and tail are the previous revision's
+    own `str` objects, so a decoded history costs memory in proportion to
+    its edits."""
     d = json.loads(line)
+    if type(d) is not dict:
+        raise ValueError(f"a page line is {type(d).__name__}, not an object")
+    for key in ("page_id", "title", "namespace", "revisions"):
+        if key not in d:
+            raise ValueError(f"a page line has no {key!r} key")
     page_id, revisions, prev = d["page_id"], [], []
+    if type(d["revisions"]) is not list:
+        raise ValueError(f"page {page_id}: revisions are not a list")
     for row in d["revisions"]:
+        if type(row) is not list:
+            raise ValueError(f"page {page_id}: a revision row is {row!r}, not a list")
         if len(row) not in (5, 7):
             raise ValueError(f"page {page_id}: a revision row has {len(row)} "
                              "fields, not 5 or 7")
         ordinal, name, kind, ts, tokens, *kept = row
+        if type(tokens) is not list or not {*map(type, tokens)} <= {str}:
+            raise ValueError(f"page {page_id}: revision {ordinal}'s tokens are "
+                             "not a list of strings")
         head, tail = kept or (0, 0)
         if not (type(head) is int and type(tail) is int
                 and 0 <= head and 0 <= tail and head + tail <= len(prev)):

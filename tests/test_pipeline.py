@@ -1209,16 +1209,37 @@ class TestCli:
         assert rows() == before
         assert "cen_pagerank" not in (work / "scores.tsv").read_text()
 
-    def test_impossible_history_row_exit_code(self, corpus, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda page: page["revisions"][1].__setitem__(
+            slice(4, None), [[], len(page["revisions"][0][4]), 1]),
+         "page {page_id}: revision {ordinal} keeps head {head} and tail 1"),
+        (lambda page: [1], "a page line is list, not an object"),
+        *[(lambda page, key=key: page.__delitem__(key),
+           f"a page line has no {key!r} key")
+          for key in ("page_id", "title", "namespace", "revisions")],
+        (lambda page: page.update(revisions=5),
+         "page {page_id}: revisions are not a list"),
+        (lambda page: page["revisions"].__setitem__(1, 5),
+         "page {page_id}: a revision row is 5, not a list"),
+        *[(lambda page, tokens=tokens: page["revisions"][1].__setitem__(4, tokens),
+           "page {page_id}: revision {ordinal}'s tokens are not a list of strings")
+          for tokens in ("abc", ["a", 1])],
+    ], ids=["keeps-too-much", "list", "no-page_id", "no-title", "no-namespace",
+            "no-revisions", "revisions-int", "row-int", "tokens-str", "tokens-int"])
+    def test_impossible_history_row_exit_code(self, corpus, capsys, edit, message):
+        """Line 2 of articles.jsonl, replaced by `edit(page)` or edited in
+        place, with its hash recorded so the stale-artifact check passes
+        it, exits 2 on contrib with one line that names the file and the
+        line, and contrib writes nothing."""
         config = self.write_config(corpus)
         assert main(["ingest", "--config", str(config)]) == 0
         work = Path(make_config(corpus).workdir)
         articles = work / "articles.jsonl"
         lines = articles.read_text(encoding="utf-8").splitlines()
         page = json.loads(lines[1])
-        first, second = page["revisions"][:2]
-        second[4:] = [[], len(first[4]), 1]
-        lines[1] = json.dumps(page, sort_keys=True)
+        message = message.format(page_id=page["page_id"], ordinal=page["revisions"][1][0],
+                                 head=len(page["revisions"][0][4]))
+        lines[1] = json.dumps(edit(page) or page, sort_keys=True)
         articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest = json.loads((work / "manifest.json").read_text())
         manifest["ingest"]["outputs"]["articles.jsonl"] = hashlib.sha256(
@@ -1228,8 +1249,7 @@ class TestCli:
         assert main(["contrib", "--config", str(config)]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith(
-            f"wikiq: error: articles.jsonl: line 2: page {page['page_id']}: "
-            f"revision {second[0]} keeps head {len(first[4])} and tail 1")
+            f"wikiq: error: articles.jsonl: line 2: {message}")
         assert not (work / "contributions.tsv").exists()
 
     def test_ratings_title_with_backslash(self, corpus):
