@@ -46,75 +46,14 @@ class SelectionParams:
     theta: float = 0.9
 
 
-class _PageDistances:
-    """Pairwise version distances of one page, computed lazily and cached.
+def judge_page(history: PageHistory) -> list[RevisionJudgment]:
+    """Judge every revision of a page with one distance cache.
 
     Version index i means v_i, with v_0 the implicit empty version. A
     version is wrapped as a `Version` the first time it is diffed, so its
-    diff index is built at most once while the page holds it.
-    """
-
-    def __init__(self, history: PageHistory):
-        self._tokens: list[Sequence[str]] = [()]
-        self._tokens += [rev.tokens for rev in history.revisions]
-        self._versions: dict[int, Version] = {}
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def _version(self, i: int) -> Version:
-        version = self._versions.get(i)
-        if version is None:
-            version = self._versions[i] = Version(self._tokens[i])
-        return version
-
-    def d(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._cache:
-            self._cache[key] = edit_distance(
-                self._version(i), self._version(j)
-            ).distance
-        return self._cache[key]
-
-    def release(self, i: int) -> None:
-        """Drop v_i and its diff index; a later d() on v_i builds both again."""
-        self._versions.pop(i, None)
-
-
-def judge_revision(history: PageHistory, i: int,
-                   _dists: _PageDistances | None = None) -> RevisionJudgment:
-    """Judge revision i (1-based ordinal) of a page history."""
-    n = len(history.revisions)
-    if not 1 <= i <= n:
-        raise IndexError(f"revision ordinal {i} out of range 1..{n}")
-    dists = _dists if _dists is not None else _PageDistances(history)
-    d_r = dists.d(i - 1, i)
-    author = history.revisions[i - 1].author.name
-    judges = [
-        j
-        for j in range(i + 1, n + 1)
-        if history.revisions[j - 1].author.name != author
-    ][:MAX_JUDGES]
-    if d_r == 0.0 or not judges:
-        return RevisionJudgment(i, d_r, 0.0, 0.0, len(judges))
-    alphas = []
-    for j in judges:
-        d_prev_j = dists.d(i - 1, j)
-        d_i_j = dists.d(i, j)
-        # force the triple through the triangle inequality before use
-        d_prev_j_g = triangle_guard(d_r, d_i_j, d_prev_j)
-        d_i_j_g = triangle_guard(d_r, d_prev_j, d_i_j)
-        alpha = (d_prev_j_g - d_i_j_g) / d_r
-        alphas.append(max(-1.0, min(1.0, alpha)))
-    alpha_bar = sum(alphas) / len(alphas)
-    return RevisionJudgment(i, d_r, alpha_bar, alpha_bar * d_r, len(judges))
-
-
-def judge_page(history: PageHistory) -> list[RevisionJudgment]:
-    """Judge every revision of a page with a shared distance cache.
-
-    Step i diffs v_(i-1), v_i and i's judges, all later than i, so no step
-    after i + 1 needs v_i, and it is released then. The versions held at
+    diff index is built at most once while the page holds it. Step i diffs
+    v_(i-1), v_i and i's judges, all later than i, so no step after i needs
+    v_(i-1), and it is released then. The versions held at
     once are so bounded by MAX_JUDGES, not by the page's length: past step
     s only judges of earlier steps are held, and such a judge of a step by
     author A is among the first MAX_JUDGES revisions after s not by A.
@@ -122,11 +61,40 @@ def judge_page(history: PageHistory) -> list[RevisionJudgment]:
     at most MAX_JUDGES * (MAX_JUDGES + 1) versions past s are held, besides
     v_(s-1) and v_s.
     """
-    dists = _PageDistances(history)
+    tokens: list[Sequence[str]] = [(), *(rev.tokens for rev in history.revisions)]
+    authors = [None, *(rev.author.name for rev in history.revisions)]
+    versions: dict[int, Version] = {}
+    cache: dict[tuple[int, int], float] = {}
+
+    def d(i: int, j: int) -> float:
+        """The distance of v_i and v_j, i < j, diffed once per page."""
+        if (i, j) not in cache:
+            for k in (i, j):
+                if k not in versions:
+                    versions[k] = Version(tokens[k])
+            cache[i, j] = edit_distance(versions[i], versions[j]).distance
+        return cache[i, j]
+
+    n = len(history.revisions)
     judgments = []
-    for i in range(1, len(history.revisions) + 1):
-        judgments.append(judge_revision(history, i, dists))
-        dists.release(i - 1)
+    for i in range(1, n + 1):
+        d_r = d(i - 1, i)
+        judges = [j for j in range(i + 1, n + 1)
+                  if authors[j] != authors[i]][:MAX_JUDGES]
+        alpha_bar = 0.0
+        if d_r != 0.0 and judges:
+            alphas = []
+            for j in judges:
+                d_prev_j, d_i_j = d(i - 1, j), d(i, j)
+                # force the triple through the triangle inequality before use
+                d_prev_j_g = triangle_guard(d_r, d_i_j, d_prev_j)
+                d_i_j_g = triangle_guard(d_r, d_prev_j, d_i_j)
+                alpha = (d_prev_j_g - d_i_j_g) / d_r
+                alphas.append(max(-1.0, min(1.0, alpha)))
+            alpha_bar = sum(alphas) / len(alphas)
+        judgments.append(
+            RevisionJudgment(i, d_r, alpha_bar, alpha_bar * d_r, len(judges)))
+        versions.pop(i - 1, None)
     return judgments
 
 
@@ -151,7 +119,7 @@ def build_contributions(histories: Iterable[PageHistory],
     return table
 
 
-def select_authors(table: ContributionTable, page_id: int,
+def select_authors(contribs: dict[str, float],
                    params: SelectionParams = SelectionParams()) -> list[str]:
     """Pick a page's main contributors, by descending contribution with a
     username tie-break.
@@ -164,9 +132,6 @@ def select_authors(table: ContributionTable, page_id: int,
     contributions are finite, so the key (-contribution, name) is a total
     order and the selection is a prefix of one sort.
     """
-    if page_id not in table:
-        raise KeyError(f"page {page_id} not in contribution table")
-    contribs = table[page_id]
     total = sum(contribs.values())
     if total == 0:
         return []
@@ -186,9 +151,8 @@ def select_all(table: ContributionTable,
                params: SelectionParams = SelectionParams()
                ) -> ContributionTable:
     return {
-        page_id: {a: table[page_id][a]
-                  for a in select_authors(table, page_id, params)}
-        for page_id in sorted(table)
+        page_id: {a: contribs[a] for a in select_authors(contribs, params)}
+        for page_id, contribs in sorted(table.items())
     }
 
 

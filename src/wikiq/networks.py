@@ -35,11 +35,6 @@ class AuthorGraph:
         self.nodes.add(dst)
         self.edges[(src, dst)] = self.edges.get((src, dst), 0) + weight
 
-    def weight(self, a: str, b: str) -> int:
-        if not self.directed and a > b:
-            a, b = b, a
-        return self.edges.get((a, b), 0)
-
 
 def build_coauthor(selections: Iterable[Iterable[str]]) -> AuthorGraph:
     """Undirected net linking main contributors who share a page; weight =

@@ -10,7 +10,7 @@ from wikiq import longevity, worddiff
 from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, parse_dump)
 from wikiq.longevity import (MAX_JUDGES, SelectionParams,
-                             build_contributions, judge_page, judge_revision,
+                             build_contributions, judge_page,
                              read_contributions, select_all, select_authors,
                              write_contributions)
 from wikiq.pipeline import read_selections, write_selections
@@ -44,7 +44,7 @@ class TestJudgeRevision:
             ("Bob", content),     # null edit by a different author
             ("Carol", content),
         ])
-        j = judge_revision(history, 1)
+        j = judge_page(history)[0]
         assert j.alpha_bar == 1.0
         assert j.longevity == j.d_r == 20.0
         assert j.judge_count == 2
@@ -57,7 +57,7 @@ class TestJudgeRevision:
             ("Mallory", vandal),
             ("Alice", base),      # restores v1 exactly, sole judge
         ])
-        j = judge_revision(history, 2)
+        j = judge_page(history)[1]
         assert j.alpha_bar == -1.0
         assert j.longevity == -j.d_r
 
@@ -77,22 +77,22 @@ class TestJudgeRevision:
         d_prev_j = edit_distance(base, judged).distance    # 5
         d_i_j = edit_distance(after, judged).distance      # 5
         assert (d_r, d_prev_j, d_i_j) == (10.0, 5.0, 5.0)
-        j = judge_revision(history, 2)
+        j = judge_page(history)[1]
         assert j.alpha_bar == pytest.approx((d_prev_j - d_i_j) / d_r)  # 0.0
         # and with a judge that keeps all ten, alpha is (10-0)/10 = 1
         history2 = page([("Alice", base), ("Bob", after), ("Carol", after)])
-        assert judge_revision(history2, 2).alpha_bar == 1.0
+        assert judge_page(history2)[1].alpha_bar == 1.0
 
     def test_no_judges_means_zero(self):
         history = page([("Alice", words(5)), ("Alice", words(9))])
-        j = judge_revision(history, 2)
+        j = judge_page(history)[1]
         assert j.judge_count == 0
         assert j.alpha_bar == 0.0 and j.longevity == 0.0
 
     def test_null_edit_zero_longevity(self):
         content = words(5)
         history = page([("Alice", content), ("Bob", content), ("Carol", content + ["x"])])
-        j = judge_revision(history, 2)
+        j = judge_page(history)[1]
         assert j.d_r == 0.0 and j.longevity == 0.0
 
     def test_judges_limited_to_ten(self):
@@ -100,17 +100,12 @@ class TestJudgeRevision:
         for i in range(15):
             versions.append((f"Other{i}", words(5) + words(i + 1, "x")))
         history = page(versions)
-        assert judge_revision(history, 1).judge_count == 10
-
-    def test_out_of_range(self):
-        history = page([("Alice", words(3))])
-        with pytest.raises(IndexError):
-            judge_revision(history, 2)
+        assert judge_page(history)[0].judge_count == 10
 
     def test_same_author_revisions_not_judges(self):
         content = words(8)
         history = page([("Alice", content), ("Alice", content + ["x"])])
-        assert judge_revision(history, 1).judge_count == 0
+        assert judge_page(history)[0].judge_count == 0
 
 
 rev_tokens = st.lists(st.sampled_from("abcdef"), max_size=12)
@@ -135,8 +130,8 @@ def test_scaling_tokens_scales_longevity():
         ("Bob", [w for w in base + add for _ in (0, 1)]),
         ("Carol", [w for w in base + add for _ in (0, 1)]),
     ])
-    j1 = judge_revision(history, 2)
-    j2 = judge_revision(doubled, 2)
+    j1 = judge_page(history)[1]
+    j2 = judge_page(doubled)[1]
     assert j2.alpha_bar == j1.alpha_bar
     assert j2.longevity == pytest.approx(2 * j1.longevity)
 
@@ -262,12 +257,9 @@ def make_table(contribs, page_id=1):
     return {page_id: dict(contribs)}
 
 
-def reference_select_authors(table, page_id, params=SelectionParams()):
+def reference_select_authors(contribs, params=SelectionParams()):
     """The two-pass selection: the eligible authors up to theta, then a
     fill from the whole order up to the floor, then a re-sort."""
-    if page_id not in table:
-        raise KeyError(f"page {page_id} not in contribution table")
-    contribs = table[page_id]
     ordered = sorted(contribs, key=lambda a: (-contribs[a], a))
     total = sum(contribs.values())
     if total == 0:
@@ -296,37 +288,32 @@ def reference_select_authors(table, page_id, params=SelectionParams()):
 
 class TestSelectAuthors:
     def test_theta_cutoff(self):
-        table = make_table({"a": 50.0, "b": 30.0, "c": 10.0, "d": 5.0, "e": 5.0})
-        sel = select_authors(table, 1, SelectionParams(0.0, 2, 0.9))
+        contribs = {"a": 50.0, "b": 30.0, "c": 10.0, "d": 5.0, "e": 5.0}
+        sel = select_authors(contribs, SelectionParams(0.0, 2, 0.9))
         assert sel == ["a", "b", "c", "d"]
 
     def test_population_caps_floor(self):
-        table = make_table({"solo": 100.0})
-        sel = select_authors(table, 1, SelectionParams(10.0, 20, 0.9))
+        contribs = {"solo": 100.0}
+        sel = select_authors(contribs, SelectionParams(10.0, 20, 0.9))
         assert sel == ["solo"]
 
     def test_theta_zero_still_fills_floor(self):
-        table = make_table({"a": 50.0, "b": 30.0, "c": 10.0})
-        sel = select_authors(table, 1, SelectionParams(0.0, 2, 0.0))
+        contribs = {"a": 50.0, "b": 30.0, "c": 10.0}
+        sel = select_authors(contribs, SelectionParams(0.0, 2, 0.0))
         assert sel == ["a", "b"]
 
     def test_min_contrib_bar_with_floor_override(self):
-        table = make_table({"a": 100.0, "b": 8.0, "c": 5.0})
+        contribs = {"a": 100.0, "b": 8.0, "c": 5.0}
         # only a is eligible; the floor of 2 still pulls b in
-        sel = select_authors(table, 1, SelectionParams(10.0, 2, 0.99))
+        sel = select_authors(contribs, SelectionParams(10.0, 2, 0.99))
         assert sel == ["a", "b"]
 
     def test_empty_total(self):
-        table = make_table({})
-        assert select_authors(table, 1) == []
-
-    def test_unknown_page(self):
-        with pytest.raises(KeyError):
-            select_authors(make_table({}), 99)
+        assert select_authors({}) == []
 
     def test_username_tiebreak(self):
-        table = make_table({"zeta": 10.0, "alpha": 10.0, "mid": 10.0})
-        sel = select_authors(table, 1, SelectionParams(0.0, 3, 1.0))
+        contribs = {"zeta": 10.0, "alpha": 10.0, "mid": 10.0}
+        sel = select_authors(contribs, SelectionParams(0.0, 3, 1.0))
         assert sel == ["alpha", "mid", "zeta"]
 
     @given(
@@ -339,10 +326,9 @@ class TestSelectAuthors:
     def test_selection_monotone_in_theta_and_k(self, contribs, t1, t2, k1, k2):
         lo_t, hi_t = sorted((t1, t2))
         lo_k, hi_k = sorted((k1, k2))
-        table = make_table(contribs)
-        base = set(select_authors(table, 1, SelectionParams(0.0, lo_k, lo_t)))
-        more_theta = set(select_authors(table, 1, SelectionParams(0.0, lo_k, hi_t)))
-        more_k = set(select_authors(table, 1, SelectionParams(0.0, hi_k, lo_t)))
+        base = set(select_authors(contribs, SelectionParams(0.0, lo_k, lo_t)))
+        more_theta = set(select_authors(contribs, SelectionParams(0.0, lo_k, hi_t)))
+        more_k = set(select_authors(contribs, SelectionParams(0.0, hi_k, lo_t)))
         assert base <= more_theta
         assert base <= more_k
 
@@ -357,10 +343,9 @@ class TestSelectAuthors:
     )
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, contribs, theta, min_authors, min_contrib):
-        table = make_table(contribs)
         params = SelectionParams(min_contrib, min_authors, theta)
-        assert (select_authors(table, 1, params)
-                == reference_select_authors(table, 1, params))
+        assert (select_authors(contribs, params)
+                == reference_select_authors(contribs, params))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -395,7 +380,7 @@ def test_selection_roundtrip(authors):
     again = read_selections(io.StringIO(buf.getvalue()))
     assert again == sel
     assert list(again[1]) == list(sel[1]) == select_authors(
-        table, 1, SelectionParams(0.0, 2, 0.9))
+        table[1], SelectionParams(0.0, 2, 0.9))
 
 
 def test_selection_is_a_sub_table_of_contributions():
@@ -409,6 +394,6 @@ def test_selection_is_a_sub_table_of_contributions():
         selections = select_all(table, params)
         assert list(selections) == sorted(table)
         for page_id, selected in selections.items():
-            authors = select_authors(table, page_id, params)
+            authors = select_authors(table[page_id], params)
             assert list(selected) == authors
             assert selected == {a: table[page_id][a] for a in authors}

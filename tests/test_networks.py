@@ -31,13 +31,12 @@ def signed(name):
 class TestCoauthor:
     def test_single_page_clique(self):
         g = build_coauthor([["x", "y", "z"]])
-        assert g.weight("x", "y") == g.weight("y", "z") == g.weight("x", "z") == 1
+        assert g.edges == {("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1}
         assert not g.directed
 
     def test_weight_accumulates_over_pages(self):
         g = build_coauthor([["x", "y"], ["x", "y"]])
-        assert g.weight("x", "y") == 2
-        assert g.weight("y", "x") == 2  # symmetric by storage
+        assert g.edges == {("x", "y"): 2}  # one undirected edge, stored once
 
     def test_edge_count_matches_pair_enumeration(self):
         import random
@@ -76,7 +75,7 @@ class TestTalkSignature:
         ])
         g = build_talk_signature([page])
         assert g.directed
-        assert g.weight("Alice", "Bob") == 2
+        assert g.edges == {("Alice", "Bob"): 2}
 
     def test_owner_signature_ignored(self):
         page = utp("Bob", [("Bob", AuthorKind.REGISTERED, signed("Bob"))])
@@ -87,7 +86,7 @@ class TestTalkSignature:
         # a renamed user's old signature still credits the stale name
         page = utp("Bob", [("NewName", AuthorKind.REGISTERED, signed("OldName"))])
         g = build_talk_signature([page])
-        assert g.weight("OldName", "Bob") == 1
+        assert g.edges == {("OldName", "Bob"): 1}
 
     def test_unsigned_message_not_counted(self):
         page = utp("Bob", [("Alice", AuthorKind.REGISTERED, "drive-by note")])
@@ -115,7 +114,7 @@ class TestTalkHistory:
     def test_five_edits_weight_five(self):
         page = utp("Bob", [("Alice", AuthorKind.REGISTERED, f"m{i}") for i in range(5)])
         g = build_talk_history([page])
-        assert g.weight("Alice", "Bob") == 5
+        assert g.edges == {("Alice", "Bob"): 5}
 
     def test_owner_edits_ignored(self):
         page = utp("Bob", [
@@ -123,8 +122,7 @@ class TestTalkHistory:
             ("Alice", AuthorKind.REGISTERED, "hi"),
         ])
         g = build_talk_history([page])
-        assert g.weight("Alice", "Bob") == 1
-        assert ("Bob", "Bob") not in g.edges
+        assert g.edges == {("Alice", "Bob"): 1}  # no ("Bob", "Bob")
 
     def test_anonymous_edits_ignored(self):
         page = utp("Bob", [("10.0.0.1", AuthorKind.ANONYMOUS, "anon note")])
