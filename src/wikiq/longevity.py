@@ -53,9 +53,9 @@ def judge_page(history: PageHistory) -> list[RevisionJudgment]:
     version is wrapped as a `Version` the first time it is diffed, so its
     diff index is built at most once while the page holds it. Step i diffs
     v_(i-1), v_i and i's judges, all later than i, so no step after i needs
-    v_(i-1), and it is released then. The versions held at
-    once are so bounded by MAX_JUDGES, not by the page's length: past step
-    s only judges of earlier steps are held, and such a judge of a step by
+    v_(i-1), and it is released then. The versions held at once are so
+    bounded by MAX_JUDGES, not by the page's length: past step s only
+    judges of earlier steps are held, and such a judge of a step by
     author A is among the first MAX_JUDGES revisions after s not by A.
     Those are the next MAX_JUDGES revisions unless A wrote one of them, so
     at most MAX_JUDGES * (MAX_JUDGES + 1) versions past s are held, besides

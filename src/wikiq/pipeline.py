@@ -10,7 +10,8 @@ inputs, outside files by base name only, and a fingerprint of the program's
 sources. That entry is the only record of what a stage ran with, so a corpus
 and work directory moved elsewhere give the same bytes. `run_stage` refuses
 an input whose hash or config differs from the manifest entry of the stage
-that made it, so stale or missing intermediates never corrupt a run. It
+that made it, or an upstream stage that read other inputs than those now
+recorded, so stale or missing intermediates never corrupt a run. It
 skips the stage, writing nothing, when that entry equals the recorded one
 and every output still has its recorded hash. Otherwise it runs the stage
 with a temp file beside each output, and only once the stage has returned
@@ -208,6 +209,10 @@ def _history_from_json(line: str) -> PageHistory:
         if key not in d:
             raise ValueError(f"a page line has no {key!r} key")
     page_id, revisions, prev = d["page_id"], [], []
+    if type(page_id) is not int:
+        raise ValueError(f"a page line's page_id is {page_id!r}, not an int")
+    if type(d["title"]) is not str:
+        raise ValueError(f"page {page_id}: the title is {d['title']!r}, not a string")
     if type(d["revisions"]) is not list:
         raise ValueError(f"page {page_id}: revisions are not a list")
     for row in d["revisions"]:
@@ -217,6 +222,10 @@ def _history_from_json(line: str) -> PageHistory:
             raise ValueError(f"page {page_id}: a revision row has {len(row)} "
                              "fields, not 5 or 7")
         ordinal, name, kind, ts, tokens, *kept = row
+        if not (type(ordinal) is type(ts) is int and type(name) is str):
+            raise ValueError(f"page {page_id}: a revision row's ordinal, author and "
+                             f"timestamp are {ordinal!r}, {name!r}, {ts!r}, not an "
+                             "int, a string and an int")
         if type(tokens) is not list or not {*map(type, tokens)} <= {str}:
             raise ValueError(f"page {page_id}: revision {ordinal}'s tokens are "
                              "not a list of strings")
@@ -484,10 +493,11 @@ def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
 
     Hashes each input once and refuses a missing input, one whose hash is
     not the one its producer recorded, any upstream stage that ran under
-    other config values, and an input file that changed since an upstream
-    stage read it. Such a file is re-hashed only if its size differs from
-    the recorded one or it is not older than that stage's outputs, so the
-    record stays free of timestamps."""
+    other config values, and an input file or artifact that changed since
+    an upstream stage read it. Such a file is re-hashed only if its size
+    differs from the recorded one or it is not older than that stage's
+    outputs, so the record stays free of timestamps. Such an artifact's
+    producer recorded another hash for it than the upstream stage did."""
     hashes, sizes = {}, {}
     for key in stage.files:
         path, st = _input_file(config, key)
@@ -519,6 +529,12 @@ def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
                 raise PipelineError(
                     f"stage {stage.name!r}: {key} {path} changed since "
                     f"{upstream.name!r} read it (re-run {upstream.name!r})")
+        for name in upstream.inputs:
+            if (entry.get("inputs", {}).get(name) != manifest.get(
+                    PRODUCER[name].name, {}).get("outputs", {}).get(name)):
+                raise PipelineError(
+                    f"stage {stage.name!r}: {name} changed since "
+                    f"{upstream.name!r} read it (re-run {upstream.name!r})")
     return {"config": _config_values(data, stage), "inputs": hashes,
             "program": _program(), "sizes": sizes}
 
@@ -547,6 +563,11 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
     return None
 
 
+# the JSON type of each field of a manifest entry
+_ENTRY_FIELDS = {"config": dict, "inputs": dict, "outputs": dict, "program": str,
+                 "sizes": dict}
+
+
 def run_stage(stage: str, config: RunConfig) -> None:
     """Run one stage once its inputs pass the manifest checks, then commit
     its outputs and its manifest entry together. A refused stage writes
@@ -557,8 +578,18 @@ def run_stage(stage: str, config: RunConfig) -> None:
     spec = _BY_NAME[stage]
     root = Path(config.workdir)
     manifest_path = root / "manifest.json"
-    manifest = (json.loads(manifest_path.read_text())
-                if manifest_path.exists() else {})
+    manifest = {}
+    if manifest_path.exists():
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:
+            raise PipelineError(f"{manifest_path}: {exc}") from None
+        if not (isinstance(manifest, dict) and all(
+                isinstance(entry, dict) and all(
+                    isinstance(value, _ENTRY_FIELDS.get(key, object))
+                    for key, value in entry.items())
+                for entry in manifest.values())):
+            raise PipelineError(f"{manifest_path}: not a JSON object of stage entries")
     data = json.loads(config.to_json())
     entry = _entry(spec, config, data, manifest)
     stale = _stale_part(spec, entry, manifest.get(stage), root)

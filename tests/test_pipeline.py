@@ -971,6 +971,18 @@ def test_stage_table_is_a_closed_graph():
     assert not keys & files
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """The benchmark's tracer wraps the program's functions by name, so a
+    function renamed or deleted under it makes `Tracer().install()` fail."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "from spans import Tracer; Tracer().install()"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 class TestCli:
     def write_config(self, corpus, name="config.json", **overrides):
         cfg = dataclasses.replace(make_config(corpus), **overrides)
@@ -1125,6 +1137,53 @@ class TestCli:
             err = capsys.readouterr().err.strip().split("\n")
             assert len(err) == 1 and "changed since 'ingest'" in err[0]
 
+    def test_artifact_rewritten_after_a_stage_read_it_exit_code(self, corpus, capsys):
+        """After `all`, re-ingesting another dump rewrites articles.jsonl
+        under contrib's recorded run: select and net, which stand on that
+        run, exit 2 with one line that names contrib and write nothing, and
+        `all` then runs clean."""
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        dump, ratings = generate(small_spec(seed=2))
+        (corpus / "dump.xml").write_text(dump, encoding="utf-8")
+        (corpus / "ratings.tsv").write_text(ratings, encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        work = Path(make_config(corpus).workdir)
+        before = tree_bytes(work)
+        for stage in ("select", "net"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(config)]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert err == [f"wikiq: error: stage {stage!r}: articles.jsonl changed "
+                           "since 'contrib' read it (re-run 'contrib')"]
+        assert tree_bytes(work) == before
+        assert main(["all", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: "[]",
+        lambda m: '{"ingest": 5}',
+        lambda m: "{not json",
+        lambda m: json.dumps({**m, "contrib": {**m["contrib"], "outputs": 5}}),
+        lambda m: json.dumps({**m, "select": {**m["select"], "config": [1]}}),
+        lambda m: json.dumps({**m, "ingest": {**m["ingest"], "sizes": []}}),
+    ], ids=["list", "entry-int", "not-json", "outputs-int", "config-list", "sizes-list"])
+    def test_malformed_manifest_exit_code(self, corpus, capsys, edit):
+        """A manifest.json that is not JSON, not an object of stage entries,
+        or holds an entry field of the wrong type exits 2 with one line that
+        names it, and the stage writes nothing."""
+        config = self.write_config(corpus)
+        assert main(["all", "--config", str(config)]) == 0
+        work = Path(make_config(corpus).workdir)
+        manifest = json.loads((work / "manifest.json").read_text())
+        (work / "manifest.json").write_text(edit(manifest))
+        before = tree_bytes(work)
+        capsys.readouterr()
+        assert main(["select", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("wikiq: error: ")
+        assert "manifest.json" in err[0]
+        assert tree_bytes(work) == before
+
     @pytest.mark.parametrize("char, escaped", [("&#9;", "\\t"), ("&#10;", "\\n")])
     def test_control_character_in_username(self, tmp_path, char, escaped):
         assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
@@ -1157,14 +1216,17 @@ class TestCli:
         return (work / "selection.tsv").read_text(encoding="utf-8").split("\n")
 
     def record_selection(self, corpus, lines):
-        """Write selection.tsv and record its hash in the manifest, so that
-        the stale-artifact check passes it."""
+        """Write selection.tsv and record its hash in the manifest, as
+        select's output and net's input, so that the stale-artifact checks
+        pass it."""
         work = Path(make_config(corpus).workdir)
         selection = work / "selection.tsv"
         selection.write_text("\n".join(lines), encoding="utf-8")
         manifest = json.loads((work / "manifest.json").read_text())
         manifest["select"]["outputs"]["selection.tsv"] = hashlib.sha256(
             selection.read_bytes()).hexdigest()
+        manifest["net"]["inputs"]["selection.tsv"] = (
+            manifest["select"]["outputs"]["selection.tsv"])
         (work / "manifest.json").write_text(json.dumps(manifest))
 
     def test_selection_with_rank_column_exit_code(self, corpus, capsys):
@@ -1224,8 +1286,23 @@ class TestCli:
         *[(lambda page, tokens=tokens: page["revisions"][1].__setitem__(4, tokens),
            "page {page_id}: revision {ordinal}'s tokens are not a list of strings")
           for tokens in ("abc", ["a", 1])],
+        *[(lambda page, value=value: page.update(page_id=value(page["page_id"])),
+           f"a page line's page_id is {shown}, not an int")
+          for value, shown in ((str, "'{page_id}'"), (float, "{page_id}.0"),
+                               (lambda _: True, "True"))],
+        (lambda page: page.update(title=5), "page {page_id}: the title is 5, not a string"),
+        *[(lambda page, field=field, value=value: page["revisions"][1].__setitem__(
+            field, value(page["revisions"][1][field])),
+           f"page {{page_id}}: a revision row's ordinal, author and timestamp are "
+           f"{shown}, not an int, a string and an int")
+          for field, value, shown in (
+              (0, str, "'{ordinal}', {name!r}, {ts}"),
+              (1, lambda _: 5, "{ordinal}, 5, {ts}"),
+              (3, str, "{ordinal}, {name!r}, '{ts}'"))],
     ], ids=["keeps-too-much", "list", "no-page_id", "no-title", "no-namespace",
-            "no-revisions", "revisions-int", "row-int", "tokens-str", "tokens-int"])
+            "no-revisions", "revisions-int", "row-int", "tokens-str", "tokens-int",
+            "page_id-str", "page_id-float", "page_id-bool", "title-int",
+            "ordinal-str", "author-int", "timestamp-str"])
     def test_impossible_history_row_exit_code(self, corpus, capsys, edit, message):
         """Line 2 of articles.jsonl, replaced by `edit(page)` or edited in
         place, with its hash recorded so the stale-artifact check passes
@@ -1237,8 +1314,9 @@ class TestCli:
         articles = work / "articles.jsonl"
         lines = articles.read_text(encoding="utf-8").splitlines()
         page = json.loads(lines[1])
-        message = message.format(page_id=page["page_id"], ordinal=page["revisions"][1][0],
-                                 head=len(page["revisions"][0][4]))
+        ordinal, name, _kind, ts = page["revisions"][1][:4]
+        message = message.format(page_id=page["page_id"], ordinal=ordinal, name=name,
+                                 ts=ts, head=len(page["revisions"][0][4]))
         lines[1] = json.dumps(edit(page) or page, sort_keys=True)
         articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
         manifest = json.loads((work / "manifest.json").read_text())
