@@ -8,15 +8,18 @@ one by keyword, the name's stem. `run_stage` computes the manifest entry
 a run would record: the lineage's config values, the hashes and sizes of its
 inputs, outside files by base name only, and a fingerprint of the program's
 sources. That entry is the only record of what a stage ran with, so a corpus
-and work directory moved elsewhere give the same bytes. `run_stage` refuses
-an input whose hash or config differs from the manifest entry of the stage
-that made it, or an upstream stage that read other inputs than those now
-recorded, so stale or missing intermediates never corrupt a run. It
-skips the stage, writing nothing, when that entry equals the recorded one
-and every output still has its recorded hash. Otherwise it runs the stage
-with a temp file beside each output, and only once the stage has returned
-renames them, then the manifest with the entry and the output hashes over
-the old one, so a stage that fails leaves the work directory as it was.
+and work directory moved elsewhere give the same bytes. One rule says
+whether a stage's recorded run is current: the entry it would record now
+has the recorded config values and input hashes (`_changed_part`).
+`run_stage` refuses a missing artifact, one whose hash is not its
+producer's record, and a stage with an upstream stage that is not current,
+naming the first to re-run, so stale or missing intermediates never
+corrupt a run. It skips the stage, writing nothing, when the stage itself
+is current, ran under this program, and every output still has its
+recorded hash. Otherwise it runs the stage with a temp file beside each
+output, and only once the stage has returned renames them, then the
+manifest with the entry and the output hashes over the old one, so a stage
+that fails leaves the work directory as it was.
 """
 
 from __future__ import annotations
@@ -457,15 +460,6 @@ def _config_values(data: dict, stage: Stage) -> dict:
     return values
 
 
-def _input_file(config: RunConfig, key: str) -> tuple[Path, os.stat_result]:
-    """The input file a config field names, and its stat."""
-    path = Path(getattr(config, key))
-    try:
-        return path, path.stat()
-    except FileNotFoundError:
-        raise PipelineError(f"{key} not found: {path}") from None
-
-
 def _written_ns(root: Path, stage: Stage) -> int:
     """The mtime of a stage's oldest output, -1 if one is missing."""
     try:
@@ -485,58 +479,54 @@ def _program() -> str:
     return h.hexdigest()
 
 
-def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
-    """The manifest entry a run of `stage` would record, but its outputs:
-    its lineage's config values, its input hashes, the sizes of the input
-    files it reads (both keyed by base name), and the program. `data` is
-    the config as JSON stores it.
-
-    Hashes each input once and refuses a missing input, one whose hash is
-    not the one its producer recorded, any upstream stage that ran under
-    other config values, and an input file or artifact that changed since
-    an upstream stage read it. Such a file is re-hashed only if its size
-    differs from the recorded one or it is not older than that stage's
-    outputs, so the record stays free of timestamps. Such an artifact's
-    producer recorded another hash for it than the upstream stage did."""
+def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict,
+           read: bool = False) -> dict:
+    """The manifest entry a run of `stage` would record now, but its
+    outputs: its lineage's config values, its input hashes, the sizes of the
+    outside files it reads (both keyed by base name), and the program.
+    `data` is the config as JSON stores it; a missing outside file is
+    refused. With `read`, for the stage about to run, it hashes every input
+    and refuses a missing artifact or one whose hash is not its producer's
+    record. Without, for an upstream stage, an artifact's hash is its
+    producer's record, and an outside file is re-hashed only if its size
+    differs from the stage's recorded one or it is not older than the
+    stage's outputs, so the record stays free of timestamps."""
+    root, recorded = Path(config.workdir), manifest.get(stage.name, {})
     hashes, sizes = {}, {}
     for key in stage.files:
-        path, st = _input_file(config, key)
-        hashes[path.name], sizes[path.name] = _sha256(path), st.st_size
+        path = Path(getattr(config, key))
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            raise PipelineError(f"{key} not found: {path}") from None
+        sizes[path.name] = st.st_size
+        hashes[path.name] = (
+            _sha256(path) if read
+            or st.st_size != recorded.get("sizes", {}).get(path.name)
+            or st.st_mtime_ns >= _written_ns(root, stage)
+            else recorded.get("inputs", {}).get(path.name))
     for name in stage.inputs:
         producer = PRODUCER[name].name
-        path = Path(config.workdir) / name
-        if not path.exists():
+        hashes[name] = manifest.get(producer, {}).get("outputs", {}).get(name)
+        if read and not (root / name).exists():
             raise PipelineError(f"stage {stage.name!r}: missing artifact "
                                 f"{name} (run {producer!r} first)")
-        hashes[name] = _sha256(path)
-        if manifest.get(producer, {}).get("outputs", {}).get(name) != hashes[name]:
+        if read and _sha256(root / name) != hashes[name]:
             raise PipelineError(f"stage {stage.name!r}: artifact {name} does not "
                                 f"match the manifest (stale; re-run {producer!r})")
-    for upstream in _lineage(stage)[:-1]:
-        entry = manifest.get(upstream.name, {})
-        recorded = entry.get("config", {})
-        for key, value in sorted(_config_values(data, upstream).items()):
-            if key not in recorded or recorded[key] != value:
-                raise PipelineError(
-                    f"stage {stage.name!r}: {upstream.name!r} ran with {key}="
-                    f"{recorded.get(key)!r}, the config has {value!r} "
-                    f"(re-run {upstream.name!r})")
-        for key in upstream.files:
-            path, st = _input_file(config, key)
-            if ((st.st_size != entry.get("sizes", {}).get(path.name)
-                 or st.st_mtime_ns >= _written_ns(Path(config.workdir), upstream))
-                    and _sha256(path) != entry.get("inputs", {}).get(path.name)):
-                raise PipelineError(
-                    f"stage {stage.name!r}: {key} {path} changed since "
-                    f"{upstream.name!r} read it (re-run {upstream.name!r})")
-        for name in upstream.inputs:
-            if (entry.get("inputs", {}).get(name) != manifest.get(
-                    PRODUCER[name].name, {}).get("outputs", {}).get(name)):
-                raise PipelineError(
-                    f"stage {stage.name!r}: {name} changed since "
-                    f"{upstream.name!r} read it (re-run {upstream.name!r})")
     return {"config": _config_values(data, stage), "inputs": hashes,
             "program": _program(), "sizes": sizes}
+
+
+def _changed_part(entry: dict, recorded: dict) -> str | None:
+    """The first config key, then input, in which `entry` differs from the
+    recorded entry, as "config key K changed" or "input I changed"."""
+    for part, what in (("config", "config key"), ("inputs", "input")):
+        old = recorded.get(part, {})
+        for key in sorted(entry[part].keys() | old.keys()):
+            if entry[part].get(key) != old.get(key):
+                return f"{what} {key} changed"
+    return None
 
 
 def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
@@ -547,11 +537,9 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
     None means the stage is up to date."""
     if recorded is None:
         return "no recorded run"
-    for part, what in (("config", "config key"), ("inputs", "input")):
-        old = recorded.get(part, {})
-        for key in sorted(entry[part].keys() | old.keys()):
-            if entry[part].get(key) != old.get(key):
-                return f"{what} {key} changed"
+    changed = _changed_part(entry, recorded)
+    if changed:
+        return changed
     if entry["program"] != recorded.get("program"):
         return "program changed"
     for name in stage.outputs:
@@ -591,7 +579,13 @@ def run_stage(stage: str, config: RunConfig) -> None:
                 for entry in manifest.values())):
             raise PipelineError(f"{manifest_path}: not a JSON object of stage entries")
     data = json.loads(config.to_json())
-    entry = _entry(spec, config, data, manifest)
+    entry = _entry(spec, config, data, manifest, read=True)
+    for upstream in _lineage(spec)[:-1]:
+        changed = _changed_part(_entry(upstream, config, data, manifest),
+                                manifest.get(upstream.name, {}))
+        if changed:
+            raise PipelineError(f"stage {stage!r}: {changed} since {upstream.name!r} "
+                                f"ran (re-run {upstream.name!r})")
     stale = _stale_part(spec, entry, manifest.get(stage), root)
     if stale is None:
         log.info("stage %s skipped in %s: up to date", stage, root)

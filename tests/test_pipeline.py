@@ -329,6 +329,177 @@ def test_stage_runs_unless_its_entry_matches(corpus, monkeypatch, caplog,
     assert caplog.messages == [f"stage {stage} skipped in {work}: up to date"]
 
 
+def reference_refusal(stage: str, config: RunConfig) -> str | None:
+    """The manifest check's refusal before skip and refuse shared one
+    comparison, or None: the stage's own outside files and artifacts, then
+    three loops over each upstream stage (its config values, its outside
+    files, its artifacts), each with its own message."""
+    spec = pipeline._BY_NAME[stage]
+    root = Path(config.workdir)
+    manifest = json.loads((root / "manifest.json").read_text())
+    data = json.loads(config.to_json())
+    for key in spec.files:
+        if not Path(getattr(config, key)).exists():
+            return f"{key} not found: {getattr(config, key)}"
+    for name in spec.inputs:
+        producer = pipeline.PRODUCER[name].name
+        if not (root / name).exists():
+            return f"stage {stage!r}: missing artifact {name} (run {producer!r} first)"
+        if (manifest.get(producer, {}).get("outputs", {}).get(name)
+                != pipeline._sha256(root / name)):
+            return (f"stage {stage!r}: artifact {name} does not match the "
+                    f"manifest (stale; re-run {producer!r})")
+    for upstream in pipeline._lineage(spec)[:-1]:
+        entry = manifest.get(upstream.name, {})
+        recorded = entry.get("config", {})
+        for key, value in sorted(pipeline._config_values(data, upstream).items()):
+            if key not in recorded or recorded[key] != value:
+                return (f"stage {stage!r}: {upstream.name!r} ran with {key}="
+                        f"{recorded.get(key)!r}, the config has {value!r} "
+                        f"(re-run {upstream.name!r})")
+        for key in upstream.files:
+            path = Path(getattr(config, key))
+            if not path.exists():
+                return f"{key} not found: {path}"
+            try:
+                written = min((root / name).stat().st_mtime_ns
+                              for name in upstream.outputs)
+            except FileNotFoundError:
+                written = -1
+            if ((path.stat().st_size != entry.get("sizes", {}).get(path.name)
+                 or path.stat().st_mtime_ns >= written)
+                    and pipeline._sha256(path) != entry.get("inputs", {}).get(path.name)):
+                return (f"stage {stage!r}: {key} {path} changed since "
+                        f"{upstream.name!r} read it (re-run {upstream.name!r})")
+        for name in upstream.inputs:
+            if (entry.get("inputs", {}).get(name) != manifest.get(
+                    pipeline.PRODUCER[name].name, {}).get("outputs", {}).get(name)):
+                return (f"stage {stage!r}: {name} changed since "
+                        f"{upstream.name!r} read it (re-run {upstream.name!r})")
+    return None
+
+
+class WouldRun(Exception):
+    """Raised by a stage function in place of running the stage."""
+
+
+def refusal(stage: str, config: RunConfig, monkeypatch) -> str | None:
+    """run_stage's refusal, or None when it would run or skip the stage;
+    it runs no stage code and so writes nothing."""
+    def would_run(cfg, **files):
+        raise WouldRun
+
+    with monkeypatch.context() as patch:
+        for spec in STAGE_TABLE:
+            patch.setitem(pipeline._BY_NAME, spec.name, spec._replace(fn=would_run))
+        try:
+            run_stage(stage, config)
+        except PipelineError as exc:
+            return str(exc)
+        except WouldRun:
+            pass
+    return None
+
+
+# each lineage config key, dotted as the manifest records it: another value
+CONFIG_EDITS = {
+    "bot_list": ["Editor00"], "bot_suffix_heuristic": False, "exclude_bots": False,
+    "selection.min_contrib": 5.0, "selection.min_authors": 3,
+    "selection.theta": 0.5, "network": "coauthor", "metric": "degree",
+    "damping": 0.9, "models": ["longevity"], "eval_k": [5], "buckets": 5,
+    "relevant_classes": ["FA"],
+}
+# each stage with config keys of its own: one of them, with another value
+OWN_CONFIG_EDITS = {"ingest": "bot_suffix_heuristic", "contrib": "exclude_bots",
+                    "select": "selection.theta", "net": "network",
+                    "centrality": "metric", "score": "models"}
+
+
+def with_config_value(cfg: RunConfig, key: str, value) -> RunConfig:
+    data = json.loads(cfg.to_json())
+    field_name, _, sub = key.partition(".")
+    if sub:
+        data[field_name][sub] = value
+    else:
+        data[field_name] = value
+    return RunConfig.from_json(json.dumps(data))
+
+
+def test_refusal_matches_the_reference(corpus, monkeypatch):
+    """After each edit to a finished run, every stage is refused exactly
+    when the reference check refuses it, and both name the same stage to
+    (re-)run."""
+    cfg = make_config(corpus)
+    run_all(cfg)
+    work, dump = Path(cfg.workdir), Path(cfg.dump)
+    shutil.copytree(work, corpus / "base")
+    shutil.copy2(dump, corpus / "base.xml")
+    keys = pipeline._config_values(json.loads(cfg.to_json()), STAGE_TABLE[-1])
+    assert CONFIG_EDITS.keys() == keys.keys()
+
+    def touch(seconds):
+        written = max(p.stat().st_mtime_ns for p in work.iterdir())
+        os.utime(dump, ns=(written + seconds * 10**9,) * 2)
+
+    def same_size(seconds):
+        text = dump.read_text(encoding="utf-8")
+        at = text.index("<text>") + len("<text>")
+        dump.write_text(text[:at] + ("b" if text[at] == "a" else "a")
+                        + text[at + 1:], encoding="utf-8")
+        touch(seconds)
+
+    def reingest():
+        dump.write_text(generate(small_spec(seed=2))[0], encoding="utf-8")
+        run_stage("ingest", cfg)
+
+    def rerun(stage):
+        key = OWN_CONFIG_EDITS[stage]
+        run_stage(stage, with_config_value(cfg, key, CONFIG_EDITS[key]))
+
+    def drop_entry(stage):
+        manifest = json.loads((work / "manifest.json").read_text())
+        del manifest[stage]
+        (work / "manifest.json").write_text(json.dumps(manifest))
+
+    def append(path, text):
+        with open(path, "a", encoding="utf-8") as fp:
+            fp.write(text)
+
+    edits = {f"config {key}": (lambda key=key, value=value: with_config_value(
+        cfg, key, value)) for key, value in CONFIG_EDITS.items()}
+    edits.update({
+        "touch dump": lambda: touch(1),
+        "append to dump": lambda: append(dump, "\n"),
+        "same-size newer dump": lambda: same_size(1),
+        "same-size older dump": lambda: same_size(-10),
+        "re-ingest seed 2": reingest,
+    })
+    edits.update({f"re-run {stage}": (lambda stage=stage: rerun(stage))
+                  for stage in OWN_CONFIG_EDITS})
+    for names in ARTIFACTS.values():
+        for name in names:
+            edits[f"edit {name}"] = lambda name=name: append(work / name, "x\n")
+            edits[f"delete {name}"] = lambda name=name: (work / name).unlink()
+    edits.update({f"drop {stage} entry": (lambda stage=stage: drop_entry(stage))
+                  for stage in STAGES})
+    outcomes = []
+    for what, edit in edits.items():
+        shutil.rmtree(work)
+        shutil.copytree(corpus / "base", work)
+        shutil.copy2(corpus / "base.xml", dump)
+        stage_cfg = edit() or cfg
+        for stage in STAGES:
+            want = reference_refusal(stage, stage_cfg)
+            got = refusal(stage, stage_cfg, monkeypatch)
+            assert (want is None) == (got is None), (what, stage, want, got)
+            if want is not None:
+                assert (re.findall(r"run '(\w+)'", want)
+                        == re.findall(r"run '(\w+)'", got)), (what, stage, want, got)
+            outcomes.append(want is None)
+    assert len(outcomes) == 7 * len(edits) == 7 * 53
+    assert 100 < outcomes.count(False) < 300
+
+
 def test_second_run_writes_no_file(corpus, caplog, stage_calls):
     """A second `wikiq all` skips every stage: each workdir file keeps its
     bytes, inode and mtime, and the directory gains no temp file. Another
@@ -1154,8 +1325,8 @@ class TestCli:
             capsys.readouterr()
             assert main([stage, "--config", str(config)]) == 2
             err = capsys.readouterr().err.strip().split("\n")
-            assert err == [f"wikiq: error: stage {stage!r}: articles.jsonl changed "
-                           "since 'contrib' read it (re-run 'contrib')"]
+            assert err == [f"wikiq: error: stage {stage!r}: input articles.jsonl "
+                           "changed since 'contrib' ran (re-run 'contrib')"]
         assert tree_bytes(work) == before
         assert main(["all", "--config", str(config)]) == 0
 
