@@ -44,8 +44,9 @@ from . import networks, quality, tsv
 from .evaluation import (DEFAULT_RELEVANT, FILTER_CONFIGS, build_ranking,
                          ndcg, filtered_eval, percentile_table,
                          precision_recall)
-from .ingest import (AuthorId, AuthorKind, BotConfig, Namespace, PageHistory,
-                     RevisionRecord, load_ratings, parse_dump)
+from .ingest import (QUALITY_CLASSES, AuthorId, AuthorKind, BotConfig, Namespace,
+                     PageHistory, RevisionRecord, canonical_name, load_ratings,
+                     parse_dump)
 from .longevity import (SelectionParams, build_contributions,
                         read_contributions, select_all, write_contributions)
 from .worddiff import _common_run
@@ -115,18 +116,21 @@ class RunConfig:
     relevant_classes: list[str] = field(default_factory=lambda: sorted(DEFAULT_RELEVANT))
 
     def __post_init__(self):
-        """Refuse a network, metric or model name outside its tuple, an
-        eval cutoff below 1 and fewer than 2 buckets; this runs under
+        """Refuse a network, metric, model or relevant class name that the
+        pipeline does not know, a damping outside [0, 1], an eval cutoff
+        below 1 and fewer than 2 buckets; this runs under
         dataclasses.replace too, so it checks CLI overrides."""
         for key, names in (("network", NETWORKS), ("metric", METRICS),
-                           ("models", MODELS)):
+                           ("models", MODELS), ("relevant_classes", QUALITY_CLASSES)):
             value = getattr(self, key)
-            for name in value if key == "models" else [value]:
+            for name in value if isinstance(value, list) else [value]:
                 if name not in names:
                     raise ValueError(f"config key {key!r}: unknown value "
                                      f"{name!r} (one of {', '.join(names)})")
         if not self.models:
             raise ValueError("config key 'models': no model named")
+        if not 0 <= self.damping <= 1:  # NaN too
+            raise ValueError(f"config key 'damping': {self.damping!r} is outside [0, 1]")
         if self.eval_k and min(self.eval_k) < 1:
             raise ValueError(f"config key 'eval_k': {min(self.eval_k)!r} is below 1")
         if self.buckets < 2:
@@ -142,7 +146,7 @@ class RunConfig:
 
     def bot_config(self) -> BotConfig:
         return BotConfig(
-            names=frozenset(self.bot_list),
+            names=frozenset(map(canonical_name, self.bot_list)),
             suffix_heuristic=self.bot_suffix_heuristic,
         )
 

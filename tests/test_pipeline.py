@@ -1243,6 +1243,10 @@ class TestCli:
         ({"eval_k": [10, True]}, "'eval_k'"),
         ({"eval_k": [-1, 0, 5]}, "'eval_k': -1"),
         ({"buckets": 1}, "'buckets': 1"),
+        ({"damping": 1.5}, "'damping': 1.5 is outside [0, 1]"),
+        ({"damping": -0.5}, "'damping': -0.5 is outside [0, 1]"),
+        ({"damping": float("nan")}, "'damping': nan is outside [0, 1]"),
+        ({"relevant_classes": ["FA", "Fa"]}, "'relevant_classes': unknown value 'Fa'"),
     ])
     def test_bad_config_refused_before_any_stage(self, corpus, capsys, edit, named):
         data = json.loads(make_config(corpus).to_json())
@@ -1254,6 +1258,23 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("wikiq: error: config")
         assert named in err[0]
         assert not Path(make_config(corpus).workdir).exists()
+
+    @pytest.mark.parametrize("spelling", ["Helper_script", "helper script"])
+    def test_bot_list_entry_matches_its_canonical_name(self, corpus, spelling):
+        """A bot_list entry names the user its canonical form names, as a
+        dump's usernames do: that user's edits are a bot's."""
+        dump = corpus / "dump.xml"
+        text = dump.read_text(encoding="utf-8")
+        assert "<username>Editor07</username>" in text
+        dump.write_text(text.replace("<username>Editor07</username>",
+                                     "<username>Helper script</username>"),
+                        encoding="utf-8")
+        cfg = dataclasses.replace(make_config(corpus), bot_list=[spelling])
+        assert cfg.bot_config().names == {"Helper script"}
+        with open(dump, "rb") as fp:
+            kinds = {rev.author.kind for page in parse_dump(fp, cfg.bot_config())
+                     for rev in page.revisions if rev.author.name == "Helper script"}
+        assert kinds == {AuthorKind.BOT}
 
     def test_override_checked_like_the_file(self):
         with pytest.raises(ValueError, match="'closeness'"):
