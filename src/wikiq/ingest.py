@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -18,6 +19,7 @@ from typing import IO, Iterable, Iterator, Optional
 from xml.etree import ElementTree as ET
 
 from . import tsv
+from .worddiff import _common_run, _common_tail
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +90,52 @@ def tokenize(wikitext: str) -> list[str]:
     return _TOKEN_RE.findall(wikitext)
 
 
+# A page's tokenizer keeps a split point about every this many characters.
+_SPLIT_SPACING = 64
+
+
+def _page_tokens(texts: Iterable[str]) -> Iterator[list[str]]:
+    """`tokenize` of each of a page's texts, in order. Each text is
+    re-tokenized only in a window around what changed from the previous one,
+    and every token the change kept is the previous list's own `str` object,
+    as in a decoded history.
+
+    The window's ends are split points, offsets just after a space, so this
+    is exact: no token spans whitespace and the pattern has no anchors or
+    lookbehind, so tokenize(T) == tokenize(T[:p]) + tokenize(T[p:]) whenever
+    T[p - 1] is whitespace. A text with no space is tokenized whole.
+    """
+    prev, tokens = "", []
+    # Split points as (offset, tokens before it): 0 first, then offsets just
+    # after a space, and last a sentinel one past the end of the text.
+    offsets, counts = [0, 1], [0, 0]
+    for text in texts:
+        head = _common_run(prev, text, 0, 0)
+        tail = _common_tail(prev, text, head)
+        i = bisect_right(offsets, head) - 1
+        # the tail's split point must have its space inside the common tail
+        j = bisect_left(offsets, len(prev) - tail + 1)
+        shift = len(text) - len(prev)
+        pos, end = offsets[i], offsets[j] + shift
+        offs, cnts, window = offsets[:i + 1], counts[:i + 1], []
+        while (cut := text.find(" ", pos + _SPLIT_SPACING, end - 1) + 1):
+            window += tokenize(text[pos:cut])
+            offs.append(cut)
+            cnts.append(counts[i] + len(window))
+            pos = cut
+        window += tokenize(text[pos:end])
+        token_shift = counts[i] + len(window) - counts[j]
+        offs += [offset + shift for offset in offsets[j:]]
+        cnts += [count + token_shift for count in counts[j:]]
+        # the window's tokens that its edit kept are shared too
+        old = tokens[counts[i]:counts[j]]
+        a = _common_run(old, window, 0, 0)
+        b = _common_tail(old, window, a)
+        tokens = tokens[:counts[i] + a] + window[a:len(window) - b] + tokens[counts[j] - b:]
+        prev, offsets, counts = text, offs, cnts
+        yield tokens
+
+
 def canonical_name(raw: str) -> str:
     """Canonicalize a username per MediaWiki: underscores to spaces, first
     letter uppercased."""
@@ -98,6 +146,8 @@ def canonical_name(raw: str) -> str:
 
 
 def _is_ip(name: str) -> bool:
+    if "." not in name and ":" not in name:  # no IPv4 or IPv6 text lacks both
+        return False
     try:
         ipaddress.ip_address(name)
     except ValueError:
@@ -172,9 +222,11 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
                     title)
         # stable sort keeps dump order among identical timestamps
         revs.sort(key=lambda rev: rev[0])
+    token_lists = _page_tokens(text for _, _, text in revs)
     return PageHistory(page_id, title, _namespace_of(page.findtext(ns + "ns"), title), [
-        RevisionRecord(page_id, ordinal, author, stamp, tokenize(text))
-        for ordinal, (stamp, author, text) in enumerate(revs, start=1)])
+        RevisionRecord(page_id, ordinal, author, stamp, tokens)
+        for ordinal, ((stamp, author, _), tokens)
+        in enumerate(zip(revs, token_lists), start=1)])
 
 
 def parse_dump(stream: IO[bytes], bot_config: BotConfig = BotConfig(),

@@ -49,7 +49,7 @@ from .ingest import (QUALITY_CLASSES, AuthorId, AuthorKind, BotConfig, Namespace
                      parse_dump)
 from .longevity import (SelectionParams, build_contributions,
                         read_contributions, select_all, write_contributions)
-from .worddiff import _common_run
+from .worddiff import _common_run, _common_tail
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ def _history_to_json(page: PageHistory) -> str:
     for r in page.revisions:
         tokens = r.tokens
         head = _common_run(prev, tokens, 0, 0)
-        tail = _common_run(prev[head:][::-1], tokens[head:][::-1], 0, 0)
+        tail = _common_tail(prev, tokens, head)
         rows.append([r.rev_ordinal, r.author.name, r.author.kind.value,
                      r.timestamp, tokens[head:len(tokens) - tail]]
                     + ([head, tail] if head or tail else []))

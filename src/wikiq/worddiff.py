@@ -120,6 +120,22 @@ def _common_run(a: Sequence[str], b: Sequence[str], i: int, j: int) -> int:
     return n
 
 
+def _common_tail(a: Sequence[str], b: Sequence[str], head: int) -> int:
+    """Length of the common run that ends a[head:] and b[head:]: the run
+    `_common_run` finds, galloping backwards from the ends."""
+    la, lb = len(a), len(b)
+    limit = min(la, lb) - head
+    n, step = 0, 1
+    while step <= limit - n and a[la - n - step:la - n] == b[lb - n - step:lb - n]:
+        n += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= limit - n and a[la - n - step:la - n] == b[lb - n - step:lb - n]:
+            n += step
+    return n
+
+
 def _take_runs(buckets: dict[int, list[tuple[int, int]]], floor: int,
                a_free: bytearray, b_free: bytearray, blocks: list[Block]) -> None:
     """Take runs longest first, ties to the smallest (a_start, b_start).

@@ -1,6 +1,9 @@
 import io
+import ipaddress
 import logging
+import random
 import re
+import sys
 from collections import deque
 from typing import IO, Iterator, Optional
 from xml.parsers import expat
@@ -12,9 +15,9 @@ from hostile import names
 from wikiq import tsv
 from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           BotConfig, DumpParseError, Namespace, PageHistory,
-                          RatingsError, RevisionRecord, _namespace_of,
-                          _parse_timestamp, load_ratings, log, make_author,
-                          parse_dump, serialize_dump, tokenize)
+                          RatingsError, RevisionRecord, _is_ip, _namespace_of,
+                          _page_tokens, _parse_timestamp, load_ratings, log,
+                          make_author, parse_dump, serialize_dump, tokenize)
 from wikiq.pipeline import _history_to_json
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
@@ -105,6 +108,24 @@ class TestAuthors:
 
     def test_canonicalization(self):
         assert make_author("stone_age fan", BOTS).name == "Stone age fan"
+
+
+def reference_is_ip(name):
+    try:
+        ipaddress.ip_address(name)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.sampled_from(("192.168.0.1", "fe80::1", "::", "::ffff:1.2.3.4",
+                        "fe80::1%eth0", "1.2.3.4%1", "1.2.3", "01.2.3.4"))
+       | st.text(st.sampled_from("0123456789abcdefABCDEF.:%/_\u0663\u0967\uff11"),
+                 max_size=40))
+def test_is_ip_matches_ipaddress(name):
+    # U+0663, U+0967 and U+FF11 are non-ASCII digits
+    assert _is_ip(name) == reference_is_ip(name)
 
 
 class TestParseDump:
@@ -500,6 +521,109 @@ def test_truncated_dump_is_a_parse_error(raw, data):
     for parse in (reference_parse_dump, parse_dump):
         with pytest.raises(DumpParseError):
             list(parse(io.BytesIO(cut), BOTS, 5))
+
+
+# every character str.isspace() accepts
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# \w runs, the characters of the doubled markup tokens, and other punctuation
+_WORDY = ("a", "word", "x_1", "caf\u00e9", "\u540d\u5b57", "1984", "[", "]", "{", "}",
+          "[[", "]]", "{{", "}}", "|", ",", ".", "'")
+
+
+@st.composite
+def page_texts(draw):
+    """A page's texts, each made from the one before by an edit: an insert,
+    delete or replace at any offset, one at a whitespace character that
+    joins the runs either side of it or grows one of them (a word, or a
+    markup pair), a blanking, or a revert to any earlier text. One page in
+    four never holds a space."""
+    spaces = draw(st.sampled_from((SPACES,) * 3 + (SPACES.replace(" ", ""),)))
+    pieces = st.sampled_from(_WORDY * 6 + tuple(spaces) + (" ",) * 24 * (" " in spaces))
+    fragments = st.lists(pieces, max_size=40).map("".join)
+    # long enough to hold split points a page's tokenizer keeps
+    texts = [draw(st.lists(pieces, min_size=60, max_size=400).map("".join))]
+    for _ in range(draw(st.integers(0, 12))):
+        text = texts[-1]
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "at space",
+                                     "at space", "blank", "revert")))
+        if kind == "blank":
+            text = ""
+        elif kind == "revert":
+            text = draw(st.sampled_from(texts))
+        elif kind == "at space" and any(c.isspace() for c in text):
+            # mostly at a " ", the commonest whitespace in real text
+            at = [k for k, c in enumerate(text) if c == " "] if draw(st.integers(0, 3)) else []
+            k = draw(st.sampled_from(at or [k for k, c in enumerate(text) if c.isspace()]))
+            piece = draw(st.sampled_from(_WORDY))
+            text = draw(st.sampled_from((text[:k] + text[k + 1:],
+                                         text[:k] + piece + text[k:],
+                                         text[:k + 1] + piece + text[k + 1:])))
+        else:
+            a = draw(st.integers(0, len(text)))
+            b = a if kind == "insert" else draw(st.integers(a, len(text)))
+            text = text[:a] + ("" if kind == "delete" else draw(fragments)) + text[b:]
+        texts.append(text)
+    return texts
+
+
+@settings(max_examples=500, deadline=None)
+@given(page_texts())
+def test_page_tokens_match_tokenize(texts):
+    assert list(_page_tokens(texts)) == [tokenize(text) for text in texts]
+
+
+def test_page_tokens_edit_at_every_offset():
+    base = ("[[Stone Age]] was a {{period}} of prehistory, c. 3.4M years\u3000long;\t"
+            "its tools_were stone.\nMost of [[it]] falls in the Pleistocene, "
+            "before metal\xa0working ''spread''.")
+    for k in range(len(base) + 1):
+        for text in (base[:k] + "x" + base[k:], base[:k] + "[" + base[k:],
+                     base[:k] + base[k + 1:], base[:k] + " " + base[k:]):
+            texts = [base, text, base]
+            assert list(_page_tokens(texts)) == [tokenize(t) for t in texts]
+
+
+def _stamp(k):
+    return f"2011-01-01T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}Z"
+
+
+@settings(max_examples=100, deadline=None)
+@given(page_texts(), st.randoms(use_true_random=False))
+def test_parse_dump_tokens_out_of_order_revisions(texts, rng):
+    # XML 1.0 cannot carry U+000B, U+000C or U+001C-U+001F, and a raw CR
+    # would read as LF
+    texts = [re.sub("[\x0b\x0c\x1c-\x1f]", " ", text) for text in texts]
+    order = list(range(len(texts)))
+    rng.shuffle(order)
+    dump = simple_dump([("P", 0, 1, [
+        (USER.format("A"), _stamp(k), _escape(texts[k]).replace("\r", "&#13;"))
+        for k in order])])
+    (page,) = parse_dump(dump, BOTS)
+    assert [r.tokens for r in page.revisions] == [tokenize(text) for text in texts]
+
+
+def test_parsed_page_shares_kept_tokens():
+    import tracemalloc
+
+    # 300 revisions that each insert one word into a text of ~400 words
+    rng = random.Random(5)
+    words, revs = [f"w{k}" for k in range(400)], []
+    for k in range(300):
+        words.insert(rng.randrange(len(words) + 1), f"new{k}")
+        revs.append((USER.format("A"), _stamp(k), " ".join(words)))
+    dump = simple_dump([("P", 0, 1, revs)])
+    tracemalloc.start()
+    (page,) = parse_dump(dump, BOTS)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    for prev, rev in zip(page.revisions, page.revisions[1:]):
+        kept = {id(token) for token in prev.tokens}  # prev holds them alive
+        assert [token for token in rev.tokens if id(token) not in kept] == [
+            f"new{rev.rev_ordinal - 1}"]
+    # what one list of its own tokens per revision would cost
+    unshared = sum(sys.getsizeof(r.tokens) + sum(map(sys.getsizeof, r.tokens))
+                   for r in page.revisions)
+    assert peak < unshared / 2
 
 
 class TestRatings:
