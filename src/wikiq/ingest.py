@@ -207,14 +207,24 @@ def _author(contributor: Optional[ET.Element], ns: str, title: str,
     return AuthorId(ANONYMOUS_SENTINEL, AuthorKind.ANONYMOUS)
 
 
+def _parsed(parse, text: str, what: str, title: str):
+    """`parse(text)`; a text it refuses is a DumpParseError naming the page."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise DumpParseError(f"page {title!r}: {what} {text!r} does not parse") from None
+
+
 def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHistory:
     """The history of one <page> element whose tags carry the prefix `ns`."""
     title = page.findtext(ns + "title", "")
-    page_id = int(page.findtext(ns + "id", "0"))
+    page_id = _parsed(int, page.findtext(ns + "id", "0"), "page id", title)
     revs = []
     for rev in page.iterfind(ns + "revision"):
         stamp = rev.findtext(ns + "timestamp")
-        revs.append((0 if stamp is None else _parse_timestamp(stamp),
+        if stamp is not None:
+            stamp = _parsed(_parse_timestamp, stamp, "timestamp", title)
+        revs.append((stamp or 0,
                      _author(rev.find(ns + "contributor"), ns, title, bot_config),
                      rev.findtext(ns + "text", "")))
     if any(a[0] > b[0] for a, b in zip(revs, revs[1:])):

@@ -5,8 +5,8 @@ writes, the config fields that name the outside files it reads, and the
 config fields its outputs depend on. Each artifact name is written there and
 nowhere else: `run_stage` opens the files, and a stage function gets each
 one by keyword, the name's stem. `run_stage` computes the manifest entry
-a run would record: the lineage's config values, the hashes and sizes of its
-inputs, outside files by base name only, and a fingerprint of the program's
+a run would record: the lineage's config values, the hashes of its inputs,
+outside files by base name only, and a fingerprint of the program's
 sources. That entry is the only record of what a stage ran with, so a corpus
 and work directory moved elsewhere give the same bytes. One rule says
 whether a stage's recorded run is current: the entry it would record now
@@ -117,8 +117,9 @@ class RunConfig:
 
     def __post_init__(self):
         """Refuse a network, metric, model or relevant class name that the
-        pipeline does not know, a damping outside [0, 1], an eval cutoff
-        below 1 and fewer than 2 buckets; this runs under
+        pipeline does not know, a damping or selection.theta outside [0, 1],
+        a NaN selection.min_contrib (it would equal no recorded value), an
+        eval cutoff below 1 and fewer than 2 buckets; this runs under
         dataclasses.replace too, so it checks CLI overrides."""
         for key, names in (("network", NETWORKS), ("metric", METRICS),
                            ("models", MODELS), ("relevant_classes", QUALITY_CLASSES)):
@@ -129,8 +130,12 @@ class RunConfig:
                                      f"{name!r} (one of {', '.join(names)})")
         if not self.models:
             raise ValueError("config key 'models': no model named")
-        if not 0 <= self.damping <= 1:  # NaN too
-            raise ValueError(f"config key 'damping': {self.damping!r} is outside [0, 1]")
+        for key, value in (("damping", self.damping),
+                           ("selection.theta", self.selection.theta)):
+            if not 0 <= value <= 1:  # NaN too
+                raise ValueError(f"config key {key!r}: {value!r} is outside [0, 1]")
+        if math.isnan(self.selection.min_contrib):
+            raise ValueError("config key 'selection.min_contrib': nan is not a number")
         if self.eval_k and min(self.eval_k) < 1:
             raise ValueError(f"config key 'eval_k': {min(self.eval_k)!r} is below 1")
         if self.buckets < 2:
@@ -415,7 +420,7 @@ class Stage(NamedTuple):
     config_keys: tuple[str, ...]  # RunConfig fields the stage itself reads
     fn: Callable[..., None]  # fn(cfg, **files), each file keyed by its name's stem
     # RunConfig fields naming the outside files the stage reads, recorded
-    # among its inputs by base name, hash and size, never by path
+    # among its inputs by base name and content hash, never by path
     files: tuple[str, ...] = ()
 
 
@@ -464,14 +469,6 @@ def _config_values(data: dict, stage: Stage) -> dict:
     return values
 
 
-def _written_ns(root: Path, stage: Stage) -> int:
-    """The mtime of a stage's oldest output, -1 if one is missing."""
-    try:
-        return min((root / name).stat().st_mtime_ns for name in stage.outputs)
-    except FileNotFoundError:
-        return -1
-
-
 @functools.cache
 def _program() -> str:
     """A sha256 over the sources of the wikiq package's modules, taken once
@@ -483,43 +480,34 @@ def _program() -> str:
     return h.hexdigest()
 
 
-def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict,
-           read: bool = False) -> dict:
+@functools.cache
+def _content_hash(path: Path, identity: tuple) -> str:
+    """`_sha256(path)`, taken once per process for each `identity`, the
+    file's (device, inode, size, mtime, ctime). A rewrite changes the ctime,
+    which no user-level tool can set back, so a file rewritten to its old
+    size and mtime is hashed again."""
+    return _sha256(path)
+
+
+def _entry(stage: Stage, config: RunConfig, data: dict, manifest: dict) -> dict:
     """The manifest entry a run of `stage` would record now, but its
-    outputs: its lineage's config values, its input hashes, the sizes of the
-    outside files it reads (both keyed by base name), and the program.
-    `data` is the config as JSON stores it; a missing outside file is
-    refused. With `read`, for the stage about to run, it hashes every input
-    and refuses a missing artifact or one whose hash is not its producer's
-    record. Without, for an upstream stage, an artifact's hash is its
-    producer's record, and an outside file is re-hashed only if its size
-    differs from the stage's recorded one or it is not older than the
-    stage's outputs, so the record stays free of timestamps."""
-    root, recorded = Path(config.workdir), manifest.get(stage.name, {})
-    hashes, sizes = {}, {}
+    outputs: its lineage's config values, its input hashes keyed by base
+    name, and the program. `data` is the config as JSON stores it. An
+    outside file is hashed by its content, and refused if missing; an
+    artifact's hash is its producer's record."""
+    hashes = {}
     for key in stage.files:
         path = Path(getattr(config, key))
         try:
             st = path.stat()
         except FileNotFoundError:
             raise PipelineError(f"{key} not found: {path}") from None
-        sizes[path.name] = st.st_size
-        hashes[path.name] = (
-            _sha256(path) if read
-            or st.st_size != recorded.get("sizes", {}).get(path.name)
-            or st.st_mtime_ns >= _written_ns(root, stage)
-            else recorded.get("inputs", {}).get(path.name))
+        hashes[path.name] = _content_hash(path, (
+            st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
     for name in stage.inputs:
-        producer = PRODUCER[name].name
-        hashes[name] = manifest.get(producer, {}).get("outputs", {}).get(name)
-        if read and not (root / name).exists():
-            raise PipelineError(f"stage {stage.name!r}: missing artifact "
-                                f"{name} (run {producer!r} first)")
-        if read and _sha256(root / name) != hashes[name]:
-            raise PipelineError(f"stage {stage.name!r}: artifact {name} does not "
-                                f"match the manifest (stale; re-run {producer!r})")
+        hashes[name] = manifest.get(PRODUCER[name].name, {}).get("outputs", {}).get(name)
     return {"config": _config_values(data, stage), "inputs": hashes,
-            "program": _program(), "sizes": sizes}
+            "program": _program()}
 
 
 def _changed_part(entry: dict, recorded: dict) -> str | None:
@@ -556,8 +544,7 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
 
 
 # the JSON type of each field of a manifest entry
-_ENTRY_FIELDS = {"config": dict, "inputs": dict, "outputs": dict, "program": str,
-                 "sizes": dict}
+_ENTRY_FIELDS = {"config": dict, "inputs": dict, "outputs": dict, "program": str}
 
 
 def run_stage(stage: str, config: RunConfig) -> None:
@@ -583,7 +570,15 @@ def run_stage(stage: str, config: RunConfig) -> None:
                 for entry in manifest.values())):
             raise PipelineError(f"{manifest_path}: not a JSON object of stage entries")
     data = json.loads(config.to_json())
-    entry = _entry(spec, config, data, manifest, read=True)
+    entry = _entry(spec, config, data, manifest)
+    for name in spec.inputs:
+        producer = PRODUCER[name].name
+        if not (root / name).exists():
+            raise PipelineError(f"stage {stage!r}: missing artifact "
+                                f"{name} (run {producer!r} first)")
+        if _sha256(root / name) != entry["inputs"][name]:
+            raise PipelineError(f"stage {stage!r}: artifact {name} does not "
+                                f"match the manifest (stale; re-run {producer!r})")
     for upstream in _lineage(spec)[:-1]:
         changed = _changed_part(_entry(upstream, config, data, manifest),
                                 manifest.get(upstream.name, {}))

@@ -1,5 +1,6 @@
 import io
 import ipaddress
+import json
 import logging
 import random
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hostile import names
 from wikiq import tsv
+from wikiq.cli import main
 from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           BotConfig, DumpParseError, Namespace, PageHistory,
                           RatingsError, RevisionRecord, _is_ip, _namespace_of,
@@ -186,6 +188,26 @@ class TestParseDump:
         stream = io.BytesIO(b"<mediawiki><page><title>X</title></mediawiki>")
         with pytest.raises(DumpParseError, match=r"line \d+, column \d+"):
             list(parse_dump(stream, BOTS))
+
+    @pytest.mark.parametrize("page_id, stamp, bad", [
+        ("x12", "2011-03-13T07:41:16Z", "page id 'x12'"),
+        (7, "bogus2011-03-13T07:41:16+00:00",
+         "timestamp 'bogus2011-03-13T07:41:16+00:00'"),
+    ])
+    def test_unparseable_field_names_the_page(self, tmp_path, capsys,
+                                              page_id, stamp, bad):
+        """A page <id> that is not an integer, or a <timestamp> that does
+        not parse, makes ingest exit 2 with one line that names the page's
+        title and the bad text."""
+        dump = simple_dump([("Stone Age", 0, page_id, [
+            (USER.format("Alice"), stamp, "one")])])
+        (tmp_path / "dump.xml").write_bytes(dump.getvalue())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dump": str(tmp_path / "dump.xml"),
+                                      "workdir": str(tmp_path / "work")}))
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"wikiq: error: page 'Stone Age': {bad} does not parse"]
 
     def test_streaming_yields_before_end_of_stream(self):
         big = simple_dump([

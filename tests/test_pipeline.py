@@ -135,8 +135,6 @@ class TestStages:
         st = os.stat(cfg.dump)
         os.utime(cfg.dump, ns=(st.st_atime_ns, st.st_mtime_ns - 10**10))
         run_all(cfg)
-        manifest = json.loads((Path(cfg.workdir) / "manifest.json").read_text())
-        assert manifest["ingest"]["sizes"] == {"dump.xml": st.st_size}
         hashed = []
         real_sha256 = pipeline._sha256
         monkeypatch.setattr(pipeline, "_sha256",
@@ -361,14 +359,7 @@ def reference_refusal(stage: str, config: RunConfig) -> str | None:
             path = Path(getattr(config, key))
             if not path.exists():
                 return f"{key} not found: {path}"
-            try:
-                written = min((root / name).stat().st_mtime_ns
-                              for name in upstream.outputs)
-            except FileNotFoundError:
-                written = -1
-            if ((path.stat().st_size != entry.get("sizes", {}).get(path.name)
-                 or path.stat().st_mtime_ns >= written)
-                    and pipeline._sha256(path) != entry.get("inputs", {}).get(path.name)):
+            if pipeline._sha256(path) != entry.get("inputs", {}).get(path.name):
                 return (f"stage {stage!r}: {key} {path} changed since "
                         f"{upstream.name!r} read it (re-run {upstream.name!r})")
         for name in upstream.inputs:
@@ -498,6 +489,75 @@ def test_refusal_matches_the_reference(corpus, monkeypatch):
             outcomes.append(want is None)
     assert len(outcomes) == 7 * len(edits) == 7 * 53
     assert 100 < outcomes.count(False) < 300
+
+
+def test_touched_dump_hashed_once_per_process(corpus, monkeypatch):
+    """After `touch dump.xml`, a `run_all` hashes the dump once, in ingest's
+    check, and two more `run_all` calls in the same process not again."""
+    cfg = make_config(corpus)
+    run_all(cfg)
+    os.utime(cfg.dump)
+    hashed = []
+    real_sha256 = pipeline._sha256
+    monkeypatch.setattr(pipeline, "_sha256",
+                        lambda path: hashed.append(Path(path).name)
+                        or real_sha256(path))
+    run_all(cfg)
+    assert hashed.count("dump.xml") == 1
+    run_all(cfg)
+    run_all(cfg)
+    assert hashed.count("dump.xml") == 1
+
+
+def same_size_edit(text: str) -> str:
+    """`text` with the first letter of its first <text> swapped for another."""
+    at = text.index("<text>") + len("<text>")
+    return text[:at] + ("b" if text[at] == "a" else "a") + text[at + 1:]
+
+
+@pytest.mark.parametrize("how", ["touch -r", "cp -p"])
+def test_same_size_edit_with_old_times_refused(corpus, capsys, how):
+    """After `wikiq all`, a same-size edit of the dump that keeps the old
+    mtime, given back as `touch -r` or copied from an edited backup as
+    `cp -p` does, makes every stage after ingest exit 2 naming ingest, in
+    this process and in a new one, and writes nothing."""
+    config = corpus / "config.json"
+    config.write_text(make_config(corpus).to_json())
+    dump, backup = corpus / "dump.xml", corpus / "backup.xml"
+    edited = same_size_edit(dump.read_text(encoding="utf-8"))
+    backup.write_text(edited, encoding="utf-8")
+    shutil.copystat(dump, backup)
+    assert main(["all", "--config", str(config)]) == 0
+    old = dump.stat()
+    if how == "touch -r":
+        dump.write_text(edited, encoding="utf-8")
+        os.utime(dump, ns=(old.st_atime_ns, old.st_mtime_ns))
+    else:
+        shutil.copy2(backup, dump)
+    new = dump.stat()
+    assert (new.st_size, new.st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+    assert dump.read_bytes() == backup.read_bytes()
+    work = Path(make_config(corpus).workdir)
+    before = tree_bytes(work)
+    later = STAGES[1:]
+    want = [f"wikiq: error: stage {stage!r}: input dump.xml changed since "
+            "'ingest' ran (re-run 'ingest')" for stage in later]
+    got = []
+    for stage in later:
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)]) == 2
+        got += capsys.readouterr().err.strip().split("\n")
+    assert got == want
+    # a new process starts with no content hash taken
+    script = ("import sys\nfrom wikiq.cli import main\n"
+              "codes = [main([stage, '--config', sys.argv[1]]) for stage in sys.argv[2:]]\n"
+              "sys.exit(max(codes))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wikiq.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script, str(config), *later],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.strip().split("\n") == want
+    assert tree_bytes(work) == before
 
 
 def test_second_run_writes_no_file(corpus, caplog, stage_calls):
@@ -981,7 +1041,6 @@ def test_pages_in_other_namespaces_change_no_artifact(tmp_path):
     manifests = [json.loads(f["manifest.json"]) for f in files]
     for manifest in manifests:
         assert manifest["ingest"]["inputs"].pop("dump.xml")
-        assert manifest["ingest"]["sizes"].pop("dump.xml")
     assert manifests[0] == manifests[1]
     assert base["manifest.json"] != other["manifest.json"]
 
@@ -1154,6 +1213,38 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+TRACED_RUN = """
+import json, sys
+from spans import Tracer
+from wikiq.pipeline import RunConfig, run_all
+tracer = Tracer()
+tracer.install()
+run_all(RunConfig(dump=sys.argv[1], ratings=sys.argv[2], workdir=sys.argv[3]))
+print(json.dumps(tracer.metrics(wall_s=0.0)))
+"""
+
+
+def test_benchmark_tracer_measures_every_layer(tmp_path):
+    """The benchmark's tracer, installed in a new process, sees a `run_all`
+    on `wikiq synth --seed 1` through the names it wraps: every stage takes
+    time, ingest yields its 91 pages, and the word diff is called. A
+    function renamed under a wrapped name would leave its metric at 0."""
+    root = Path(__file__).resolve().parents[1]
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "dump.xml"),
+         str(tmp_path / "ratings.tsv"), str(tmp_path / "work")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout)
+    for stage in STAGES:
+        assert metrics[f"pipeline.{stage}.s"] > 0, stage
+    assert metrics["ingest.pages"] == 91
+    assert metrics["worddiff.edit_distance.calls"] > 0
+
+
 class TestCli:
     def write_config(self, corpus, name="config.json", **overrides):
         cfg = dataclasses.replace(make_config(corpus), **overrides)
@@ -1247,6 +1338,10 @@ class TestCli:
         ({"damping": -0.5}, "'damping': -0.5 is outside [0, 1]"),
         ({"damping": float("nan")}, "'damping': nan is outside [0, 1]"),
         ({"relevant_classes": ["FA", "Fa"]}, "'relevant_classes': unknown value 'Fa'"),
+        ({"selection": {"theta": 5.0}}, "'selection.theta': 5.0 is outside [0, 1]"),
+        ({"selection": {"theta": -0.1}}, "'selection.theta': -0.1 is outside [0, 1]"),
+        ({"selection": {"theta": float("nan")}}, "'selection.theta': nan is outside [0, 1]"),
+        ({"selection": {"min_contrib": float("nan")}}, "'selection.min_contrib': nan"),
     ])
     def test_bad_config_refused_before_any_stage(self, corpus, capsys, edit, named):
         data = json.loads(make_config(corpus).to_json())
@@ -1357,8 +1452,8 @@ class TestCli:
         lambda m: "{not json",
         lambda m: json.dumps({**m, "contrib": {**m["contrib"], "outputs": 5}}),
         lambda m: json.dumps({**m, "select": {**m["select"], "config": [1]}}),
-        lambda m: json.dumps({**m, "ingest": {**m["ingest"], "sizes": []}}),
-    ], ids=["list", "entry-int", "not-json", "outputs-int", "config-list", "sizes-list"])
+        lambda m: json.dumps({**m, "ingest": {**m["ingest"], "program": 5}}),
+    ], ids=["list", "entry-int", "not-json", "outputs-int", "config-list", "program-int"])
     def test_malformed_manifest_exit_code(self, corpus, capsys, edit):
         """A manifest.json that is not JSON, not an object of stage entries,
         or holds an entry field of the wrong type exits 2 with one line that
