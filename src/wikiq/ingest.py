@@ -50,7 +50,6 @@ class AuthorId:
 
 @dataclass
 class RevisionRecord:
-    page_id: int
     rev_ordinal: int
     author: AuthorId
     timestamp: int
@@ -234,42 +233,32 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
         revs.sort(key=lambda rev: rev[0])
     token_lists = _page_tokens(text for _, _, text in revs)
     return PageHistory(page_id, title, _namespace_of(page.findtext(ns + "ns"), title), [
-        RevisionRecord(page_id, ordinal, author, stamp, tokens)
+        RevisionRecord(ordinal, author, stamp, tokens)
         for ordinal, ((stamp, author, _), tokens)
         in enumerate(zip(revs, token_lists), start=1)])
 
 
-def parse_dump(stream: IO[bytes], bot_config: BotConfig = BotConfig(),
-               chunk_size: int = 1 << 12) -> Iterator[PageHistory]:
+def parse_dump(stream: IO[bytes],
+               bot_config: BotConfig = BotConfig()) -> Iterator[PageHistory]:
     """Stream a MediaWiki XML export, yielding one PageHistory per <page>.
 
-    A yielded page is cleared from the tree. A feed builds all of a chunk's
-    elements before any is read, so a small chunk keeps that tree small.
-    Tags match under the root's namespace; only the page-level <id> counts.
-    A missing page id or timestamp reads as 0, a missing title as "", and
-    without <ns> the title decides the namespace. An element the export
-    schema allows once per parent is read from its first occurrence; a
-    contributor with <ip> and <username> is the ip.
+    A yielded page is cleared from the tree. Tags match under the root's
+    namespace; only the page-level <id> counts. A missing page id or
+    timestamp reads as 0, a missing title as "", and without <ns> the title
+    decides the namespace. An element the export schema allows once per
+    parent is read from its first occurrence; a contributor with <ip> and
+    <username> is the ip.
     """
-    parser = ET.XMLPullParser(("start", "end"))
     root = None
-    while True:
-        chunk = stream.read(chunk_size)
-        try:  # a malformed chunk raises when its events are read
-            parser.feed(chunk)
-            if not chunk:
-                parser.close()
-            events = list(parser.read_events())
-        except ET.ParseError as exc:
-            raise DumpParseError(f"malformed XML: {exc}") from exc
-        for event, elem in events:
+    try:
+        for event, elem in ET.iterparse(stream, ("start", "end")):
             if root is None:  # the first event starts the root element
                 root, ns = elem, elem.tag[:elem.tag.find("}") + 1]
             elif event == "end" and elem.tag == ns + "page":
                 yield _page_history(elem, ns, bot_config)
                 root.clear()
-        if not chunk:
-            break
+    except ET.ParseError as exc:
+        raise DumpParseError(f"malformed XML: {exc}") from exc
 
 
 def _xml_escape(s: str) -> str:

@@ -11,11 +11,12 @@ from itertools import chain
 from typing import IO, Callable, Iterable, Optional, Sequence
 
 from . import tsv
-from .ingest import AuthorKind, PageHistory, canonical_name
+from .ingest import AuthorKind, PageHistory, canonical_name, tokenize
 
 log = logging.getLogger(__name__)
 
 SIGNATURE_WINDOW = 40  # tokens between user link and timestamp marker
+NAME_TOKENS = 8  # a signature's link names its user in at most this many tokens
 EDGES = {"src": str, "dst": str, "weight": int}
 
 
@@ -76,7 +77,7 @@ def iter_signatures(tokens: Sequence[str]) -> Iterable[str]:
             continue
         k += 1
         name_toks: list[str] = []
-        while k < n and tokens[k] not in ("|", "]]") and len(name_toks) < 8:
+        while k < n and tokens[k] not in ("|", "]]") and len(name_toks) < NAME_TOKENS:
             name_toks.append(tokens[k])
             k += 1
         # skip the rest of the link
@@ -122,6 +123,22 @@ def build_talk_history(utp_histories: Iterable[PageHistory]) -> AuthorGraph:
     return _talk_graph("talk_history", utp_histories, lambda page: (
         rev.author.name for rev in page.revisions
         if rev.author.kind is not AuthorKind.ANONYMOUS))
+
+
+def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
+    """`g` with each sender that is not one of `authors` renamed to the one
+    author whose name reads as that sender once tokenized and joined as
+    `iter_signatures` joins a link's tokens: a signature turns "Jean-Luc"
+    into "Jean - Luc". A sender that no author, or more than one, reads as
+    keeps its name."""
+    spelled: dict[str, Optional[str]] = {}
+    for author in authors:
+        signed = canonical_name(" ".join(tokenize(author)[:NAME_TOKENS]))
+        spelled[signed] = None if signed in spelled else author  # None: two sign alike
+    out = AuthorGraph(g.kind, g.directed, set(g.nodes))
+    for (src, dst), weight in g.edges.items():
+        out.add_edge(src if src in authors else spelled.get(src) or src, dst, weight)
+    return out
 
 
 def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGraph:

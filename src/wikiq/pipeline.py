@@ -249,8 +249,8 @@ def _history_from_json(line: str) -> PageHistory:
                              f"revision's {len(prev)} tokens")
         if head or tail:
             tokens = prev[:head] + tokens + prev[len(prev) - tail:]
-        revisions.append(RevisionRecord(
-            page_id, ordinal, AuthorId(name, AuthorKind(kind)), ts, tokens))
+        revisions.append(
+            RevisionRecord(ordinal, AuthorId(name, AuthorKind(kind)), ts, tokens))
         prev = tokens
     return PageHistory(
         page_id=page_id,
@@ -337,6 +337,8 @@ def stage_net(cfg: RunConfig, utp: IO[str], selection: IO[str],
         # selected authors come from contributions, which drop bots under
         # exclude_bots, so the restriction drops the talk pages' bots too
         project_authors = {a for authors in selections.values() for a in authors}
+        if cfg.network == "talk-sig":
+            graph = networks.resolve_signers(graph, project_authors)
         graph = networks.restrict_and_filter(graph, project_authors)
     networks.write_edge_list(graph, edges)
 

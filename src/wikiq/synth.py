@@ -82,7 +82,7 @@ class _Corpus:
         page_id = self.next_page_id
         self.next_page_id += 1
         self.pages.append(PageHistory(page_id, title, namespace, [
-            RevisionRecord(page_id, i + 1, author, self._tick(), tokens)
+            RevisionRecord(i + 1, author, self._tick(), tokens)
             for i, (author, tokens) in enumerate(revisions)]))
         return page_id
 

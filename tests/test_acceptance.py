@@ -71,7 +71,7 @@ def test_criterion_1_diff_metric_properties():
 
 def _history(token_lists, authors):
     revisions = [
-        RevisionRecord(1, i + 1, AuthorId(a, AuthorKind.REGISTERED),
+        RevisionRecord(i + 1, AuthorId(a, AuthorKind.REGISTERED),
                        1_000_000 + i, list(tokens))
         for i, (tokens, a) in enumerate(zip(token_lists, authors))
     ]

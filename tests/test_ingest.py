@@ -44,6 +44,18 @@ USER = "<contributor><username>{}</username></contributor>"
 IP = "<contributor><ip>{}</ip></contributor>"
 
 
+class ShortReads(io.BytesIO):
+    """A byte stream whose read(n) returns at most `limit` bytes, as a pipe
+    or a socket may."""
+
+    def __init__(self, raw: bytes, limit: int):
+        super().__init__(raw)
+        self.limit = limit
+
+    def read(self, n=-1):
+        return super().read(self.limit if n < 0 else min(n, self.limit))
+
+
 class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
@@ -219,8 +231,8 @@ class TestParseDump:
             ] * 200),
         ])
         raw = big.getvalue()
-        stream = io.BytesIO(raw)
-        it = parse_dump(stream, BOTS, chunk_size=4096)
+        stream = ShortReads(raw, 4096)
+        it = parse_dump(stream, BOTS)
         first = next(it)
         assert first.title == "Small"
         # the first page arrives long before the dump is fully consumed
@@ -384,7 +396,6 @@ class _PageAssembler:
             revs = sorted(revs, key=lambda r: r["timestamp"])
         records = [
             RevisionRecord(
-                page_id=page_id,
                 rev_ordinal=i + 1,
                 author=rev["author"],
                 timestamp=rev["timestamp"],
@@ -513,15 +524,16 @@ def dumps(draw):
     return "\n  ".join(out).encode()
 
 
-def parse_logged(parse, raw, chunk_size):
-    """The pages' JSON lines and the warning messages of one parse."""
+def parse_logged(parse, raw, read_size):
+    """The pages' JSON lines and the warning messages of one parse of a
+    stream that returns at most `read_size` bytes a read."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     log.addHandler(handler)
     try:
         lines = [_history_to_json(page)
-                 for page in parse(io.BytesIO(raw), BOTS, chunk_size)]
+                 for page in parse(ShortReads(raw, read_size), BOTS)]
     finally:
         log.removeHandler(handler)
     return lines, [record.getMessage() for record in records]
@@ -532,8 +544,8 @@ def parse_logged(parse, raw, chunk_size):
 def test_parse_dump_matches_reference(raw):
     want = parse_logged(reference_parse_dump, raw, 1 << 16)
     assert len(want[0]) == raw.count(b"<page>")
-    for chunk_size in (1, 7, 256, 1 << 16):
-        assert parse_logged(parse_dump, raw, chunk_size) == want
+    for read_size in (1, 7, 256, 1 << 16):
+        assert parse_logged(parse_dump, raw, read_size) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -542,7 +554,7 @@ def test_truncated_dump_is_a_parse_error(raw, data):
     cut = raw[:data.draw(st.integers(0, len(raw) - 1))]
     for parse in (reference_parse_dump, parse_dump):
         with pytest.raises(DumpParseError):
-            list(parse(io.BytesIO(cut), BOTS, 5))
+            list(parse(ShortReads(cut, 5), BOTS))
 
 
 # every character str.isspace() accepts

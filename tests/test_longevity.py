@@ -28,7 +28,7 @@ def page(versions, page_id=1, namespace=Namespace.ARTICLE):
     for i, (who, tokens) in enumerate(versions):
         if isinstance(who, str):
             who = author(who)
-        revs.append(RevisionRecord(page_id, i + 1, who, 1000 + i, list(tokens)))
+        revs.append(RevisionRecord(i + 1, who, 1000 + i, list(tokens)))
     return PageHistory(page_id, f"Page {page_id}", namespace, revs)
 
 

@@ -8,8 +8,8 @@ from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, tokenize)
 from wikiq.networks import (AuthorGraph, build_coauthor, build_talk_history,
                             build_talk_signature, iter_signatures,
-                            read_edge_list, restrict_and_filter,
-                            write_edge_list)
+                            read_edge_list, resolve_signers,
+                            restrict_and_filter, write_edge_list)
 
 
 def utp(owner, texts_by, page_id=1):
@@ -19,7 +19,7 @@ def utp(owner, texts_by, page_id=1):
     for i, (name, kind, text) in enumerate(texts_by):
         body += " " + text
         revs.append(RevisionRecord(
-            page_id, i + 1, AuthorId(name, kind), 1000 + i, tokenize(body)
+            i + 1, AuthorId(name, kind), 1000 + i, tokenize(body)
         ))
     return PageHistory(page_id, f"User talk:{owner}", Namespace.USER_TALK, revs)
 
@@ -108,6 +108,25 @@ class TestTalkSignature:
     def test_user_talk_link_counts(self):
         text = "[[User talk:Alice|talk]] 12:01, 3 March 2011 (UTC)"
         assert list(iter_signatures(tokenize(text))) == ["Alice"]
+
+    def test_punctuated_signer_resolves_to_its_one_author(self):
+        """A link splits punctuation off a name; the one author who reads as
+        the split name is the signer, an exact match wins, and a split name
+        that two authors read as stays as signed."""
+        signers = ["Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "A-B", "Own-er"]
+        page = utp("Own-er", [("X", AuthorKind.REGISTERED, signed(name))
+                              for name in signers])
+        g = build_talk_signature([page])
+        assert ("Jean - Luc", "Own-er") in g.edges
+        authors = {"Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "C - D",
+                   "A-B", "A -B", "Own-er"}
+        resolved = resolve_signers(g, authors)
+        assert resolved.edges == {
+            ("Jean-Luc", "Own-er"): 1, ("O'Brien", "Own-er"): 1,
+            ("Foo (WMF)", "Own-er"): 1, ("C - D", "Own-er"): 1,
+            ("A - B", "Own-er"): 1}
+        assert restrict_and_filter(resolved, authors).nodes == {
+            "Jean-Luc", "O'Brien", "Foo (WMF)", "C - D", "Own-er"}
 
 
 class TestTalkHistory:

@@ -70,6 +70,20 @@ class TestSynth:
     def test_same_seed_is_byte_identical(self):
         assert generate(small_spec(7)) == generate(small_spec(7))
 
+    @pytest.mark.parametrize("seed, dump_sha", [
+        (1, "973fbaff702b2187ec5a016ed21498a736401c3ab1c1674109181a22cbf06b86"),
+        (2, "8ebdd311b0429d37146875134a6c46a5b2479839ac5a5f76dd3a736cfc9c3acf"),
+        (3, "c4ee97033277be37d4f6bbbd4aba0951a8132493fc9abf2d8f1f0982412f74e4"),
+    ])
+    def test_default_spec_bytes_are_pinned(self, seed, dump_sha):
+        """Each side of a benchmark pair builds its corpora from `generate`,
+        so a change to synth or to `serialize_dump` that moved these bytes
+        would have the two sides measure different inputs."""
+        dump, ratings = generate(SynthSpec(seed=seed))
+        assert hashlib.sha256(dump.encode()).hexdigest() == dump_sha
+        assert hashlib.sha256(ratings.encode()).hexdigest() == (
+            "cb6db9932379846df83ff81a168dc901b77168b1e062a290ba042c79d0e7fbc7")
+
     def test_different_seeds_differ(self):
         assert generate(small_spec(1)) != generate(small_spec(2))
 
@@ -305,8 +319,8 @@ MISMATCHES = {
 def test_stage_runs_unless_its_entry_matches(corpus, monkeypatch, caplog,
                                              stage_calls, kind):
     """A stage is skipped only when its config values, input hashes and
-    sizes and the program equal the recorded ones and every output still
-    has its recorded hash; a run logs the first part that differed."""
+    the program equal the recorded ones and every output still has its
+    recorded hash; a run logs the first part that differed."""
     cfg = make_config(corpus)
     run_all(cfg)
     work = Path(cfg.workdir)
@@ -656,8 +670,7 @@ def rename_users(dump: str) -> str:
 def test_order_preserving_rename_renames_every_artifact(tmp_path, seed):
     """Prefixing every registered author's name, an order-preserving
     rename, gives every artifact of `all` equal to the unrenamed run's with
-    the rename applied. The manifest differs only in its hashes and in the
-    size of the dump."""
+    the rename applied. The manifest differs only in its hashes."""
     dump, ratings = generate(SynthSpec(seed=seed))
     users = set(re.findall(r"<username>(.*?)</username>", dump))
     rename = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(map(re.escape, users)))
@@ -678,7 +691,7 @@ def test_order_preserving_rename_renames_every_artifact(tmp_path, seed):
     manifests = [json.loads(f["manifest.json"]) for f in files]
     for manifest in manifests:
         for entry in manifest.values():
-            for part in ("inputs", "outputs", "sizes"):
+            for part in ("inputs", "outputs"):
                 entry[part] = sorted(entry.get(part, ()))
     assert manifests[0] == manifests[1]
 
@@ -787,8 +800,7 @@ def reference_history_from_json(line: str) -> PageHistory:
         title=d["title"],
         namespace=Namespace(d["namespace"]),
         revisions=[
-            RevisionRecord(d["page_id"], ordinal, AuthorId(name, AuthorKind(kind)),
-                           ts, tokens)
+            RevisionRecord(ordinal, AuthorId(name, AuthorKind(kind)), ts, tokens)
             for ordinal, name, kind, ts, tokens in d["revisions"]
         ],
     )
@@ -802,7 +814,7 @@ AUTHORS = (AuthorId("Ann", AuthorKind.REGISTERED),
 def page_of(*versions: list[str], page_id: int = 7) -> PageHistory:
     """A page whose revisions have the given tokens, authors taking turns."""
     return PageHistory(page_id, "Page", Namespace.ARTICLE, [
-        RevisionRecord(page_id, n, AUTHORS[n % len(AUTHORS)], 1000 + n, tokens)
+        RevisionRecord(n, AUTHORS[n % len(AUTHORS)], 1000 + n, tokens)
         for n, tokens in enumerate(versions, start=1)])
 
 
@@ -1011,7 +1023,7 @@ def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
 def test_pages_in_other_namespaces_change_no_artifact(tmp_path):
     """Talk: and Wikipedia: copies of an article and of a user talk page
     added to the dump move no artifact; the manifest differs only in the
-    hash and size of the dump ingest read."""
+    hash of the dump ingest read."""
     dump, ratings = generate(SynthSpec(seed=1))
     head, pages, tail = split_pages(dump)
     article = next(page for page in pages if "<ns>0</ns>" in page)
@@ -1167,6 +1179,33 @@ def test_synth_bots_in_no_network(tmp_path):
         run_stage("net", dataclasses.replace(cfg, network=network))
         edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
         assert not any(bot in edges for bot in bots), network
+
+
+def test_signers_with_punctuated_names_keep_their_edges(tmp_path):
+    """A signature's link is tokenized, so "Jean-Luc" signs as "Jean - Luc";
+    the talk-sig net still gives the selected author who signed."""
+    authors = ["Jean-Luc", "O'Brien", "Owner"]
+    revisions = "".join(
+        f"<revision><timestamp>2011-01-0{n + 1}T00:00:00Z</timestamp>"
+        f"<contributor><username>{name}</username></contributor>"
+        f"<text>{' '.join(f'w{k}' for k in range(20 * (n + 1)))}</text></revision>"
+        for n, name in enumerate(authors + ["Zed", "Zed"]))
+    signed = " ".join(f"hi [[User:{name}|{name}]] 12:01, 3 March 2011 (UTC)"
+                      for name in authors[:2])
+    (tmp_path / "dump.xml").write_text(
+        "<mediawiki><page><title>Stone Age</title><ns>0</ns><id>1</id>"
+        f"{revisions}</page><page><title>User talk:Owner</title><ns>3</ns>"
+        "<id>2</id><revision><timestamp>2011-02-01T00:00:00Z</timestamp>"
+        "<contributor><username>Zed</username></contributor>"
+        f"<text>{signed}</text></revision></page></mediawiki>", encoding="utf-8")
+    cfg = dataclasses.replace(make_config(tmp_path), network="talk-sig")
+    for stage in ("ingest", "contrib", "select", "net"):
+        run_stage(stage, cfg)
+    selection = (tmp_path / "work" / "selection.tsv").read_text(encoding="utf-8")
+    assert all(f"\t{name}\t" in selection for name in authors)
+    edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
+    assert edges.splitlines()[1:] == ["src\tdst\tweight", "Jean-Luc\tOwner\t1",
+                                      "O'Brien\tOwner\t1"]
 
 
 def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
