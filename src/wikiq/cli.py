@@ -95,7 +95,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     b = tokenize(Path(args.b).read_text(encoding="utf-8"))
     breakdown = edit_distance(a, b)
     if args.as_json:
-        print(json.dumps(dataclasses.asdict(breakdown), sort_keys=True))
+        print(json.dumps(breakdown._asdict(), sort_keys=True))
     else:
         print(
             f"I={breakdown.inserted} D={breakdown.deleted} "

@@ -175,10 +175,13 @@ def _write_json(fp: IO[str], obj) -> None:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            h.update(chunk)
+    # One reused buffer: a fresh chunk per read would keep the last one
+    # alive while the next is read, and set the run's peak memory.
+    h, buf = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fp:
+        while n := fp.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

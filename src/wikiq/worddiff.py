@@ -14,8 +14,10 @@ every block:
 1. Every maximal common run of at least K tokens starts at a shared K-gram
    whose preceding tokens differ; it is extended by slice compares and put
    in a bucket by its length.
-2. Once no free run of K tokens is left, one scan over the free positions
-   finds the shorter maximal free runs, bucketed the same way.
+2. Once no free run of K tokens is left, one scan finds the shorter
+   maximal free runs, bucketed the same way. It visits only the free b
+   positions whose token is free in a: no other free b position can start
+   a run.
 
 Phase 1 walks b once and looks up b's K-gram only at the positions j that
 can seed a run; skipping any other position leaves the buckets as they
@@ -44,14 +46,17 @@ bucketed at least as long; so it is the run the greedy takes next. A run
 that lost positions is split into its maximal free pieces, which go back
 in the shorter buckets. Taking blocks only removes free positions, so the
 result is the greedy's block list, in the greedy's order.
+
+The moved mass M is 0.0, with no ranks built, when the blocks in order of
+a_start are also in order of b_start: each block then has the same rank on
+both sides, so its two centers are the same float and its term is 0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
-from typing import Sequence
+from itertools import compress, count, pairwise
+from typing import NamedTuple, Sequence
 
 
 # Phase 1 seeds the runs of at least K tokens from shared K-grams.
@@ -62,8 +67,7 @@ K = 3
 Grams = tuple[dict[tuple[str, ...], int | list[int]], bytes, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     a_start: int
     b_start: int
     length: int
@@ -97,8 +101,7 @@ def _grams(a: Version) -> Grams:
     return index, bytes(once), frozenset(a)
 
 
-@dataclass(frozen=True)
-class DiffBreakdown:
+class DiffBreakdown(NamedTuple):
     inserted: int
     deleted: int
     moved_mass: float
@@ -219,8 +222,10 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     for i in compress(range(len(a)), a_free):
         occ.setdefault(a[i], []).append(i)
     buckets = {}
-    for j in compress(range(len(b)), b_free):
-        for i in occ.get(b[j], ()):
+    # Only the free b positions whose token is free in a can start a run.
+    free_j = compress(range(len(b)), b_free)
+    for j in compress(free_j, map(occ.__contains__, compress(b, b_free))):
+        for i in occ[b[j]]:
             if i and j and a_free[i - 1] and b_free[j - 1] and a[i - 1] == b[j - 1]:
                 continue
             n = 1
@@ -239,13 +244,16 @@ def _moved_mass(blocks: list[Block]) -> float:
     their place relative to the other matched text contribute zero even when
     surrounding text is inserted or deleted (a pure insertion has M = 0).
     """
-    total = sum(bl.length for bl in blocks)
-    if total == 0:
+    # No two blocks share an a_start, so this is the order by a_start.
+    by_a = sorted(blocks)
+    if all(x.b_start < y.b_start for x, y in pairwise(by_a)):
+        # Each block has the same rank on both sides: every shift is 0.0.
         return 0.0
+    total = sum(bl.length for bl in blocks)
     a_rank: dict[int, int] = {}
     b_rank: dict[int, int] = {}
     rank = 0
-    for bl in sorted(blocks, key=lambda bl: bl.a_start):
+    for bl in by_a:
         a_rank[bl.a_start] = rank
         rank += bl.length
     rank = 0

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from wikiq import worddiff
 from wikiq.ingest import Namespace, parse_dump
@@ -69,6 +69,41 @@ def reference_match_blocks(a, b):
     return blocks
 
 
+def reference_moved_mass(blocks):
+    """Sum of block length x normalized center shift, over ranks within
+    the matched content, ranking every block list in full."""
+    total = sum(bl.length for bl in blocks)
+    if total == 0:
+        return 0.0
+    a_rank: dict[int, int] = {}
+    b_rank: dict[int, int] = {}
+    rank = 0
+    for bl in sorted(blocks, key=lambda bl: bl.a_start):
+        a_rank[bl.a_start] = rank
+        rank += bl.length
+    rank = 0
+    for bl in sorted(blocks, key=lambda bl: bl.b_start):
+        b_rank[bl.b_start] = rank
+        rank += bl.length
+    mass = 0.0
+    for bl in blocks:
+        center_a = (a_rank[bl.a_start] + bl.length / 2.0) / total
+        center_b = (b_rank[bl.b_start] + bl.length / 2.0) / total
+        mass += bl.length * abs(center_a - center_b)
+    return mass
+
+
+def assert_moved_mass_bits(a, b):
+    """The moved mass and the distance carry the reference moved mass's
+    bits (`.hex()` tells 0.0 from -0.0), in both argument orders."""
+    for x, y in ((a, b), (b, a)):
+        with mock.patch.object(worddiff, "_moved_mass", reference_moved_mass):
+            expected = edit_distance(x, y)
+        got = edit_distance(x, y)
+        assert got.moved_mass.hex() == expected.moved_mass.hex()
+        assert got.distance.hex() == expected.distance.hex()
+
+
 def brute_longest_common_substring(a, b):
     """Exhaustive longest-common-substring oracle (first match wins)."""
     best = (0, 0, 0)
@@ -119,10 +154,13 @@ def test_disjoint_replacement():
 def test_block_move_centers():
     # [a,b] moved to the end of a ten-token document; centers computed by
     # hand over matched ranks: 2*|0.1-0.9| + 8*|0.6-0.4| = 3.2
-    d = edit_distance(list("abcdefghij"), list("cdefghijab"))
+    a, b = list("abcdefghij"), list("cdefghijab")
+    d = edit_distance(a, b)
     assert d.inserted == 0 and d.deleted == 0
     assert d.moved_mass == pytest.approx(3.2)
     assert d.distance == pytest.approx(3.2)
+    assert d.moved_mass == reference_moved_mass(match_blocks(a, b))
+    assert d.distance == reference_moved_mass(match_blocks(a, b))
 
 
 def test_both_empty():
@@ -220,6 +258,17 @@ def small_alphabet_pairs(draw):
 @settings(max_examples=500)
 def test_matches_reference_on_small_alphabets(pair):
     assert_same_as_reference(*pair)
+
+
+@given(small_alphabet_pairs())
+@settings(max_examples=500)
+def test_moved_mass_matches_reference_bits(pair):
+    a, b = pair
+    blocks = match_blocks(a, b)
+    kept = (sorted(blocks, key=lambda bl: bl.a_start)
+            == sorted(blocks, key=lambda bl: bl.b_start))
+    event("blocks keep their order" if kept else "blocks cross")
+    assert_moved_mass_bits(a, b)
 
 
 @st.composite
@@ -336,6 +385,34 @@ def test_matches_reference_on_bursts_of_absent_tokens(pair):
     assert_same_as_reference(*pair)
 
 
+@st.composite
+def fresh_b_with_short_shared_runs(draw):
+    """b mostly of tokens a lacks, joined by runs of a's tokens shorter
+    than K, so most of the free b positions phase 2 sees hold a token that
+    is not free in a. A run of K or more, copied from a, takes some of a's
+    tokens in phase 1, so a token of a can be absent from phase 2 too."""
+    a = draw(st.lists(st.sampled_from("abcd"), max_size=30))
+    fresh = st.lists(st.sampled_from("uvwxyz"), max_size=8)
+    b = draw(fresh)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=K - 1))
+        if len(a) >= K and draw(st.integers(min_value=0, max_value=4)) == 0:
+            n = draw(st.integers(min_value=K, max_value=len(a)))
+        if len(a) >= n and draw(st.booleans()):
+            start = draw(st.integers(min_value=0, max_value=len(a) - n))
+            b += a[start:start + n]
+        else:
+            b += draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+        b += draw(fresh)
+    return a, b
+
+
+@given(fresh_b_with_short_shared_runs())
+@settings(max_examples=500)
+def test_matches_reference_on_fresh_b_with_short_shared_runs(pair):
+    assert_same_as_reference(*pair)
+
+
 def brute_grams(text):
     starts: dict[tuple[str, ...], list[int]] = {}
     for i in range(len(text) - K + 1):
@@ -403,6 +480,7 @@ def test_matches_reference_on_synth_pipeline_pairs():
     assert pairs
     for a, b in pairs:
         assert match_blocks(a, b) == reference_match_blocks(a, b)
+        assert_moved_mass_bits(a, b)
 
 
 def zipf_words(rng, n, vocabulary=2000):

@@ -84,6 +84,19 @@ class TestSynth:
         assert hashlib.sha256(ratings.encode()).hexdigest() == (
             "cb6db9932379846df83ff81a168dc901b77168b1e062a290ba042c79d0e7fbc7")
 
+    def test_seed_1_contributions_are_pinned(self, tmp_path):
+        """The contribution table of `synth --seed 1` holds every word
+        diff's distance and every judge's verdict, so a faster diff or judge
+        that moved one bit of them fails here."""
+        dump, ratings = generate(SynthSpec(seed=1))
+        (tmp_path / "dump.xml").write_text(dump, encoding="utf-8", newline="\n")
+        (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8",
+                                              newline="\n")
+        run_all(make_config(tmp_path))
+        table = (tmp_path / "work" / "contributions.tsv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == (
+            "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18")
+
     def test_different_seeds_differ(self):
         assert generate(small_spec(1)) != generate(small_spec(2))
 
@@ -1687,3 +1700,13 @@ class TestCli:
                      str(tmp_path / "b.txt"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["inserted"] == 1 and payload["deleted"] == 1
+        # [a, b] moved to the end: the moved mass, exactly as printed.
+        (tmp_path / "a.txt").write_text("a b c d e f g h i j")
+        (tmp_path / "b.txt").write_text("c d e f g h i j a b")
+        args = ["diff", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        assert main(args + ["--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"deleted": 0, "distance": 3.1999999999999997, "inserted": 0, '
+            '"moved_mass": 3.1999999999999997}\n')
+        assert main(args) == 0
+        assert capsys.readouterr().out == "I=0 D=0 M=3.2 d=3.2\n"
