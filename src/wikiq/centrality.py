@@ -22,8 +22,9 @@ two differ). The tests keep the name-keyed kernels as a differential oracle.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from typing import IO, Iterable
 
@@ -73,11 +74,8 @@ def _indexed(g: AuthorGraph, symmetrize: bool
 def degree(g: AuthorGraph) -> CentralityTable:
     """Unweighted degree: in- plus out-edges. An undirected edge is stored
     once per pair and no edge is a self-loop, so that is the neighbour count."""
-    scores = {n: 0.0 for n in g.nodes}
-    for (src, dst) in g.edges:
-        scores[src] += 1
-        scores[dst] += 1
-    return CentralityTable("degree", g.kind, scores)
+    ends = Counter(chain.from_iterable(g.edges))
+    return CentralityTable("degree", g.kind, {n: float(ends[n]) for n in g.nodes})
 
 
 def betweenness(g: AuthorGraph) -> CentralityTable:
@@ -138,8 +136,8 @@ def eigenvector(g: AuthorGraph, tol: float = 1e-10,
                                {"tol": tol})
     index = [m for row in nbrs for m, _ in row]
     weight = [w for row in nbrs for _, w in row]
-    # itemgetter of one index returns the bare item, not a 1-tuple
-    gather = itemgetter(*index) if len(index) > 1 else lambda x: (x[index[0]],)
+    # the extra index keeps the gather a tuple on a one-entry graph; no row reads it
+    gather = itemgetter(*index, index[0])
     unit = all(w == 1.0 for w in weight)  # then w * v == v: skip the products
     ends = list(accumulate(map(len, nbrs), initial=0))
     rows = list(map(slice, ends, ends[1:]))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .ingest import QUALITY_CLASSES
@@ -91,17 +92,11 @@ def percentile_table(ranking: Sequence[RankedPage],
         raise ValueError("need at least 2 buckets")
     n = len(ranking)
     base, extra = divmod(n, buckets)
+    labels = chain.from_iterable(repeat(b, base + (b < extra)) for b in range(buckets))
     counts: dict[str, list[int]] = {}
-    idx = 0
-    for b in range(buckets):
-        size = base + (1 if b < extra else 0)
-        for page in ranking[idx:idx + size]:
-            counts.setdefault(page.cls, [0] * buckets)[b] += 1
-        idx += size
-    return {
-        cls: [c / sum(row) for c in row]
-        for cls, row in ((cls, counts[cls]) for cls in sorted(counts))
-    }
+    for page, b in zip(ranking, labels):
+        counts.setdefault(page.cls, [0] * buckets)[b] += 1
+    return {cls: [c / sum(row) for c in row] for cls, row in sorted(counts.items())}
 
 
 # Table-3 style class filter configurations, coarsest to cleanest separation.

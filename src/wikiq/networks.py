@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import IO, Callable, Iterable, Optional, Sequence
 
 from . import tsv
@@ -44,9 +44,8 @@ def build_coauthor(selections: Iterable[Iterable[str]]) -> AuthorGraph:
     for selected in selections:
         authors = sorted(set(selected))
         g.nodes.update(authors)
-        for i, a in enumerate(authors):
-            for b in authors[i + 1:]:
-                g.add_edge(a, b)
+        for a, b in combinations(authors, 2):
+            g.add_edge(a, b)
     return g
 
 
@@ -144,10 +143,9 @@ def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
 def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGraph:
     """Induced subgraph on the project's authors. Isolated project authors
     already in the graph are retained."""
-    keep = project_authors
-    return AuthorGraph(g.kind, g.directed, g.nodes & keep, {
-        (s, d): w for (s, d), w in g.edges.items() if s in keep and d in keep
-    })
+    return AuthorGraph(g.kind, g.directed, g.nodes & project_authors, {
+        (s, d): w for (s, d), w in g.edges.items()
+        if s in project_authors and d in project_authors})
 
 
 def write_edge_list(g: AuthorGraph, fp: IO[str]) -> None:

@@ -80,8 +80,9 @@ def _is_a(value, hint) -> bool:
 
 
 def _from_dict(cls, data, prefix: str = ""):
-    """Build a config dataclass from parsed JSON; a ValueError names any key
-    the class lacks or whose value has the wrong type."""
+    """Build a config dataclass from parsed JSON, with a float key's value as
+    a float; a ValueError names any key the class lacks, whose value has the
+    wrong type, or whose integer no float holds."""
     if not isinstance(data, dict):
         raise ValueError(f"config: {repr(prefix[:-1]) if prefix else 'the file'} "
                          "is not a JSON object")
@@ -95,6 +96,12 @@ def _from_dict(cls, data, prefix: str = ""):
         elif not _is_a(value, hint):
             raise ValueError(f"config key {prefix + key!r}: {value!r} is not a "
                              f"{hint.__name__ if isinstance(hint, type) else hint}")
+        elif hint is float:  # 1 and 1.0 are one value, so they must write one text
+            try:
+                data[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {prefix + key!r}: integer too large "
+                                 "for a float") from None
     return cls(**data)
 
 
@@ -160,14 +167,13 @@ class RunConfig:
 def _temp_file(path: Path) -> Iterator[IO[str]]:
     """A UTF-8 temp file beside `path`, named by its `name`, open for
     writing and reading back; deleted on exit unless it was renamed."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "w+", encoding="utf-8", newline="\n") as fp:
+    with tempfile.NamedTemporaryFile("w+", encoding="utf-8", newline="\n", dir=path.parent,
+                                     prefix=path.name + ".tmp", delete=False) as fp:
+        try:
             yield fp
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        finally:
+            if os.path.exists(fp.name):
+                os.unlink(fp.name)
 
 
 def _write_json(fp: IO[str], obj) -> None:

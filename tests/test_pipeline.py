@@ -60,6 +60,36 @@ def tree_bytes(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed_1_run(tmp_path_factory):
+    """The root of `synth --seed 1`'s corpus, after `run_all` in its `work`."""
+    root = tmp_path_factory.mktemp("seed_1")
+    dump, ratings = generate(SynthSpec(seed=1))
+    (root / "dump.xml").write_text(dump, encoding="utf-8", newline="\n")
+    (root / "ratings.tsv").write_text(ratings, encoding="utf-8", newline="\n")
+    run_all(make_config(root))
+    return root
+
+
+def test_interpreter_is_in_the_declared_range():
+    """The pinned bytes hold only where `requires-python` says: from Python
+    3.12 `sum()` of floats is compensated, which moves the bits of every
+    score that a sum builds (ROADMAP item 17)."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    spec = re.search(r'^requires-python = "([^"]*)"$', text, re.M).group(1)
+    bounds = [re.fullmatch(r"(>=|<)(\d+)\.(\d+)", clause.strip()).groups()
+              for clause in spec.split(",")]
+    running = sys.version_info[:2]
+    assert all((running >= (int(major), int(minor))) == (op == ">=")
+               for op, major, minor in bounds), (
+        f"Python {running[0]}.{running[1]} is outside requires-python {spec!r}: "
+        "its float sums give other artifact bytes (ROADMAP item 17)")
+
+
 def artifact_bytes(workdir: Path) -> dict:
     """The bytes of every stage output."""
     return {name: (workdir / name).read_bytes()
@@ -84,18 +114,46 @@ class TestSynth:
         assert hashlib.sha256(ratings.encode()).hexdigest() == (
             "cb6db9932379846df83ff81a168dc901b77168b1e062a290ba042c79d0e7fbc7")
 
-    def test_seed_1_contributions_are_pinned(self, tmp_path):
-        """The contribution table of `synth --seed 1` holds every word
-        diff's distance and every judge's verdict, so a faster diff or judge
-        that moved one bit of them fails here."""
-        dump, ratings = generate(SynthSpec(seed=1))
-        (tmp_path / "dump.xml").write_text(dump, encoding="utf-8", newline="\n")
-        (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8",
-                                              newline="\n")
-        run_all(make_config(tmp_path))
-        table = (tmp_path / "work" / "contributions.tsv").read_bytes()
-        assert hashlib.sha256(table).hexdigest() == (
-            "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18")
+    def test_seed_1_contributions_are_pinned(self, seed_1_run):
+        """Every artifact of `synth --seed 1`: the contribution table holds
+        every word diff's distance and every judge's verdict, and the later
+        artifacts every centrality, score and report value, so a faster
+        kernel that moved one bit of any of them fails here."""
+        work = Path(make_config(seed_1_run).workdir)
+        contributions = "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18"
+        assert {name: _sha256(work / name) for names in ARTIFACTS.values()
+                for name in names} == {
+            "articles.jsonl": "ae41c2665c3cb6cb406650e68129f944e9ad341d8d5003d31959d6f1b943a120",
+            "utp.jsonl": "0cdfe243beae6c9fe30189eda5ec736abdb054b10610c1d1d8616ce9d65b0b7c",
+            "contributions.tsv": contributions,
+            "selection.tsv": contributions,
+            "edges.tsv": "e17ca9998230fd937168dc064829bc3251be5610e06773c2613f788f898c8315",
+            "centrality.tsv": "3fdb73c539db14f5d90f4e219064146f3702391f74f31639bccbff8a099675b0",
+            "scores.tsv": "cc77ec30864bc441f1f1eb5301c7a7d824569c3e1d8fca215d08be216863f4ff",
+            "provenance.json": "9c23e8051b0e95e49206ceddfcb35359dab7750a796628b3f1163752efa47c09",
+            "report.tsv": "2a72bb7f546440e8fbc3bdc13c787e8caa4cd2f7556be5a4f59eb0658be4a0a4",
+            "percentiles.tsv": "860e096f55e9f6258875df5508e9a729664ebe4c2511f352b0d099b5d5054008",
+            "pr_curve.tsv": "c67914e93e1e11dbfe55e889cb971f995eebebd5ee6af80cea254cdc399cb49c",
+        }
+
+    def test_seed_1_grid_is_pinned(self, seed_1_run, tmp_path):
+        """The paper's grid on `synth --seed 1`: every network x metric cell's
+        artifacts from `net` on, hashed one line a cell and artifact."""
+        work = tmp_path / "work"
+        shutil.copytree(make_config(seed_1_run).workdir, work)
+        lines = []
+        for network in pipeline.NETWORKS:
+            for metric in pipeline.METRICS:
+                cfg = dataclasses.replace(make_config(seed_1_run), workdir=str(work),
+                                          network=network, metric=metric)
+                for stage in ("net", "centrality", "score", "eval"):
+                    run_stage(stage, cfg)
+                lines += [f"{network}\t{metric}\t{name}\t{_sha256(work / name)}\n"
+                          for name in ("edges.tsv", "centrality.tsv", "scores.tsv",
+                                       "provenance.json", "report.tsv",
+                                       "percentiles.tsv", "pr_curve.tsv")]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "42b88d894ce06b0c710cc1958128cab583e3af877d560e7c1906f56bec4ce52f")
 
     def test_different_seeds_differ(self):
         assert generate(small_spec(1)) != generate(small_spec(2))
@@ -1394,6 +1452,7 @@ class TestCli:
         ({"selection": {"theta": -0.1}}, "'selection.theta': -0.1 is outside [0, 1]"),
         ({"selection": {"theta": float("nan")}}, "'selection.theta': nan is outside [0, 1]"),
         ({"selection": {"min_contrib": float("nan")}}, "'selection.min_contrib': nan"),
+        ({"selection": {"min_contrib": 10 ** 400}}, "'selection.min_contrib': integer"),
     ])
     def test_bad_config_refused_before_any_stage(self, corpus, capsys, edit, named):
         data = json.loads(make_config(corpus).to_json())
@@ -1405,6 +1464,18 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("wikiq: error: config")
         assert named in err[0]
         assert not Path(make_config(corpus).workdir).exists()
+
+    def test_integer_spelling_of_a_float_key_writes_the_same_bytes(self, seed_1_run,
+                                                                    tmp_path):
+        """`1` and `1.0` are one value to the freshness rule, so a run under
+        either spelling must leave the bytes the other would."""
+        data = json.loads(make_config(seed_1_run).to_json())
+        for damping in (1, 1.0):
+            config = tmp_path / f"{damping!r}.json"
+            config.write_text(json.dumps(
+                data | {"damping": damping, "workdir": str(tmp_path / repr(damping))}))
+            assert main(["all", "--config", str(config)]) == 0
+        assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "1.0")
 
     @pytest.mark.parametrize("spelling", ["Helper_script", "helper script"])
     def test_bot_list_entry_matches_its_canonical_name(self, corpus, spelling):
