@@ -13,11 +13,12 @@ every block:
 
 1. Every maximal common run of at least K tokens starts at a shared K-gram
    whose preceding tokens differ; it is extended by slice compares and put
-   in a bucket by its length.
-2. Once no free run of K tokens is left, one scan finds the shorter
-   maximal free runs, bucketed the same way. It visits only the free b
-   positions whose token is free in a: no other free b position can start
-   a run.
+   in a bucket by its length. Taking the buckets (see below) leaves no
+   free common run of K tokens.
+2. The free runs left are shorter than K = 3. Two passes over the free
+   positions take them, in time linear in those positions and in the
+   first pass's hits, which it sorts. Both visit only the free b positions
+   whose token is free in a: no other free b position can match.
 
 Phase 1 walks b once and looks up b's K-gram only at the positions j that
 can seed a run; skipping any other position leaves the buckets as they
@@ -47,6 +48,24 @@ that lost positions is split into its maximal free pieces, which go back
 in the shorter buckets. Taking blocks only removes free positions, so the
 result is the greedy's block list, in the greedy's order.
 
+Phase 2 takes what the buckets of the free runs of 2 and of 1 token would
+hold, in the order they would be taken, without building them:
+
+- Length 2. No free common run of 3 tokens is left, so a free common
+  bigram is a maximal free run, and each maximal free run of 2 tokens is
+  one. The free bigrams of a go in a dict, each free bigram of b is looked
+  up in it, and the hits are taken in (a_start, b_start) order, each only
+  if its four positions are still free. A hit that lost positions would be
+  split into pieces of 1 token, which the second pass covers.
+- Length 1. A pair (i, j) with a[i] == b[j], both still free after the
+  first pass, lay in a maximal free run of 1 or 2 tokens; if of 2, that
+  run was not taken, so the pair is one of its pieces. So the bucket of
+  length 1 holds every such pair (and others no longer free, which it
+  skips), taken in (a_start, b_start) order.
+  Taking (i, j) takes a[i], so each free a position, ascending, takes the
+  first still-free b position that holds its token: the head of its
+  token's ascending queue of free b positions.
+
 The moved mass M is 0.0, with no ranks built, when the blocks in order of
 a_start are also in order of b_start: each block then has the same rank on
 both sides, so its two centers are the same float and its term is 0.0.
@@ -59,7 +78,8 @@ from itertools import compress, count, pairwise
 from typing import NamedTuple, Sequence
 
 
-# Phase 1 seeds the runs of at least K tokens from shared K-grams.
+# Phase 1 seeds the runs of at least K tokens from shared K-grams. Phase 2
+# relies on K = 3: it takes only free runs of 2 tokens and of 1.
 K = 3
 # A side's K-gram index (K-gram -> its start, an int if it occurs once, else
 # the ascending list of its starts), its `once` marks (its K-gram at i occurs
@@ -139,13 +159,13 @@ def _common_tail(a: Sequence[str], b: Sequence[str], head: int) -> int:
     return n
 
 
-def _take_runs(buckets: dict[int, list[tuple[int, int]]], floor: int,
+def _take_runs(buckets: dict[int, list[tuple[int, int]]],
                a_free: bytearray, b_free: bytearray, blocks: list[Block]) -> None:
     """Take runs longest first, ties to the smallest (a_start, b_start).
 
     A run that lost positions to an earlier block is split into its maximal
-    free pieces; each piece of at least `floor` tokens goes back in the bucket
-    of its (shorter) length, which is sorted only when its turn comes.
+    free pieces; each piece of at least K tokens goes back in the bucket of
+    its (shorter) length, which is sorted only when its turn comes.
     """
     while buckets:
         length = max(buckets)
@@ -164,7 +184,7 @@ def _take_runs(buckets: dict[int, list[tuple[int, int]]], floor: int,
                 start = t
                 while t < length and a_free[i + t] and b_free[j + t]:
                     t += 1
-                if t - start >= floor:
+                if t - start >= K:
                     buckets.setdefault(t - start, []).append((i + start, j + start))
 
 
@@ -213,27 +233,40 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
             if j + length > cend:
                 ci, cj, cend = i, j, j + length
         j += 1
-    _take_runs(buckets, K, a_free, b_free, blocks)
-    # Phase 2: the free runs left are shorter than K; find them in one scan
-    # of the free positions.
+    _take_runs(buckets, a_free, b_free, blocks)
+    # Phase 2: the free runs left are shorter than K = 3.
     if a_free.find(1) < 0 or b_free.find(1) < 0:
         return blocks
-    occ: dict[str, list[int]] = {}
-    for i in compress(range(len(a)), a_free):
-        occ.setdefault(a[i], []).append(i)
-    buckets = {}
-    # Only the free b positions whose token is free in a can start a run.
-    free_j = compress(range(len(b)), b_free)
-    for j in compress(free_j, map(occ.__contains__, compress(b, b_free))):
-        for i in occ[b[j]]:
-            if i and j and a_free[i - 1] and b_free[j - 1] and a[i - 1] == b[j - 1]:
-                continue
-            n = 1
-            while (i + n < len(a) and j + n < len(b) and a_free[i + n]
-                   and b_free[j + n] and a[i + n] == b[j + n]):
-                n += 1
-            buckets.setdefault(n, []).append((i, j))
-    _take_runs(buckets, 1, a_free, b_free, blocks)
+    free_i = list(compress(range(len(a)), a_free))
+    left = set(map(a.__getitem__, free_i))
+    # Only the free b positions whose token is free in a can match.
+    free_j = list(compress(compress(range(len(b)), b_free),
+                           map(left.__contains__, compress(b, b_free))))
+    # Length-2 runs: the free common bigrams, by (a_start, b_start).
+    if len(free_i) > 1 and len(free_j) > 1:
+        bigrams: dict[tuple[str, str], list[int]] = {}
+        for i, next_i in pairwise(free_i):
+            if next_i == i + 1:
+                bigrams.setdefault((a[i], a[next_i]), []).append(i)
+        pairs = [(i, j) for j, next_j in pairwise(free_j) if next_j == j + 1
+                 for i in bigrams.get((b[j], b[next_j]), ())]
+        pairs.sort()
+        for i, j in pairs:
+            if a_free[i] and a_free[i + 1] and b_free[j] and b_free[j + 1]:
+                blocks.append(Block(i, j, 2))
+                a_free[i] = a_free[i + 1] = b_free[j] = b_free[j + 1] = 0
+    # Length-1 runs: each free a position, ascending, takes the first free
+    # b position that holds its token. A token's queue lists its free b
+    # positions descending, so `pop` gives the first.
+    queues: dict[str, list[int]] = {}
+    for j in reversed(free_j):
+        if b_free[j]:
+            queues.setdefault(b[j], []).append(j)
+    for i in free_i:
+        if a_free[i]:
+            queue = queues.get(a[i])
+            if queue:
+                blocks.append(Block(i, queue.pop(), 1))
     return blocks
 
 

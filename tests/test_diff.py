@@ -1,6 +1,9 @@
+import importlib.util
 import io
 import itertools
 import random
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -67,6 +70,62 @@ def reference_match_blocks(a, b):
         for j in range(block.b_start, block.b_start + block.length):
             b_free[j] = False
     return blocks
+
+
+def reference_phase_two(a, b, blocks):
+    """`blocks`, the blocks phase 1 took, followed by the short free runs
+    found by scanning every pair of free equal tokens: each maximal free
+    common run is bucketed by its length, and the buckets are taken longest
+    first, ties to the smallest (a_start, b_start). A run that lost
+    positions goes back as its maximal free pieces. Unlike phase 2 it
+    assumes no bound on the runs' lengths."""
+    a, b = tuple(a), tuple(b)
+    a_free = bytearray(b"\x01") * len(a)
+    b_free = bytearray(b"\x01") * len(b)
+    for bl in blocks:
+        a_free[bl.a_start:bl.a_start + bl.length] = bytes(bl.length)
+        b_free[bl.b_start:bl.b_start + bl.length] = bytes(bl.length)
+    blocks = list(blocks)
+    occ: dict[str, list[int]] = {}
+    for i in itertools.compress(range(len(a)), a_free):
+        occ.setdefault(a[i], []).append(i)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for j in itertools.compress(range(len(b)), b_free):
+        for i in occ.get(b[j], ()):
+            if i and j and a_free[i - 1] and b_free[j - 1] and a[i - 1] == b[j - 1]:
+                continue
+            n = 1
+            while (i + n < len(a) and j + n < len(b) and a_free[i + n]
+                   and b_free[j + n] and a[i + n] == b[j + n]):
+                n += 1
+            buckets.setdefault(n, []).append((i, j))
+    while buckets:
+        length = max(buckets)
+        starts = buckets.pop(length)
+        starts.sort()
+        for i, j in starts:
+            if all(a_free[i:i + length]) and all(b_free[j:j + length]):
+                blocks.append(Block(i, j, length))
+                a_free[i:i + length] = bytes(length)
+                b_free[j:j + length] = bytes(length)
+                continue
+            t = 0
+            while t < length:
+                while t < length and not (a_free[i + t] and b_free[j + t]):
+                    t += 1
+                start = t
+                while t < length and a_free[i + t] and b_free[j + t]:
+                    t += 1
+                if t > start:
+                    buckets.setdefault(t - start, []).append((i + start, j + start))
+    return blocks
+
+
+def phase_one_then_reference(a, b):
+    """`match_blocks`'s phase 1, whose blocks are the ones of at least K
+    tokens, then `reference_phase_two`."""
+    return reference_phase_two(
+        a, b, [bl for bl in match_blocks(a, b) if bl.length >= K])
 
 
 def reference_moved_mass(blocks):
@@ -490,7 +549,7 @@ def zipf_words(rng, n, vocabulary=2000):
 
 @given(st.integers(min_value=0, max_value=2**32),
        st.integers(min_value=100, max_value=400),
-       st.sampled_from(["insert", "delete", "move"]))
+       st.sampled_from(["insert", "delete", "move", "replace"]))
 @settings(max_examples=60, deadline=None)
 def test_matches_reference_on_zipf_edits(seed, n, edit):
     rng = random.Random(seed)
@@ -502,12 +561,127 @@ def test_matches_reference_on_zipf_edits(seed, n, edit):
         b[start:start] = zipf_words(rng, span)
     elif edit == "delete":
         del b[start:start + span]
+    elif edit == "replace":
+        b[start:start + span] = zipf_words(rng, rng.randint(1, 40))
     else:
         moved = b[start:start + span]
         del b[start:start + span]
         at = rng.randrange(len(b) + 1)
         b[at:at] = moved
     assert_same_as_reference(a, b)
+
+
+def assert_same_as_phase_two_reference(a, b):
+    """Blocks in order, and the moved mass's and distance's bits, equal
+    those of phase 1 followed by `reference_phase_two`, in both argument
+    orders."""
+    for x, y in ((a, b), (b, a)):
+        assert match_blocks(x, y) == phase_one_then_reference(x, y)
+        with mock.patch.object(worddiff, "match_blocks", phase_one_then_reference):
+            expected = edit_distance(x, y)
+        got = edit_distance(x, y)
+        assert got.moved_mass.hex() == expected.moved_mass.hex()
+        assert got.distance.hex() == expected.distance.hex()
+
+
+@st.composite
+def rewritten_zipf_sections(draw):
+    """A section rewritten between a shared head and tail: 50 to 400 fresh
+    tokens a side, drawn from one Zipf vocabulary, so phase 2 sees long
+    stretches of free tokens that repeat on both sides."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    head = zipf_words(rng, draw(st.integers(min_value=0, max_value=100)))
+    tail = zipf_words(rng, draw(st.integers(min_value=0, max_value=100)))
+    old = zipf_words(rng, draw(st.integers(min_value=50, max_value=400)))
+    new = zipf_words(rng, draw(st.integers(min_value=50, max_value=400)))
+    return head + old + tail, head + new + tail
+
+
+@given(rewritten_zipf_sections())
+@settings(max_examples=60, deadline=None)
+def test_phase_two_matches_reference_on_rewritten_zipf_sections(pair):
+    assert_same_as_phase_two_reference(*pair)
+
+
+def free_bigram_hits(a, b):
+    """(i, j) for every common bigram whose four positions phase 1 left
+    free."""
+    a_free, b_free = [True] * len(a), [True] * len(b)
+    for bl in match_blocks(a, b):
+        if bl.length >= K:
+            a_free[bl.a_start:bl.a_start + bl.length] = [False] * bl.length
+            b_free[bl.b_start:bl.b_start + bl.length] = [False] * bl.length
+    return [(i, j) for i in range(len(a) - 1) for j in range(len(b) - 1)
+            if a[i:i + 2] == b[j:j + 2] and a_free[i] and a_free[i + 1]
+            and b_free[j] and b_free[j + 1]]
+
+
+@st.composite
+def conflicting_bigrams(draw):
+    """Chunks of 1 to 3 tokens over 2 or 3 symbols, each side's chunks cut
+    apart by a token only that side holds. Phase 1 can take only a whole
+    chunk of 3, so many bigrams stay free, and those inside a chunk of 3
+    overlap (`aab` holds `aa` and `ab`): taking one splits the other."""
+    alphabet = "abc"[:draw(st.integers(min_value=2, max_value=3))]
+    chunk = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3)
+
+    def side(cut):
+        return [tok for c in draw(st.lists(chunk, min_size=4, max_size=20))
+                for tok in c + [cut]]
+
+    return side("x"), side("y")
+
+
+@given(conflicting_bigrams())
+@settings(max_examples=500)
+def test_phase_two_matches_reference_on_conflicting_bigrams(pair):
+    a, b = pair
+    hits = free_bigram_hits(a, b)
+    a_pos = [i + t for i, _ in hits for t in (0, 1)]
+    b_pos = [j + t for _, j in hits for t in (0, 1)]
+    conflict = len(set(a_pos)) < len(a_pos) or len(set(b_pos)) < len(b_pos)
+    event("free bigrams conflict" if conflict else "no conflict")
+    assert_same_as_phase_two_reference(a, b)
+
+
+def test_phase_two_takes_the_free_piece_of_a_split_bigram():
+    # Phase 1 takes nothing. The free bigrams `aa` and `ab` of a hit b at
+    # (0, 2) and (1, 0). (0, 2) is taken first and takes a[1], so (1, 0)
+    # splits, and its free piece (2, 1) is taken as a run of 1 token.
+    a, b = list("aab"), list("abaa")
+    expected = [Block(0, 2, 2), Block(2, 1, 1)]
+    assert reference_phase_two(a, b, []) == expected
+    assert match_blocks(a, b) == expected
+    assert reference_match_blocks(a, b) == expected
+
+
+def test_phase_two_matches_reference_on_long_history_pairs(monkeypatch):
+    """Every pair `build_contributions` diffs on the benchmark's seed-1
+    `long_history` corpus: the diffs the word diff's timing is measured
+    on, most of which reach phase 2."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    # `dataclasses` looks the module up in `sys.modules` by its name.
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    dump, _, _ = inputs.generate("long_history", 1)
+    pages = [page for page in parse_dump(io.BytesIO(dump.encode()))
+             if page.namespace is Namespace.ARTICLE]
+    pairs = []
+
+    def record(a, b):
+        pairs.append((a, b))
+        return match_blocks(a, b)
+
+    with mock.patch.object(worddiff, "match_blocks", record):
+        build_contributions(pages)
+    short = 0
+    for a, b in pairs:
+        blocks = match_blocks(a, b)
+        assert blocks == phase_one_then_reference(a, b)
+        short += any(bl.length < K for bl in blocks)
+    assert short > len(pairs) // 2
 
 
 def test_tuple_and_list_inputs_agree():
