@@ -22,6 +22,7 @@ two differ). The tests keep the name-keyed kernels as a differential oracle.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -78,17 +79,50 @@ def degree(g: AuthorGraph) -> CentralityTable:
     return CentralityTable("degree", g.kind, {n: float(ends[n]) for n in g.nodes})
 
 
+def _closed_twins(succ: list[list[int]]) -> list[int]:
+    """Each node's closed-twin class, named by its first member: nodes are
+    closed twins when their closed out-neighbourhoods, each node with its
+    successors taken as a set, are equal."""
+    twins: dict[tuple[int, ...], int] = {}
+    return [twins.setdefault(tuple(sorted({*row, v})), v) for v, row in enumerate(succ)]
+
+
 def betweenness(g: AuthorGraph) -> CentralityTable:
     """Brandes accumulation over unweighted geodesics.
 
     Ordered-pair sums; undirected results are reported as half of that, per
     the usual convention.
+
+    Closed twins share one BFS, the "identical vertices" reduction of
+    Sariyüce et al. (SDM 2013). Let s and t be closed twins. Each is then a
+    successor of the other, and every other successor of one is a successor
+    of the other. So from either, level 1 holds the other twin and the
+    shared successors C, visited in the same sorted order. A twin at level
+    1 discovers nothing, and it precedes no node at level 2, since its
+    successors are all at level 0 or 1. So levels 2 on, every sigma and
+    every pred list, and the dependency of every node but s and t, are the
+    same floats from the same operations from s as from t. The dependency
+    of t is 0.0 from s, as s's is from t, and a source's own dependency is
+    never summed. So the first member's dependency vector, with its own
+    entry set to 0.0, is what each later member's BFS would add. Adding it
+    whole also adds 0.0 where such a BFS adds nothing, at the source and at
+    nodes it cannot reach. That changes nothing, because no cb entry is
+    ever -0.0. Each cb[w] gets the same floats in the same source order.
+    A vector is held as an `array('d')` only until its class's last member.
     """
     order, nbrs = _indexed(g, symmetrize=False)
     n = len(order)
     succ = [sorted(w for w, _ in row) for row in nbrs]
+    first = _closed_twins(succ)
+    last = dict(zip(first, range(n)))  # each class's last member, by its first
+    held: dict[int, array] = {}  # first member -> its dependency vector
     cb = [0.0] * n
     for source in range(n):
+        lead = first[source]
+        if lead != source:
+            delta = held[lead] if last[lead] != source else held.pop(lead)
+            cb = list(map(add, cb, delta))
+            continue
         sigma = [0.0] * n
         dist = [-1] * n
         pred: list[list[int]] = [[] for _ in order]
@@ -114,6 +148,9 @@ def betweenness(g: AuthorGraph) -> CentralityTable:
             for v in pred[w]:
                 delta[v] += (sigma[v] / sw) * carried
             cb[w] += delta[w]
+        if last[source] != source:
+            delta[source] = 0.0
+            held[source] = array("d", delta)
     if not g.directed:
         cb = [v / 2.0 for v in cb]
     return CentralityTable("betweenness", g.kind, dict(zip(order, cb)))

@@ -5,17 +5,18 @@ NDCG, precision-recall curves, and percentile distribution tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import truediv
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .ingest import QUALITY_CLASSES
 
 DEFAULT_RELEVANT = frozenset({"FA", "A", "GA"})
+# the DCG gain 2 ** level - 1 of each class level
+GAIN = [2 ** level - 1 for level in range(max(QUALITY_CLASSES.values()) + 1)]
 
 
-@dataclass(frozen=True)
-class RankedPage:
+class RankedPage(NamedTuple):
     page_id: int
     score: float
     cls: str
@@ -34,10 +35,9 @@ def build_ranking(scores: Mapping[int, float],
 
 
 def _dcg(gains: Sequence[int], k: int) -> float:
-    return sum(
-        (2 ** g - 1) / math.log2(r + 1)
-        for r, g in enumerate(gains[:k], start=1)
-    )
+    """The sum over ranks r = 1..k of (2 ** level - 1) / log2(r + 1)."""
+    return sum(map(truediv, map(GAIN.__getitem__, gains[:k]),
+                   map(math.log2, range(2, k + 2))))
 
 
 def ndcg(ranking: Sequence[RankedPage], k: Optional[int] = None) -> float:

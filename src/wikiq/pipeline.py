@@ -1,16 +1,23 @@
 """Staged pipeline over persisted TSV/JSONL intermediates.
 
 `STAGE_TABLE` declares each stage once: the workdir artifacts it reads and
-writes, the config fields that name the outside files it reads, and the
-config fields its outputs depend on. Each artifact name is written there and
-nowhere else: `run_stage` opens the files, and a stage function gets each
-one by keyword, the name's stem. `run_stage` computes the manifest entry
-a run would record: the lineage's config values, the hashes of its inputs,
-outside files by base name only, and a fingerprint of the program's
-sources. That entry is the only record of what a stage ran with, so a corpus
-and work directory moved elsewhere give the same bytes. One rule says
-whether a stage's recorded run is current: the entry it would record now
-has the recorded config values and input hashes (`_changed_part`).
+writes, the config fields that name the outside files it reads, the config
+fields its outputs depend on, and the reader of each TSV artifact and of the
+ratings. Each artifact name is written there and nowhere else: `run_stage`
+opens the files, and a stage function gets each input by keyword, the name's
+stem. A stage receives its inputs already parsed where a reader is declared:
+every TSV input and the ratings. The JSONL inputs come as open files, to be
+streamed. A parsed value is kept for the rest of the process, one per
+artifact name, under the sha256 that `run_stage` has just checked, so a grid
+of runs parses each artifact's content once.
+
+`run_stage` computes the manifest entry a run would record: the lineage's
+config values, the hashes of its inputs, outside files by base name only,
+and a fingerprint of the program's sources. That entry is the only record
+of what a stage ran with, so a corpus and work directory moved elsewhere
+give the same bytes. One rule says whether a stage's recorded run is
+current: the entry it would record now has the recorded config values and
+input hashes (`_changed_part`).
 `run_stage` refuses a missing artifact, one whose hash is not its
 producer's record, and a stage with an upstream stage that is not current,
 naming the first to re-run, so stale or missing intermediates never
@@ -47,7 +54,7 @@ from .evaluation import (DEFAULT_RELEVANT, FILTER_CONFIGS, build_ranking,
 from .ingest import (QUALITY_CLASSES, AuthorId, AuthorKind, BotConfig, Namespace,
                      PageHistory, RevisionRecord, canonical_name, load_ratings,
                      parse_dump)
-from .longevity import (SelectionParams, build_contributions,
+from .longevity import (ContributionTable, SelectionParams, build_contributions,
                         read_contributions, select_all, write_contributions)
 from .worddiff import _common_run, _common_tail
 
@@ -329,64 +336,65 @@ def stage_contrib(cfg: RunConfig, articles: IO[str], contributions: IO[str]) -> 
     write_contributions(table, contributions)
 
 
-def stage_select(cfg: RunConfig, contributions: IO[str], selection: IO[str]) -> None:
-    selections = select_all(read_contributions(contributions), cfg.selection)
-    write_selections(selections, selection)
+def stage_select(cfg: RunConfig, contributions: ContributionTable,
+                 selection: IO[str]) -> None:
+    write_selections(select_all(contributions, cfg.selection), selection)
 
 
-def stage_net(cfg: RunConfig, utp: IO[str], selection: IO[str],
+def stage_net(cfg: RunConfig, utp: IO[str], selection: ContributionTable,
               edges: IO[str]) -> None:
-    selections = read_selections(selection)
     if cfg.network == "coauthor":
-        graph = networks.build_coauthor(selections.values())
+        graph = networks.build_coauthor(selection.values())
     else:
         build = (networks.build_talk_signature if cfg.network == "talk-sig"
                  else networks.build_talk_history)
         graph = build(_read_histories(utp))
         # selected authors come from contributions, which drop bots under
         # exclude_bots, so the restriction drops the talk pages' bots too
-        project_authors = {a for authors in selections.values() for a in authors}
+        project_authors = {a for authors in selection.values() for a in authors}
         if cfg.network == "talk-sig":
             graph = networks.resolve_signers(graph, project_authors)
         graph = networks.restrict_and_filter(graph, project_authors)
     networks.write_edge_list(graph, edges)
 
 
-def stage_centrality(cfg: RunConfig, edges: IO[str], centrality: IO[str]) -> None:
-    graph = networks.read_edge_list(edges)
-    if graph.nodes:
+def stage_centrality(cfg: RunConfig, edges: networks.AuthorGraph,
+                     centrality: IO[str]) -> None:
+    if edges.nodes:
         kwargs = {"damping": cfg.damping} if cfg.metric == "pagerank" else {}
-        table = getattr(centrality_mod, cfg.metric)(graph, **kwargs)
+        table = getattr(centrality_mod, cfg.metric)(edges, **kwargs)
     else:  # e.g. a dump without user talk pages under a talk network
         log.warning("the %s network has no nodes; writing an empty %s table",
-                    graph.kind, cfg.metric)
-        table = centrality_mod.CentralityTable(cfg.metric, graph.kind, {})
+                    edges.kind, cfg.metric)
+        table = centrality_mod.CentralityTable(cfg.metric, edges.kind, {})
     centrality_mod.write_centrality(table, centrality)
 
 
-def stage_score(cfg: RunConfig, selection: IO[str], centrality: IO[str],
+def stage_score(cfg: RunConfig, selection: ContributionTable,
+                centrality: centrality_mod.CentralityTable,
                 scores: IO[str], provenance: IO[str]) -> None:
-    selections = read_selections(selection)
-    cent = centrality_mod.read_centrality(centrality)
     tables = []
     if "longevity" in cfg.models:
-        tables.append(quality.longevity_qscore(selections))
+        tables.append(quality.longevity_qscore(selection))
     if "centrality" in cfg.models:
-        tables.append(quality.centrality_qscore(selections, cent))
+        tables.append(quality.centrality_qscore(selection, centrality))
     if "combined" in cfg.models:
-        tables.append(quality.combined_qscore(selections, cent))
+        tables.append(quality.combined_qscore(selection, centrality))
     quality.write_scores(tables, scores)
     _write_json(provenance, {"models": {t.model: t.provenance for t in tables}})
 
 
-def stage_eval(cfg: RunConfig, scores: IO[str], report: IO[str],
+def stage_eval(cfg: RunConfig, scores: dict[str, dict[int, float]],
+               ratings: dict[int, str], report: IO[str],
                percentiles: IO[str], pr_curve: IO[str]) -> None:
-    by_model = quality.read_scores(scores)
-    with open(cfg.ratings, encoding="utf-8") as fp:
-        labels = load_ratings(fp)
-    ks = cfg.eval_k or [len(labels)]
-    rankings = {model: build_ranking(by_model[model], labels)
-                for model in sorted(by_model)}
+    """Refuses a run in which no rated page has a score: its report would
+    hold no row, or rank every rated page at score 0."""
+    if not any(ratings.keys() & scored.keys() for scored in scores.values()):
+        raise PipelineError(f"stage 'eval': no page that {Path(cfg.ratings).name} "
+                            "rates has a score")
+    ks = cfg.eval_k or [len(ratings)]
+    rankings = {model: build_ranking(scores[model], ratings)
+                for model in sorted(scores)}
 
     def ndcg_row(model, configuration, compute):
         try:
@@ -400,7 +408,7 @@ def stage_eval(cfg: RunConfig, scores: IO[str], report: IO[str],
     for model, ranking in rankings.items():
         for k in ks:
             rows.append(ndcg_row(model, f"all@k={k}", lambda: ndcg(
-                ranking, k=min(k, len(labels)))))
+                ranking, k=min(k, len(ratings)))))
         for name, keep in FILTER_CONFIGS:
             rows.append(ndcg_row(model, name, lambda: filtered_eval(ranking, keep)))
     tsv.write_rows(report, ("model", "configuration", "ndcg"), rows)
@@ -429,10 +437,16 @@ class Stage(NamedTuple):
     inputs: tuple[str, ...]  # workdir artifacts, each made by an earlier stage
     outputs: tuple[str, ...]
     config_keys: tuple[str, ...]  # RunConfig fields the stage itself reads
-    fn: Callable[..., None]  # fn(cfg, **files), each file keyed by its name's stem
+    fn: Callable[..., None]  # fn(cfg, **files), each keyed by its name's stem
     # RunConfig fields naming the outside files the stage reads, recorded
     # among its inputs by base name and content hash, never by path
     files: tuple[str, ...] = ()
+    # The reader that parses each output for the stages that read it, and
+    # each of `files` for this stage. An input without one reaches `fn` as
+    # an open text file, and an outside file without one is not passed. A
+    # reader looks its function up when called, under the name a tracer
+    # may have wrapped.
+    readers: dict[str, Callable[[IO[str]], object]] = {}
 
 
 STAGE_TABLE = (
@@ -441,17 +455,23 @@ STAGE_TABLE = (
     Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
           ("bot_list", "bot_suffix_heuristic"), stage_ingest, ("dump",)),
     Stage("contrib", ("articles.jsonl",), ("contributions.tsv",),
-          ("exclude_bots",), stage_contrib),
+          ("exclude_bots",), stage_contrib,
+          readers={"contributions.tsv": lambda fp: read_contributions(fp)}),
     Stage("select", ("contributions.tsv",), ("selection.tsv",),
-          ("selection",), stage_select),
+          ("selection",), stage_select,
+          readers={"selection.tsv": lambda fp: read_selections(fp)}),
     Stage("net", ("utp.jsonl", "selection.tsv"), ("edges.tsv",),
-          ("network",), stage_net),
+          ("network",), stage_net,
+          readers={"edges.tsv": lambda fp: networks.read_edge_list(fp)}),
     Stage("centrality", ("edges.tsv",), ("centrality.tsv",),
-          ("metric", "damping"), stage_centrality),
+          ("metric", "damping"), stage_centrality,
+          readers={"centrality.tsv": lambda fp: centrality_mod.read_centrality(fp)}),
     Stage("score", ("selection.tsv", "centrality.tsv"),
-          ("scores.tsv", "provenance.json"), ("models",), stage_score),
+          ("scores.tsv", "provenance.json"), ("models",), stage_score,
+          readers={"scores.tsv": lambda fp: quality.read_scores(fp)}),
     Stage("eval", ("scores.tsv",), ("report.tsv", "percentiles.tsv", "pr_curve.tsv"),
-          ("eval_k", "buckets", "relevant_classes"), stage_eval, ("ratings",)),
+          ("eval_k", "buckets", "relevant_classes"), stage_eval, ("ratings",),
+          readers={"ratings": lambda fp: load_ratings(fp)}),
 )
 STAGES = tuple(s.name for s in STAGE_TABLE)
 ARTIFACTS = {s.name: s.outputs for s in STAGE_TABLE}
@@ -557,6 +577,24 @@ def _stale_part(stage: Stage, entry: dict, recorded: dict | None,
 # the JSON type of each field of a manifest entry
 _ENTRY_FIELDS = {"config": dict, "inputs": dict, "outputs": dict, "program": str}
 
+# artifact name (or outside file's config field) -> (sha256, parsed value)
+# of its last parse in this process; no stage changes what it is handed
+_PARSED: dict[str, tuple[str, object]] = {}
+
+
+def _parsed(name: str, digest: str, path: Path | str,
+            reader: Callable[[IO[str]], object]):
+    """What `reader` makes of the file at `path`, whose sha256 `digest`
+    run_stage has just checked: the memo's value if it parsed those bytes
+    under that name, else a new parse, which replaces it."""
+    if name in _PARSED and _PARSED[name][0] == digest:
+        return _PARSED[name][1]
+    _PARSED.pop(name, None)  # let the old value go before the new is made
+    with open(path, encoding="utf-8") as fp:
+        value = reader(fp)
+    _PARSED[name] = (digest, value)
+    return value
+
 
 def run_stage(stage: str, config: RunConfig) -> None:
     """Run one stage once its inputs pass the manifest checks, then commit
@@ -580,7 +618,7 @@ def run_stage(stage: str, config: RunConfig) -> None:
                     for key, value in entry.items())
                 for entry in manifest.values())):
             raise PipelineError(f"{manifest_path}: not a JSON object of stage entries")
-    data = json.loads(config.to_json())
+    data = dataclasses.asdict(config)
     entry = _entry(spec, config, data, manifest)
     for name in spec.inputs:
         producer = PRODUCER[name].name
@@ -602,8 +640,17 @@ def run_stage(stage: str, config: RunConfig) -> None:
         return
     root.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
-        files = {Path(name).stem: stack.enter_context(open(root / name, encoding="utf-8"))
-                 for name in spec.inputs}
+        files = {}
+        for name in spec.inputs + spec.files:  # artifact names, then config fields
+            artifact = name in PRODUCER
+            path = root / name if artifact else getattr(config, name)
+            reader = (PRODUCER[name] if artifact else spec).readers.get(name)
+            if reader is not None:
+                files[Path(name).stem] = _parsed(
+                    name, entry["inputs"][Path(path).name], path, reader)
+            elif artifact:
+                files[Path(name).stem] = stack.enter_context(
+                    open(path, encoding="utf-8"))
         temps = {name: stack.enter_context(_temp_file(root / name))
                  for name in spec.outputs}
         spec.fn(config, **files, **{Path(name).stem: fp for name, fp in temps.items()})

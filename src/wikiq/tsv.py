@@ -4,12 +4,15 @@ Fields are joined by tabs and rows end in LF. A field is written as `str`
 gives it (for a float, its `repr`), with backslash, tab, CR and LF escaped
 as `\\\\`, `\\t`, `\\r` and `\\n`, so any name round-trips. A `# ` meta line
 holds no raw tab, while every data row does, so no name passes for one.
-Rows are written and typed a column at a time, to run in C loops.
+Rows are written and typed a column at a time, to run in C loops. A `str`
+field is read as an interned string: the tables a process keeps parsed
+(the pipeline's memo) then hold one object per name between them.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +46,7 @@ def _unescape(text: str) -> str:
             raise ValueError(f"unknown escape {m.group()!r}" if m.group(1)
                              else "trailing backslash")
         return _UNESCAPES[m.group(1)]
-    return re.sub(r"\\(.?)", one, text)
+    return sys.intern(re.sub(r"\\(.?)", one, text))
 
 
 def _written(values: tuple) -> list[str]:
@@ -94,8 +97,8 @@ def read_rows(lines: Iterable[str], columns: Columns,
         fields = "\t".join(data).split("\t") if data else []
         for k, convert in enumerate(types):
             values = fields[k::n]
-            if convert is str and "\\" in "".join(values):
-                convert = _unescape
+            if convert is str:
+                convert = _unescape if "\\" in "".join(values) else sys.intern
             try:
                 typed.append(list(map(convert, values)))
             except ValueError:

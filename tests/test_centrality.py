@@ -2,6 +2,7 @@ import io
 import logging
 import random
 from collections import deque
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hostile import names
-from wikiq.centrality import (CentralityTable, ConvergenceError, betweenness,
-                              degree, eigenvector, pagerank, read_centrality,
-                              write_centrality)
+from wikiq.centrality import (CentralityTable, ConvergenceError, _closed_twins,
+                              _indexed, betweenness, degree, eigenvector,
+                              pagerank, read_centrality, write_centrality)
 from wikiq.networks import AuthorGraph
 
 log = logging.getLogger(__name__)
@@ -436,6 +437,53 @@ def weighted_graphs(draw):
     return g
 
 
+@st.composite
+def clique_unions(draw):
+    """Graphs shaped like co-author graphs: unions of up to 8 cliques of up
+    to 8 nodes, weights 1-3, where the nodes of one clique and no other are
+    closed twins. A directed graph holds each clique's arcs both ways, then
+    up to one one-way arc per three nodes; a self-loop, which `add_edge`
+    refuses, may sit on up to two nodes."""
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                          unique=True, min_size=2, max_size=30))
+    g = AuthorGraph(kind="cliques", directed=draw(st.booleans()))
+    g.nodes.update(names)
+    node = st.sampled_from(names)
+    for clique, w in draw(st.lists(st.tuples(
+            st.lists(node, min_size=2, max_size=8, unique=True),
+            st.integers(1, 3)), max_size=8)):
+        for a, b in combinations(clique, 2):
+            g.add_edge(a, b, w)
+            if g.directed:
+                g.add_edge(b, a, w)
+    for src, dst in draw(st.lists(st.tuples(node, node), max_size=len(names) // 3)):
+        g.add_edge(src, dst)
+    for a in draw(st.lists(node, max_size=2, unique=True)):
+        g.edges[(a, a)] = 1
+    return g
+
+
+def interleaved_twins(directed):
+    """Closed twins {a, c} and {b, d}, so a < b < c < d interleaves their
+    classes, all pointing at the hub e; a carries a self-loop. Directed,
+    each twin pair has arcs both ways, and e reaches a one way."""
+    edges = [("a", "c"), ("b", "d")] + [(v, "e") for v in "abcd"]
+    if directed:
+        edges += [("c", "a"), ("d", "b"), ("e", "a")]
+    g = graph(edges, directed)
+    g.edges[("a", "a")] = 1
+    return g
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_closed_twins_group_by_closed_out_neighbourhood(directed):
+    """Sources with equal closed out-neighbourhoods, as sets, share a class
+    named by its first member; a self-loop changes no class."""
+    order, nbrs = _indexed(interleaved_twins(directed), symmetrize=False)
+    assert order == ["a", "b", "c", "d", "e"]
+    assert _closed_twins([[w for w, _ in row] for row in nbrs]) == [0, 1, 0, 1, 4]
+
+
 def outcome(kernel, g, **kwargs):
     """Everything a caller can see of one kernel call, floats as repr."""
     try:
@@ -455,7 +503,7 @@ def outcome(kernel, g, **kwargs):
                                     {"damping": 0.5, "tol": 1e-9}]),
 ], ids=["betweenness", "eigenvector", "pagerank"])
 @settings(max_examples=150, deadline=None)
-@given(g=weighted_graphs(), choice=st.integers(0, 2))
+@given(g=weighted_graphs() | clique_unions(), choice=st.integers(0, 2))
 # eigenvector's flattened rows: all weights 1 (no products), weights 1 and
 # 2, empty rows beside edges, and one entry, a self-loop that add_edge
 # refuses (itemgetter of one index returns no tuple)
@@ -467,6 +515,10 @@ def outcome(kernel, g, **kwargs):
 @example(g=graph([("b", "c"), ("c", "d")], extra_nodes=("a", "e", "z")),
          choice=0)
 @example(g=AuthorGraph("loop", False, {"a"}, {("a", "a"): 1}), choice=0)
+# betweenness' shared BFS: interleaved closed-twin classes, one-way and
+# two-way arcs, and a twin with a self-loop
+@example(g=interleaved_twins(False), choice=0)
+@example(g=interleaved_twins(True), choice=0)
 def test_kernels_match_reference_bits(kernel, reference, kwargs, g, choice):
     args = kwargs[choice % len(kwargs)]
     assert outcome(kernel, g, **args) == outcome(reference, g, **args)

@@ -1,6 +1,7 @@
 import io
 import itertools
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from hostile import names
@@ -10,6 +11,7 @@ from wikiq.networks import (AuthorGraph, build_coauthor, build_talk_history,
                             build_talk_signature, iter_signatures,
                             read_edge_list, resolve_signers,
                             restrict_and_filter, write_edge_list)
+from wikiq.tsv import TsvError
 
 
 def utp(owner, texts_by, page_id=1):
@@ -214,3 +216,9 @@ def test_edge_list_roundtrip(nodes):
     again = read_edge_list(io.StringIO(buf.getvalue()))
     assert again.kind == g.kind and again.directed == g.directed
     assert again.edges == g.edges and again.nodes == g.nodes
+
+
+def test_edge_list_without_its_kind_line_is_refused():
+    lines = io.StringIO("src\tdst\tweight\nAlice\tBob\t1\n# node=Carol\n")
+    with pytest.raises(TsvError, match="<input>: expected '# kind=', then '# node=' lines"):
+        read_edge_list(lines)

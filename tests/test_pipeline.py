@@ -707,6 +707,36 @@ def test_grid_builds_each_network_once(tmp_path, monkeypatch, stage_calls):
     assert grids["work"] == grids["every"]
 
 
+def test_grid_parses_each_artifact_content_once(corpus, monkeypatch):
+    """In one process the 3 x 4 grid parses the selection and the ratings
+    once and each network's edge list once. A select re-run under another
+    theta reuses the contributions' parse, and the stages after it parse
+    the new selection and edge list."""
+    monkeypatch.setattr(pipeline, "_PARSED", {})
+    calls = []
+    for module, name in ((pipeline, "read_contributions"), (pipeline, "read_selections"),
+                         (networks, "read_edge_list"), (pipeline, "load_ratings")):
+        def counted(fp, read=getattr(module, name), name=name):
+            calls.append(name)
+            return read(fp)
+        monkeypatch.setattr(module, name, counted)
+    cfg = make_config(corpus)
+    for stage in ("ingest", "contrib", "select"):
+        run_stage(stage, cfg)
+    for network in pipeline.NETWORKS:
+        for metric in pipeline.METRICS:
+            grid_cfg = dataclasses.replace(cfg, network=network, metric=metric)
+            for stage in ("net", "centrality", "score", "eval"):
+                run_stage(stage, grid_cfg)
+    assert calls == ["read_contributions", "read_selections", "read_edge_list",
+                     "load_ratings", "read_edge_list", "read_edge_list"]
+    calls.clear()
+    cfg = dataclasses.replace(grid_cfg, selection=SelectionParams(theta=0.5, min_authors=2))
+    for stage in ("select", "net", "centrality", "score", "eval"):
+        run_stage(stage, cfg)
+    assert calls == ["read_selections", "read_edge_list"]
+
+
 def test_moved_corpus_and_workdir_give_identical_bytes(tmp_path, monkeypatch):
     """The same corpus run through `all` with absolute paths from two
     directories of different path lengths leaves byte-identical work
@@ -1295,6 +1325,45 @@ def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
     assert caplog.text.count("PR curve undefined for model") == 3
 
 
+def _talk_only(root: Path) -> None:
+    """A dump whose one page is a user talk page, so no page is scored."""
+    (root / "dump.xml").write_text(
+        "<mediawiki><page><title>User talk:Owner</title><ns>3</ns><id>2</id>"
+        "<revision><timestamp>2011-02-01T00:00:00Z</timestamp><contributor>"
+        "<username>Zed</username></contributor><text>hi</text></revision>"
+        "</page></mediawiki>", encoding="utf-8")
+    (root / "ratings.tsv").write_text("page_id\ttitle\tclass\n1\tStone Age\tFA\n",
+                                      encoding="utf-8")
+
+
+def _unmatched_ratings(root: Path) -> None:
+    """The small corpus, rated under page ids that no page has."""
+    dump, ratings = generate(small_spec())
+    (root / "dump.xml").write_text(dump, encoding="utf-8")
+    header, *lines = ratings.splitlines(keepends=True)
+    rows = [line.split("\t", 1) for line in lines]
+    (root / "ratings.tsv").write_text(header + "".join(
+        f"{int(page_id) + 10_000}\t{rest}" for page_id, rest in rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("make_corpus", [_talk_only, _unmatched_ratings])
+def test_eval_refuses_when_no_rated_page_has_a_score(tmp_path, capsys, make_corpus):
+    """Over a header-only scores file, or ratings whose ids match no scored
+    page, eval exits 2 with one line and writes nothing: the report would
+    hold no row, or rank every rated page at score 0."""
+    make_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(make_config(tmp_path).to_json())
+    assert main(["all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "wikiq: error: stage 'eval': no page that ratings.tsv rates has a score\n")
+    work = tmp_path / "work"
+    assert (work / "scores.tsv").exists() and not (work / "report.tsv").exists()
+    assert "eval" not in json.loads((work / "manifest.json").read_text())
+    if make_corpus is _talk_only:
+        assert (work / "scores.tsv").read_text() == "page_id\tmodel\tscore\n"
+
+
 def test_stage_table_is_a_closed_graph():
     """Every input has one producer earlier in the table, and every config
     field but workdir is some stage's config key or names an outside file
@@ -1337,8 +1406,9 @@ print(json.dumps(tracer.metrics(wall_s=0.0)))
 def test_benchmark_tracer_measures_every_layer(tmp_path):
     """The benchmark's tracer, installed in a new process, sees a `run_all`
     on `wikiq synth --seed 1` through the names it wraps: every stage takes
-    time, ingest yields its 91 pages, and the word diff is called. A
-    function renamed under a wrapped name would leave its metric at 0."""
+    time, ingest yields its 91 pages, the word diff is called, and each
+    layer's artifact reads and writes take time. A function renamed under a
+    wrapped name would leave its metric at 0."""
     root = Path(__file__).resolve().parents[1]
     assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1353,6 +1423,8 @@ def test_benchmark_tracer_measures_every_layer(tmp_path):
         assert metrics[f"pipeline.{stage}.s"] > 0, stage
     assert metrics["ingest.pages"] == 91
     assert metrics["worddiff.edit_distance.calls"] > 0
+    for layer in ("longevity", "networks", "centrality", "quality"):
+        assert metrics[f"{layer}.io.s"] > 0, layer
 
 
 class TestCli:
@@ -1385,6 +1457,28 @@ class TestCli:
         config.write_text(cfg.to_json())
         assert main(["ingest", "--config", str(config)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, exclude", [("--with-bots", False),
+                                               ("--without-bots", True)])
+    def test_bot_flags_set_exclude_bots(self, corpus, flag, exclude):
+        """`--with-bots` and `--without-bots` write the contributions of a
+        config whose exclude_bots is false and true, over a config that says
+        the opposite. Its bot list names an editor with lasting edits, so
+        the two differ."""
+        config = self.write_config(corpus, exclude_bots=not exclude,
+                                   bot_list=["Editor00"])
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["contrib", flag, "--config", str(config)]) == 0
+        got = (Path(make_config(corpus).workdir) / "contributions.tsv").read_bytes()
+        want = {}
+        for excluded in (False, True):
+            cfg = dataclasses.replace(make_config(corpus, f"bots-{excluded}"),
+                                      exclude_bots=excluded, bot_list=["Editor00"])
+            run_stage("ingest", cfg)
+            run_stage("contrib", cfg)
+            want[excluded] = (Path(cfg.workdir) / "contributions.tsv").read_bytes()
+        assert want[False] != want[True]
+        assert got == want[exclude]
 
     def test_stale_config_exit_code(self, corpus, capsys):
         config = self.write_config(corpus)
