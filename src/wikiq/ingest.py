@@ -4,6 +4,14 @@ Parses pages-meta-history style exports into normalized per-page revision
 histories, resolving each contributor to a classified author identity
 (registered / anonymous / bot). The parser holds one page at a time: each
 page is yielded as soon as its closing tag is seen.
+
+A revision whose text an administrator hid (`<text deleted="deleted" />`)
+is dropped from its page's history, and the revisions on either side of it
+are diffed against each other. Reading it as an empty text would make it a
+blanking, and the next editor would be credited with restoring the whole
+page. Carrying its predecessor's text forward instead would invent an edit
+its author never made: that author would be judged on it, and as a judge
+would keep every word of the text before, whatever the hidden edit did.
 """
 
 from __future__ import annotations
@@ -218,14 +226,20 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
     """The history of one <page> element whose tags carry the prefix `ns`."""
     title = page.findtext(ns + "title", "")
     page_id = _parsed(int, page.findtext(ns + "id", "0"), "page id", title)
-    revs = []
+    revs, hidden = [], 0
     for rev in page.iterfind(ns + "revision"):
         stamp = rev.findtext(ns + "timestamp")
         if stamp is not None:
             stamp = _parsed(_parse_timestamp, stamp, "timestamp", title)
+        text = rev.find(ns + "text")
+        if text is not None and "deleted" in text.attrib:
+            hidden += 1
+            continue
         revs.append((stamp or 0,
                      _author(rev.find(ns + "contributor"), ns, title, bot_config),
-                     rev.findtext(ns + "text", "")))
+                     "" if text is None else text.text or ""))
+    if hidden:
+        log.warning("page %r: %d revision(s) with hidden text dropped", title, hidden)
     if any(a[0] > b[0] for a, b in zip(revs, revs[1:])):
         log.warning("page %r: revisions out of chronological order, reordering",
                     title)

@@ -312,14 +312,22 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
     one page at a time. An artifact whose pages came out of page_id order
     is sorted once the whole dump has parsed; only then does the stage
     index its lines, so a dump in page_id order, as MediaWiki exports are,
-    costs no memory per page."""
+    costs no memory per page.
+
+    A dump with article revisions none of which holds text is refused: a
+    stub export, whose every page would be judged empty."""
     out = {Namespace.ARTICLE: articles, Namespace.USER_TALK: utp}
     last_id, unordered = {}, set()
+    # whether some article revision was read, and whether one held text
+    revisions = text = False
     with open(cfg.dump, "rb") as fp:
         for page in parse_dump(fp, cfg.bot_config()):
             ns = page.namespace
             if ns not in out:
                 continue
+            if ns is Namespace.ARTICLE and not text:
+                revisions = revisions or bool(page.revisions)
+                text = any(rev.tokens for rev in page.revisions)
             if ns is Namespace.USER_TALK:
                 for rev in page.revisions[:-1]:
                     rev.tokens = []
@@ -327,6 +335,9 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
                 unordered.add(ns)
             last_id[ns] = page.page_id
             out[ns].write(_history_to_json(page) + "\n")
+    if revisions and not text:
+        raise PipelineError(f"{Path(cfg.dump).name}: no revision has text; "
+                            "a stub export?")
     for ns in unordered:
         _sort_by_page_id(out[ns])
 

@@ -14,7 +14,7 @@ every block:
 1. Every maximal common run of at least K tokens starts at a shared K-gram
    whose preceding tokens differ; it is extended by slice compares and put
    in a bucket by its length. Taking the buckets (see below) leaves no
-   free common run of K tokens.
+   free common run of K tokens. Disjoint runs skip the buckets.
 2. The free runs left are shorter than K = 3. Two passes over the free
    positions take them, in time linear in those positions and in the
    first pass's hits, which it sorts. Both visit only the free b positions
@@ -48,6 +48,23 @@ that lost positions is split into its maximal free pieces, which go back
 in the shorter buckets. Taking blocks only removes free positions, so the
 result is the greedy's block list, in the greedy's order.
 
+Most diffs need no buckets: phase 1 collects its runs as one list of
+(-length, a_start, b_start), and when no two runs share a position in a or
+in b, the runs are the blocks in one sort of that list:
+
+- Taking a run clears only that run's own positions, and disjoint runs
+  share none. So every run is still whole when its turn comes, none is
+  split, and the buckets would take them longest first, ties to the
+  smallest (a_start, b_start): the order of the sort.
+- Phase 1's j never decreases, so the runs arrive in nondecreasing b_start
+  order, and one pass over consecutive runs tells whether any two overlap
+  in b (two runs with the same b_start do). The a check sorts them by
+  a_start first.
+
+Runs that overlap go through the buckets. Either way the free masks of a
+and b are built only if phase 2 has work: it needs a free position on
+both sides, so when the blocks cover a or b it is skipped.
+
 Phase 2 takes what the buckets of the free runs of 2 and of 1 token would
 hold, in the order they would be taken, without building them:
 
@@ -75,6 +92,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress, count, pairwise
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 
@@ -159,6 +177,12 @@ def _common_tail(a: Sequence[str], b: Sequence[str], head: int) -> int:
     return n
 
 
+def _disjoint(runs: list[tuple[int, int, int]], side: int) -> bool:
+    """Whether no two runs (-length, a_start, b_start), listed in
+    nondecreasing order of their start on `side`, share a position there."""
+    return all(x[side] - x[0] <= y[side] for x, y in pairwise(runs))
+
+
 def _take_runs(buckets: dict[int, list[tuple[int, int]]],
                a_free: bytearray, b_free: bytearray, blocks: list[Block]) -> None:
     """Take runs longest first, ties to the smallest (a_start, b_start).
@@ -201,13 +225,11 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
         a = Version(a)
     if not isinstance(b, tuple):
         b = tuple(b)
-    a_free = bytearray(b"\x01") * len(a)
-    b_free = bytearray(b"\x01") * len(b)
-    blocks: list[Block] = []
     # Phase 1: every maximal common run of at least K tokens starts at a
     # shared K-gram whose preceding tokens differ.
     index, once, tokens = a.grams
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    # (-length, a_start, b_start), in nondecreasing order of b_start.
+    runs: list[tuple[int, int, int]] = []
     # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
     # furthest into b.
     ci = cj = cend = 0
@@ -229,14 +251,35 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
             if i and j and a[i - 1] == b[j - 1]:
                 continue
             length = K + _common_run(a, b, i + K, j + K)
-            buckets.setdefault(length, []).append((i, j))
+            runs.append((-length, i, j))
             if j + length > cend:
                 ci, cj, cend = i, j, j + length
         j += 1
-    _take_runs(buckets, a_free, b_free, blocks)
+    if _disjoint(runs, 2) and _disjoint(sorted(runs, key=itemgetter(1)), 1):
+        # No run loses a position to another: the runs are the blocks.
+        runs.sort()
+        # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
+        blocks = [tuple.__new__(Block, (i, j, -n)) for n, i, j in runs]
+        matched = -sum(map(itemgetter(0), runs))
+        # Phase 2 needs a free position on both sides.
+        if matched == len(a) or matched == len(b):
+            return blocks
+        a_free = bytearray(b"\x01") * len(a)
+        b_free = bytearray(b"\x01") * len(b)
+        for i, j, length in blocks:
+            a_free[i:i + length] = bytes(length)
+            b_free[j:j + length] = bytes(length)
+    else:
+        a_free = bytearray(b"\x01") * len(a)
+        b_free = bytearray(b"\x01") * len(b)
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for n, i, j in runs:
+            buckets.setdefault(-n, []).append((i, j))
+        blocks = []
+        _take_runs(buckets, a_free, b_free, blocks)
+        if a_free.find(1) < 0 or b_free.find(1) < 0:
+            return blocks
     # Phase 2: the free runs left are shorter than K = 3.
-    if a_free.find(1) < 0 or b_free.find(1) < 0:
-        return blocks
     free_i = list(compress(range(len(a)), a_free))
     left = set(map(a.__getitem__, free_i))
     # Only the free b positions whose token is free in a can match.
@@ -315,15 +358,14 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> DiffBreakdown:
     if swapped:
         a, b = b, a
     blocks = match_blocks(a, b)
-    matched = sum(bl.length for bl in blocks)
+    matched = sum(map(itemgetter(2), blocks))
     deleted = len(a) - matched
     inserted = len(b) - matched
     if swapped:
         inserted, deleted = deleted, inserted
     moved = _moved_mass(blocks)
     distance = max(inserted, deleted) - 0.5 * min(inserted, deleted) + moved
-    return DiffBreakdown(inserted=inserted, deleted=deleted,
-                         moved_mass=moved, distance=distance)
+    return tuple.__new__(DiffBreakdown, (inserted, deleted, moved, distance))
 
 
 def triangle_guard(d_ij: float, d_jk: float, d_ik: float) -> float:

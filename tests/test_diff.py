@@ -298,6 +298,15 @@ def test_every_token_matched_at_most_once():
         assert a[bl.a_start:bl.a_start + bl.length] == b[bl.b_start:bl.b_start + bl.length]
 
 
+def runs_event(a, b):
+    """Label a hypothesis example by the path `match_blocks(a, b)` takes
+    with phase 1's runs: the buckets of `_take_runs`, or one sort when no
+    two runs overlap."""
+    with mock.patch.object(worddiff, "_take_runs", wraps=worddiff._take_runs) as take:
+        match_blocks(a, b)
+    event("runs overlap" if take.called else "runs disjoint")
+
+
 def assert_same_as_reference(a, b):
     assert match_blocks(a, b) == reference_match_blocks(a, b)
     assert match_blocks(b, a) == reference_match_blocks(b, a)
@@ -391,6 +400,7 @@ def duplicated_spans(draw):
 @given(duplicated_spans())
 @settings(max_examples=500)
 def test_matches_reference_on_duplicated_spans(pair):
+    runs_event(*pair)
     assert_same_as_reference(*pair)
 
 
@@ -568,7 +578,34 @@ def test_matches_reference_on_zipf_edits(seed, n, edit):
         del b[start:start + span]
         at = rng.randrange(len(b) + 1)
         b[at:at] = moved
+    runs_event(a, b)
     assert_same_as_reference(a, b)
+
+
+@st.composite
+def synth_shaped_edits(draw):
+    """A text and the same text after 1 to 4 edits at random places, as
+    synth writes them: fresh words inserted, and spans deleted. The words
+    come from a vocabulary of 8, 64 or 200,000, so runs of K tokens overlap
+    often, sometimes, or almost never."""
+    vocabulary = draw(st.sampled_from([8, 64, 200_000]))
+    word = st.integers(min_value=0, max_value=vocabulary - 1).map("w{}".format)
+    a = draw(st.lists(word, max_size=80))
+    b = list(a)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(b)))
+        if draw(st.booleans()):
+            b[at:at] = draw(st.lists(word, min_size=1, max_size=12))
+        else:
+            del b[at:at + draw(st.integers(min_value=1, max_value=12))]
+    return a, b
+
+
+@given(synth_shaped_edits())
+@settings(max_examples=500)
+def test_matches_reference_on_synth_shaped_edits(pair):
+    runs_event(*pair)
+    assert_same_as_reference(*pair)
 
 
 def assert_same_as_phase_two_reference(a, b):
@@ -676,12 +713,19 @@ def test_phase_two_matches_reference_on_long_history_pairs(monkeypatch):
 
     with mock.patch.object(worddiff, "match_blocks", record):
         build_contributions(pages)
-    short = 0
+    short = overlap = 0
     for a, b in pairs:
-        blocks = match_blocks(a, b)
+        with mock.patch.object(worddiff, "_take_runs",
+                               wraps=worddiff._take_runs) as take:
+            blocks = match_blocks(a, b)
+        overlap += take.called
         assert blocks == phase_one_then_reference(a, b)
         short += any(bl.length < K for bl in blocks)
     assert short > len(pairs) // 2
+    # Both ways of taking phase 1's runs are checked here: 499 of the 1,121
+    # pairs with two nonempty sides have overlapping runs, and 622 do not.
+    nonempty = sum(bool(a) and bool(b) for a, b in pairs)
+    assert overlap > 100 and nonempty - overlap > 100
 
 
 def test_tuple_and_list_inputs_agree():

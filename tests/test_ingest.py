@@ -20,6 +20,7 @@ from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           RatingsError, RevisionRecord, _is_ip, _namespace_of,
                           _page_tokens, _parse_timestamp, load_ratings, log,
                           make_author, parse_dump, serialize_dump, tokenize)
+from wikiq.longevity import build_contributions
 from wikiq.pipeline import _history_to_json
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
@@ -187,6 +188,59 @@ class TestParseDump:
         assert [r.author.name for r in page.revisions] == ["A", "B"]
         assert "out of chronological order" in caplog.text
 
+    def test_hidden_revisions_are_dropped_with_one_warning(self, caplog):
+        dump = simple_dump([
+            ("X", 0, 1, [
+                (USER.format("A"), "2011-01-01T00:00:00Z", "a b c"),
+                (USER.format("V"), "2011-01-02T00:00:00Z", "HIDDEN"),
+                (USER.format("W"), "2011-01-03T00:00:00Z", "HIDDEN"),
+                (USER.format("F"), "2011-01-04T00:00:00Z", "a b c d"),
+            ]),
+        ]).getvalue().replace(b"<text>HIDDEN</text>",
+                              b'<text bytes="0" deleted="deleted" />')
+        with caplog.at_level("WARNING"):
+            (page,) = parse_dump(io.BytesIO(dump), BOTS)
+        assert [(r.rev_ordinal, r.author.name, r.tokens) for r in page.revisions] == [
+            (1, "A", ["a", "b", "c"]), (2, "F", ["a", "b", "c", "d"])]
+        assert [r.getMessage() for r in caplog.records] == [
+            "page 'X': 2 revision(s) with hidden text dropped"]
+
+    def test_hidden_revision_gives_the_next_editor_only_their_edit(self):
+        """Author writes 400 words, Vandal's revision is hidden, Fixer adds
+        one word and 10 judges add one each. Read as a blanking, the hidden
+        revision handed Fixer the whole page (Author 320, Fixer 401)."""
+        words = [f"w{i}" for i in range(400)]
+        revs = [("Author", words), ("Vandal", None), ("Fixer", words + ["fix"])]
+        revs += [(f"Judge{k}", words + ["fix"] + [f"j{t}" for t in range(k + 1)])
+                 for k in range(10)]
+        dump = simple_dump([("Page", 0, 1, [
+            (USER.format(name), f"2011-01-{day:02d}T00:00:00Z",
+             "HIDDEN" if toks is None else " ".join(toks))
+            for day, (name, toks) in enumerate(revs, start=1)])])
+        dump = dump.getvalue().replace(b"<text>HIDDEN</text>",
+                                       b'<text deleted="deleted" />')
+        (contribs,) = build_contributions(parse_dump(io.BytesIO(dump), BOTS)).values()
+        assert contribs["Author"] == pytest.approx(400, abs=1)
+        assert contribs["Fixer"] == pytest.approx(1, abs=0.5)
+        assert "Vandal" not in contribs
+
+    def test_deleted_contributor_reads_as_the_anonymous_sentinel(self, caplog):
+        dump = simple_dump([
+            ("X", 0, 1, [('<contributor deleted="deleted" />',
+                          "2011-01-01T00:00:00Z", "t")]),
+        ])
+        with caplog.at_level("WARNING"):
+            (page,) = parse_dump(dump, BOTS)
+        assert page.revisions[0].author == AuthorId(ANONYMOUS_SENTINEL,
+                                                    AuthorKind.ANONYMOUS)
+        assert page.revisions[0].tokens == ["t"]
+        assert "without contributor" in caplog.text
+
+    def test_timestamp_without_zone_reads_as_utc(self):
+        assert _parse_timestamp("2011-01-01T00:00:00") == 1293840000
+        assert (_parse_timestamp("2011-03-03T12:01:00")
+                == _parse_timestamp("2011-03-03T12:01:00Z"))
+
     def test_user_talk_namespace(self):
         dump = simple_dump([
             ("User talk:Alice", 3, 9, [
@@ -314,7 +368,9 @@ class TestParseDump:
 
 
 class _PageAssembler:
-    """Expat callback target that accumulates one page at a time."""
+    """Expat callback target that accumulates one page at a time. A
+    revision whose <text> carries `deleted` is dropped, with one warning
+    per page."""
 
     _CAPTURE = {"title", "ns", "id", "timestamp", "username", "ip", "text"}
 
@@ -330,12 +386,16 @@ class _PageAssembler:
     def start(self, name: str, attrs: dict) -> None:
         self._stack.append(name)
         if name == "page":
-            self._page = {"title": "", "ns": None, "id": None, "revs": []}
+            self._page = {"title": "", "ns": None, "id": None, "revs": [],
+                          "hidden": 0}
         elif name == "revision" and self._page is not None:
-            self._rev = {"timestamp": None, "author": None, "text": ""}
+            self._rev = {"timestamp": None, "author": None, "text": "",
+                         "hidden": False}
         elif name in self._CAPTURE:
             self._capturing = True
             self._text = []
+        if name == "text" and self._rev is not None and "deleted" in attrs:
+            self._rev["hidden"] = True
 
     def chars(self, data: str) -> None:
         if self._capturing:
@@ -371,6 +431,9 @@ class _PageAssembler:
     def _finish_revision(self) -> None:
         rev = self._rev
         self._rev = None
+        if rev["hidden"]:
+            self._page["hidden"] += 1
+            return
         if rev["author"] is None:
             log.warning(
                 "page %r: revision without contributor, treated as anonymous",
@@ -386,6 +449,9 @@ class _PageAssembler:
         self._page = None
         page_id = page["id"] if page["id"] is not None else 0
         revs = page["revs"]
+        if page["hidden"]:
+            log.warning("page %r: %d revision(s) with hidden text dropped",
+                        page["title"], page["hidden"])
         stamps = [r["timestamp"] for r in revs]
         if stamps != sorted(stamps):
             log.warning(

@@ -111,6 +111,18 @@ class TestTalkSignature:
         text = "[[User talk:Alice|talk]] 12:01, 3 March 2011 (UTC)"
         assert list(iter_signatures(tokenize(text))) == ["Alice"]
 
+    @pytest.mark.parametrize("link", ["[[User Alice|Alice]]", "[[User talk Alice]]",
+                                      "[[User]]", "[[User"])
+    def test_user_link_without_colon_has_no_signer(self, link):
+        text = f"{link} 12:01, 3 March 2011 (UTC)"
+        assert list(iter_signatures(tokenize(text))) == []
+
+    @pytest.mark.parametrize("link", ["[[User:|Alice]]", "[[User:]]",
+                                      "[[User talk:|talk]]"])
+    def test_user_link_without_name_has_no_signer(self, link):
+        text = f"{link} 12:01, 3 March 2011 (UTC) [[User:Bob|Bob]] (UTC)"
+        assert list(iter_signatures(tokenize(text))) == ["Bob"]
+
     def test_punctuated_signer_resolves_to_its_one_author(self):
         """A link splits punctuation off a name; the one author who reads as
         the split name is the signer, an exact match wins, and a split name

@@ -1364,6 +1364,24 @@ def test_eval_refuses_when_no_rated_page_has_a_score(tmp_path, capsys, make_corp
         assert (work / "scores.tsv").read_text() == "page_id\tmodel\tscore\n"
 
 
+def test_stub_export_exits_2_with_one_line(tmp_path, capsys):
+    """Synth seed 1 with every text stripped, as in a stub export: ingest
+    refuses it and writes nothing, where every later stage would run on
+    empty pages and exit 0."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    stub = re.sub(r"<text>[^<]*</text>", '<text bytes="0" id="1" />', dump)
+    assert stub.count("<text ") == dump.count("<text>") > 0
+    (tmp_path / "dump.xml").write_text(stub, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(make_config(tmp_path).to_json())
+    assert main(["all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "wikiq: error: dump.xml: no revision has text; a stub export?\n")
+    assert not (tmp_path / "work" / "articles.jsonl").exists()
+    assert not (tmp_path / "work" / "manifest.json").exists()
+
+
 def test_stage_table_is_a_closed_graph():
     """Every input has one producer earlier in the table, and every config
     field but workdir is some stage's config key or names an outside file
