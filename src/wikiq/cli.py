@@ -47,7 +47,7 @@ def _add_stage_options(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_json(Path(args.config).read_text())
+    config = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     overrides = {key: value for key, value in (
         ("workdir", args.workdir), ("network", args.network),
         ("metric", args.metric), ("models", args.model)) if value}
@@ -79,7 +79,8 @@ def build_parser() -> _Parser:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec()
     if args.spec:  # checked like a run config; --seed overrides its seed
-        spec = _from_dict(SynthSpec, json.loads(Path(args.spec).read_text()))
+        text = Path(args.spec).read_text(encoding="utf-8")
+        spec = _from_dict(SynthSpec, json.loads(text))
     spec = dataclasses.replace(spec, seed=args.seed)
     dump, ratings = generate(spec)
     out = Path(args.out)

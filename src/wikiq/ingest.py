@@ -222,10 +222,19 @@ def _parsed(parse, text: str, what: str, title: str):
         raise DumpParseError(f"page {title!r}: {what} {text!r} does not parse") from None
 
 
+def _page_id(text: str) -> int:
+    """A page id: ASCII digits, with whitespace around them. `int` alone
+    would also read `1_0` as 10, signs and other scripts' digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"page id {text!r} is not ASCII digits")
+    return int(digits)
+
+
 def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHistory:
     """The history of one <page> element whose tags carry the prefix `ns`."""
     title = page.findtext(ns + "title", "")
-    page_id = _parsed(int, page.findtext(ns + "id", "0"), "page id", title)
+    page_id = _parsed(_page_id, page.findtext(ns + "id", "0"), "page id", title)
     revs, hidden = [], 0
     for rev in page.iterfind(ns + "revision"):
         stamp = rev.findtext(ns + "timestamp")
@@ -317,7 +326,7 @@ def _quality_class(field: str) -> str:
 
 
 # The title is outside text that nothing reads, so it is taken as written.
-RATINGS = {"page_id": int, "title": tsv.verbatim, "class": _quality_class}
+RATINGS = {"page_id": _page_id, "title": tsv.verbatim, "class": _quality_class}
 
 
 def load_ratings(lines: Iterable[str]) -> dict[int, str]:

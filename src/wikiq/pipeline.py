@@ -43,6 +43,7 @@ import shutil
 import tempfile
 import typing
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple
 
@@ -290,7 +291,7 @@ def _read_histories(fp: IO[str]) -> Iterator[PageHistory]:
 
 def _sort_by_page_id(fp: IO[str]) -> None:
     """Rewrite the JSONL page lines of `fp` in page_id order, from a copy,
-    over the same bytes; pages that share an id keep their order."""
+    over the same bytes; two pages that share an id are refused."""
     fp.flush()
     with tempfile.TemporaryFile(dir=Path(fp.name).parent) as src:
         fp.buffer.seek(0)
@@ -301,6 +302,9 @@ def _sort_by_page_id(fp: IO[str]) -> None:
             index.append((json.loads(line)["page_id"], offset, len(line)))
             offset += len(line)
         index.sort(key=lambda entry: entry[0])
+        for (page_id, _, _), (next_id, _, _) in pairwise(index):
+            if page_id == next_id:
+                raise PipelineError(f"two pages have page id {page_id}")
         fp.buffer.seek(0)
         for _page_id, offset, length in index:
             src.seek(offset)
@@ -315,7 +319,9 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
     costs no memory per page.
 
     A dump with article revisions none of which holds text is refused: a
-    stub export, whose every page would be judged empty."""
+    stub export, whose every page would be judged empty. So are two pages
+    of one namespace with one id: their contributions would merge under
+    it, and one page's rating would score the other's."""
     out = {Namespace.ARTICLE: articles, Namespace.USER_TALK: utp}
     last_id, unordered = {}, set()
     # whether some article revision was read, and whether one held text
@@ -331,7 +337,11 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
             if ns is Namespace.USER_TALK:
                 for rev in page.revisions[:-1]:
                     rev.tokens = []
-            if page.page_id < last_id.get(ns, page.page_id):
+            # page ids are not negative: -1 precedes every one
+            last = last_id.get(ns, -1)
+            if page.page_id == last:
+                raise PipelineError(f"two pages have page id {last}")
+            if page.page_id < last:
                 unordered.add(ns)
             last_id[ns] = page.page_id
             out[ns].write(_history_to_json(page) + "\n")
@@ -620,7 +630,7 @@ def run_stage(stage: str, config: RunConfig) -> None:
     manifest = {}
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise PipelineError(f"{manifest_path}: {exc}") from None
         if not (isinstance(manifest, dict) and all(

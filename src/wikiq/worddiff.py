@@ -13,16 +13,15 @@ every block:
 
 1. Every maximal common run of at least K tokens starts at a shared K-gram
    whose preceding tokens differ; it is extended by slice compares and put
-   in a bucket by its length. Taking the buckets (see below) leaves no
-   free common run of K tokens. Disjoint runs skip the buckets.
+   on a heap. Taking the runs from the heap (see below) leaves no free
+   common run of K tokens.
 2. The free runs left are shorter than K = 3. Two passes over the free
    positions take them, in time linear in those positions and in the
    first pass's hits, which it sorts. Both visit only the free b positions
    whose token is free in a: no other free b position can match.
 
 Phase 1 walks b once and looks up b's K-gram only at the positions j that
-can seed a run; skipping any other position leaves the buckets as they
-were:
+can seed a run; skipping any other position leaves the heap as it was:
 
 - A K-gram holding a token absent from a has no hit. If b[j + K - 1] is
   absent, each of the K-grams at j .. j + K - 1 holds it, so j jumps by K.
@@ -36,49 +35,37 @@ were:
 What phase 1 needs of a depends on a alone: its K-gram index, the `once`
 marks and its token set. The index maps a K-gram that occurs once in a to
 its start, and one that repeats to the ascending list of its starts, each
-listed once, so no run is bucketed twice from one seed. A `Version` builds
+listed once, so no run is pushed twice from one seed. A `Version` builds
 it the first time it is the a side and keeps it, so a version diffed
 against many others is indexed once.
 
-Buckets are taken longest first, each sorted by (a_start, b_start). A run
-whose positions are all still free is maximal among the free runs, and no
-longer free run exists, because every free run lies inside a run that was
-bucketed at least as long; so it is the run the greedy takes next. A run
-that lost positions is split into its maximal free pieces, which go back
-in the shorter buckets. Taking blocks only removes free positions, so the
-result is the greedy's block list, in the greedy's order.
+The heap pops runs longest first, ties to the smallest (a_start, b_start).
+A run that pops with all its positions still free is taken. One that lost
+positions pushes back its maximal free pieces of at least K tokens, each
+shorter than the run. Every free common run of K tokens or more lies in a
+run still on the heap or in the one just popped, and the runs still on
+the heap are at most as long as it and come after it. So a run taken is
+the longest free run, ties to the smallest (a_start, b_start): the run
+the greedy takes next. Taking blocks only removes free positions, so the
+result is the greedy's block list, in the greedy's order. Phase 2 needs a
+free position on both sides, so when the blocks cover a or b it is
+skipped.
 
-Most diffs need no buckets: phase 1 collects its runs as one list of
-(-length, a_start, b_start), and when no two runs share a position in a or
-in b, the runs are the blocks in one sort of that list:
-
-- Taking a run clears only that run's own positions, and disjoint runs
-  share none. So every run is still whole when its turn comes, none is
-  split, and the buckets would take them longest first, ties to the
-  smallest (a_start, b_start): the order of the sort.
-- Phase 1's j never decreases, so the runs arrive in nondecreasing b_start
-  order, and one pass over consecutive runs tells whether any two overlap
-  in b (two runs with the same b_start do). The a check sorts them by
-  a_start first.
-
-Runs that overlap go through the buckets. Either way the free masks of a
-and b are built only if phase 2 has work: it needs a free position on
-both sides, so when the blocks cover a or b it is skipped.
-
-Phase 2 takes what the buckets of the free runs of 2 and of 1 token would
-hold, in the order they would be taken, without building them:
+Phase 2 takes the free runs of 2 and of 1 token that the heap would pop
+if it held every free common run, in the order it would pop them, without
+building it:
 
 - Length 2. No free common run of 3 tokens is left, so a free common
   bigram is a maximal free run, and each maximal free run of 2 tokens is
   one. The free bigrams of a go in a dict, each free bigram of b is looked
   up in it, and the hits are taken in (a_start, b_start) order, each only
-  if its four positions are still free. A hit that lost positions would be
-  split into pieces of 1 token, which the second pass covers.
+  if its four positions are still free. A hit that lost positions would
+  push pieces of 1 token, which the second pass covers.
 - Length 1. A pair (i, j) with a[i] == b[j], both still free after the
   first pass, lay in a maximal free run of 1 or 2 tokens; if of 2, that
-  run was not taken, so the pair is one of its pieces. So the bucket of
-  length 1 holds every such pair (and others no longer free, which it
-  skips), taken in (a_start, b_start) order.
+  run was not taken, so the pair is one of its pieces. So the heap's runs
+  of 1 token hold every such pair (and others no longer free, which it
+  skips), popped in (a_start, b_start) order.
   Taking (i, j) takes a[i], so each free a position, ascending, takes the
   first still-free b position that holds its token: the head of its
   token's ascending queue of free b positions.
@@ -91,6 +78,7 @@ both sides, so its two centers are the same float and its term is 0.0.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress, count, pairwise
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -177,41 +165,6 @@ def _common_tail(a: Sequence[str], b: Sequence[str], head: int) -> int:
     return n
 
 
-def _disjoint(runs: list[tuple[int, int, int]], side: int) -> bool:
-    """Whether no two runs (-length, a_start, b_start), listed in
-    nondecreasing order of their start on `side`, share a position there."""
-    return all(x[side] - x[0] <= y[side] for x, y in pairwise(runs))
-
-
-def _take_runs(buckets: dict[int, list[tuple[int, int]]],
-               a_free: bytearray, b_free: bytearray, blocks: list[Block]) -> None:
-    """Take runs longest first, ties to the smallest (a_start, b_start).
-
-    A run that lost positions to an earlier block is split into its maximal
-    free pieces; each piece of at least K tokens goes back in the bucket of
-    its (shorter) length, which is sorted only when its turn comes.
-    """
-    while buckets:
-        length = max(buckets)
-        starts = buckets.pop(length)
-        starts.sort()
-        for i, j in starts:
-            if a_free.find(0, i, i + length) < 0 and b_free.find(0, j, j + length) < 0:
-                blocks.append(Block(i, j, length))
-                a_free[i:i + length] = bytes(length)
-                b_free[j:j + length] = bytes(length)
-                continue
-            t = 0
-            while t < length:
-                while t < length and not (a_free[i + t] and b_free[j + t]):
-                    t += 1
-                start = t
-                while t < length and a_free[i + t] and b_free[j + t]:
-                    t += 1
-                if t - start >= K:
-                    buckets.setdefault(t - start, []).append((i + start, j + start))
-
-
 def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     """Greedy iterated longest-common-substring block alignment.
 
@@ -228,7 +181,7 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
     # Phase 1: every maximal common run of at least K tokens starts at a
     # shared K-gram whose preceding tokens differ.
     index, once, tokens = a.grams
-    # (-length, a_start, b_start), in nondecreasing order of b_start.
+    # (-length, a_start, b_start)
     runs: list[tuple[int, int, int]] = []
     # b[cj:cend] == a[ci:ci + cend - cj]: the run found so far that reaches
     # furthest into b.
@@ -255,30 +208,34 @@ def match_blocks(a: Sequence[str], b: Sequence[str]) -> list[Block]:
             if j + length > cend:
                 ci, cj, cend = i, j, j + length
         j += 1
-    if _disjoint(runs, 2) and _disjoint(sorted(runs, key=itemgetter(1)), 1):
-        # No run loses a position to another: the runs are the blocks.
-        runs.sort()
-        # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
-        blocks = [tuple.__new__(Block, (i, j, -n)) for n, i, j in runs]
-        matched = -sum(map(itemgetter(0), runs))
-        # Phase 2 needs a free position on both sides.
-        if matched == len(a) or matched == len(b):
-            return blocks
-        a_free = bytearray(b"\x01") * len(a)
-        b_free = bytearray(b"\x01") * len(b)
-        for i, j, length in blocks:
+    # Take the runs longest first, ties to the smallest (a_start, b_start).
+    heapify(runs)
+    a_free = bytearray(b"\x01") * len(a)
+    b_free = bytearray(b"\x01") * len(b)
+    blocks: list[Block] = []
+    while runs:
+        n, i, j = heappop(runs)
+        length = -n
+        if a_free.find(0, i, i + length) < 0 and b_free.find(0, j, j + length) < 0:
+            # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
+            blocks.append(tuple.__new__(Block, (i, j, length)))
             a_free[i:i + length] = bytes(length)
             b_free[j:j + length] = bytes(length)
-    else:
-        a_free = bytearray(b"\x01") * len(a)
-        b_free = bytearray(b"\x01") * len(b)
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for n, i, j in runs:
-            buckets.setdefault(-n, []).append((i, j))
-        blocks = []
-        _take_runs(buckets, a_free, b_free, blocks)
-        if a_free.find(1) < 0 or b_free.find(1) < 0:
-            return blocks
+            continue
+        # It lost positions: its maximal free pieces of K tokens or more
+        # go back on the heap.
+        t = 0
+        while t < length:
+            while t < length and not (a_free[i + t] and b_free[j + t]):
+                t += 1
+            start = t
+            while t < length and a_free[i + t] and b_free[j + t]:
+                t += 1
+            if t - start >= K:
+                heappush(runs, (start - t, i + start, j + start))
+    # Phase 2 needs a free position on both sides.
+    if a_free.find(1) < 0 or b_free.find(1) < 0:
+        return blocks
     # Phase 2: the free runs left are shorter than K = 3.
     free_i = list(compress(range(len(a)), a_free))
     left = set(map(a.__getitem__, free_i))

@@ -1,3 +1,4 @@
+import heapq
 import importlib.util
 import io
 import itertools
@@ -298,13 +299,18 @@ def test_every_token_matched_at_most_once():
         assert a[bl.a_start:bl.a_start + bl.length] == b[bl.b_start:bl.b_start + bl.length]
 
 
+def pushes_a_piece(a, b):
+    """Whether `match_blocks(a, b)` pops a phase-1 run that lost positions
+    and pushes a free piece of it back on the heap."""
+    with mock.patch.object(worddiff, "heappush", wraps=heapq.heappush) as push:
+        blocks = match_blocks(a, b)
+    return push.called, blocks
+
+
 def runs_event(a, b):
-    """Label a hypothesis example by the path `match_blocks(a, b)` takes
-    with phase 1's runs: the buckets of `_take_runs`, or one sort when no
-    two runs overlap."""
-    with mock.patch.object(worddiff, "_take_runs", wraps=worddiff._take_runs) as take:
-        match_blocks(a, b)
-    event("runs overlap" if take.called else "runs disjoint")
+    """Label a hypothesis example by whether a phase-1 run of
+    `match_blocks(a, b)` pushes a piece back on the heap."""
+    event("a run pushes a piece" if pushes_a_piece(a, b)[0] else "no run pushes a piece")
 
 
 def assert_same_as_reference(a, b):
@@ -402,6 +408,24 @@ def duplicated_spans(draw):
 def test_matches_reference_on_duplicated_spans(pair):
     runs_event(*pair)
     assert_same_as_reference(*pair)
+
+
+def test_pushed_piece_waits_between_runs_of_its_length():
+    # Phase 1 finds (0, 5) and (3, 1) of 4 tokens, (2, 5) and (4, 3) of 3.
+    # Taking (0, 5) takes a[3], so (3, 1) pushes its free piece (4, 2) of
+    # 3 tokens, which pops after (2, 5) and before (4, 3).
+    a, b = list("bababbb"), list("aabbbbaba")
+    pushes = []
+
+    def push(heap, run):
+        pushes.append((run, sorted(heap)))
+        heapq.heappush(heap, run)
+
+    with mock.patch.object(worddiff, "heappush", push):
+        blocks = match_blocks(a, b)
+    assert pushes == [((-3, 4, 2), [(-3, 2, 5), (-3, 4, 3)])]
+    assert blocks == [Block(0, 5, 4), Block(4, 2, 3)]
+    assert_same_as_reference(a, b)
 
 
 @given(st.lists(st.sampled_from("abc"), max_size=K - 1),
@@ -713,19 +737,18 @@ def test_phase_two_matches_reference_on_long_history_pairs(monkeypatch):
 
     with mock.patch.object(worddiff, "match_blocks", record):
         build_contributions(pages)
-    short = overlap = 0
+    short = pushed = 0
     for a, b in pairs:
-        with mock.patch.object(worddiff, "_take_runs",
-                               wraps=worddiff._take_runs) as take:
-            blocks = match_blocks(a, b)
-        overlap += take.called
+        push, blocks = pushes_a_piece(a, b)
+        pushed += push
         assert blocks == phase_one_then_reference(a, b)
         short += any(bl.length < K for bl in blocks)
     assert short > len(pairs) // 2
-    # Both ways of taking phase 1's runs are checked here: 499 of the 1,121
-    # pairs with two nonempty sides have overlapping runs, and 622 do not.
+    # Both cases of the heap are checked here: in 71 of the 1,121 pairs
+    # with two nonempty sides a run loses positions and pushes a piece
+    # back, and in 1,050 none does.
     nonempty = sum(bool(a) and bool(b) for a, b in pairs)
-    assert overlap > 100 and nonempty - overlap > 100
+    assert pushed > 20 and nonempty - pushed > 100
 
 
 def test_tuple_and_list_inputs_agree():

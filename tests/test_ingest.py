@@ -257,6 +257,7 @@ class TestParseDump:
 
     @pytest.mark.parametrize("page_id, stamp, bad", [
         ("x12", "2011-03-13T07:41:16Z", "page id 'x12'"),
+        ("1_0", "2011-03-13T07:41:16Z", "page id '1_0'"),
         (7, "bogus2011-03-13T07:41:16+00:00",
          "timestamp 'bogus2011-03-13T07:41:16+00:00'"),
     ])
@@ -738,6 +739,13 @@ class TestRatings:
     def test_unknown_class_rejected(self):
         lines = ["page_id\ttitle\tclass\n", "42\tX\tFL\n"]
         with pytest.raises(RatingsError, match="line 2.*FL"):
+            load_ratings(lines)
+
+    @pytest.mark.parametrize("page_id", ["1_0", "١٠", "-1"])
+    def test_page_id_is_ascii_digits(self, page_id):
+        # `int` reads the first two as 10.
+        lines = ["page_id\ttitle\tclass\n", f"{page_id}\tX\tC\n"]
+        with pytest.raises(RatingsError, match=f"line 2: page id '{page_id}'"):
             load_ratings(lines)
 
     def test_duplicate_page_rejected(self):

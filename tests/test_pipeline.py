@@ -1093,14 +1093,9 @@ def page_id(page: str) -> int:
 
 def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
     """Ingest writes the artifacts of a dump whose pages are out of page_id
-    order as those of the same dump sorted by page id: pages that share an
-    id keep their dump order."""
+    order as those of the same dump sorted by page id."""
     dump, _ratings = generate(SynthSpec(seed=1))
     head, pages, tail = split_pages(dump)
-    articles = [i for i, page in enumerate(pages) if "<ns>0</ns>" in page]
-    shared, other = articles[3], articles[30]
-    pages[other] = pages[other].replace(f"<id>{page_id(pages[other])}</id>",
-                                        f"<id>{page_id(pages[shared])}</id>", 1)
     random.Random(7).shuffle(pages)
     files = {}
     for name, order in (("shuffled", pages), ("sorted", sorted(pages, key=page_id))):
@@ -1119,6 +1114,45 @@ def test_out_of_order_dump_gives_sorted_artifacts(tmp_path):
         assert in_dump != sorted(in_dump)
         lines = files["sorted"][name].decode().splitlines()
         assert [json.loads(line)["page_id"] for line in lines] == sorted(in_dump)
+
+
+REPEATED_ID_DUMP = """<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">
+{pages}</mediawiki>
+"""
+PAGE = """  <page><title>{title}</title><ns>0</ns><id>{page_id}</id>
+    <revision><timestamp>2011-01-0{day}T00:00:00Z</timestamp>
+      <contributor><username>{first}</username></contributor>
+      <text>{title} is a page about {title}</text></revision>
+    <revision><timestamp>2011-01-0{next_day}T00:00:00Z</timestamp>
+      <contributor><username>{second}</username></contributor>
+      <text>{title} is a long page about {title} and more</text></revision>
+  </page>
+"""
+
+
+@pytest.mark.parametrize("order", ["in order", "shuffled"])
+def test_repeated_page_id_exits_2_with_one_line(tmp_path, capsys, order):
+    """Two article pages with id 7, Alpha by Ann and Bob and Beta by Cat and
+    Dan, beside Gamma with id 3, in page id order and out of it: ingest
+    refuses the dump and writes nothing. Read, Alpha's contributions would
+    merge with Beta's under id 7, and Alpha's FA rating would score them."""
+    pages = {"Alpha": (7, "Ann", "Bob"), "Beta": (7, "Cat", "Dan"),
+             "Gamma": (3, "Eve", "Fay")}
+    titles = (["Gamma", "Alpha", "Beta"] if order == "in order"
+              else ["Alpha", "Gamma", "Beta"])
+    dump = REPEATED_ID_DUMP.format(pages="".join(
+        PAGE.format(title=title, page_id=pages[title][0], first=pages[title][1],
+                    second=pages[title][2], day=1 + 2 * k, next_day=2 + 2 * k)
+        for k, title in enumerate(titles)))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(
+        "page_id\ttitle\tclass\n3\tGamma\tStub\n7\tAlpha\tFA\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(make_config(tmp_path).to_json(), encoding="utf-8")
+    assert main(["all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "wikiq: error: two pages have page id 7\n"
+    assert not (tmp_path / "work" / "articles.jsonl").exists()
+    assert not (tmp_path / "work" / "manifest.json").exists()
 
 
 def test_pages_in_other_namespaces_change_no_artifact(tmp_path):
@@ -1875,6 +1909,33 @@ class TestCli:
                                 timeout=60)
         assert result.returncode == 0
         assert result.stdout.startswith("usage: wikiq")
+
+    def test_runs_read_and_write_files_as_utf8(self, tmp_path):
+        """`synth`, with and without `--spec`, and `all` twice, each in a
+        new process under the C locale, where opening a text file without
+        an encoding is an error. The config names a bot `Bøt`, which the C
+        locale's ASCII cannot decode."""
+        env = dict(os.environ, LC_ALL="C",
+                   PYTHONPATH=str(Path(wikiq.__file__).resolve().parents[1]))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dataclasses.asdict(small_spec())), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dump": str(tmp_path / "small" / "dump.xml"),
+            "ratings": str(tmp_path / "small" / "ratings.tsv"),
+            "workdir": str(tmp_path / "work"), "bot_list": ["Bøt"]},
+            ensure_ascii=False), encoding="utf-8")
+        for args in (["synth", "--out", str(tmp_path / "default")],
+                     ["synth", "--spec", str(spec), "--out", str(tmp_path / "small")],
+                     ["all", "--config", str(config)],
+                     ["all", "--config", str(config)]):
+            result = subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-X", "warn_default_encoding",
+                 "-W", "error::EncodingWarning", "-m", "wikiq", *args],
+                capture_output=True, text=True, encoding="utf-8", env=env,
+                timeout=120)
+            assert result.returncode == 0, (args, result.stderr)
+        assert (tmp_path / "work" / "report.tsv").exists()
 
     def test_diff_subcommand(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("the quick brown fox")
