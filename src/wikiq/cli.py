@@ -47,7 +47,7 @@ def _add_stage_options(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8-sig"))
     overrides = {key: value for key, value in (
         ("workdir", args.workdir), ("network", args.network),
         ("metric", args.metric), ("models", args.model)) if value}
@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec()
     if args.spec:  # checked like a run config; --seed overrides its seed
-        text = Path(args.spec).read_text(encoding="utf-8")
+        text = Path(args.spec).read_text(encoding="utf-8-sig")
         spec = _from_dict(SynthSpec, json.loads(text))
     spec = dataclasses.replace(spec, seed=args.seed)
     dump, ratings = generate(spec)
@@ -92,8 +92,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    a = tokenize(Path(args.a).read_text(encoding="utf-8"))
-    b = tokenize(Path(args.b).read_text(encoding="utf-8"))
+    a = tokenize(Path(args.a).read_text(encoding="utf-8-sig"))
+    b = tokenize(Path(args.b).read_text(encoding="utf-8-sig"))
     breakdown = edit_distance(a, b)
     if args.as_json:
         print(json.dumps(breakdown._asdict(), sort_keys=True))

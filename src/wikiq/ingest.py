@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain
 from typing import IO, Iterable, Iterator, Optional
 from xml.etree import ElementTree as ET
 
@@ -254,8 +255,12 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
                     title)
         # stable sort keeps dump order among identical timestamps
         revs.sort(key=lambda rev: rev[0])
-    token_lists = _page_tokens(text for _, _, text in revs)
-    return PageHistory(page_id, title, _namespace_of(page.findtext(ns + "ns"), title), [
+    namespace = _namespace_of(page.findtext(ns + "ns"), title)
+    # only an article's history is diffed
+    older = 0 if namespace is Namespace.ARTICLE else max(len(revs) - 1, 0)
+    token_lists = chain(([] for _ in range(older)),
+                        _page_tokens(text for _, _, text in revs[older:]))
+    return PageHistory(page_id, title, namespace, [
         RevisionRecord(ordinal, author, stamp, tokens)
         for ordinal, ((stamp, author, _), tokens)
         in enumerate(zip(revs, token_lists), start=1)])
@@ -270,7 +275,8 @@ def parse_dump(stream: IO[bytes],
     timestamp reads as 0, a missing title as "", and without <ns> the title
     decides the namespace. An element the export schema allows once per
     parent is read from its first occurrence; a contributor with <ip> and
-    <username> is the ip.
+    <username> is the ip. Every revision of an article carries its tokens;
+    of any other page only the current one does, and the others hold [].
     """
     root = None
     try:

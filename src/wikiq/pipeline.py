@@ -334,9 +334,6 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
             if ns is Namespace.ARTICLE and not text:
                 revisions = revisions or bool(page.revisions)
                 text = any(rev.tokens for rev in page.revisions)
-            if ns is Namespace.USER_TALK:
-                for rev in page.revisions[:-1]:
-                    rev.tokens = []
             # page ids are not negative: -1 precedes every one
             last = last_id.get(ns, -1)
             if page.page_id == last:
@@ -607,11 +604,12 @@ def _parsed(name: str, digest: str, path: Path | str,
             reader: Callable[[IO[str]], object]):
     """What `reader` makes of the file at `path`, whose sha256 `digest`
     run_stage has just checked: the memo's value if it parsed those bytes
-    under that name, else a new parse, which replaces it."""
+    under that name, else a new parse, which replaces it. The file is
+    UTF-8, with or without the BOM an editor may save a ratings file with."""
     if name in _PARSED and _PARSED[name][0] == digest:
         return _PARSED[name][1]
     _PARSED.pop(name, None)  # let the old value go before the new is made
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8-sig") as fp:
         value = reader(fp)
     _PARSED[name] = (digest, value)
     return value

@@ -136,12 +136,15 @@ class DiffBreakdown(NamedTuple):
 
 def _common_run(a: Sequence[str], b: Sequence[str], i: int, j: int) -> int:
     """Length of the common run a[i:], b[j:], found by galloping slice
-    compares and then halving the step."""
+    compares from a 16-element window and then halving the step. When the
+    next window would pass the end, one compare up to the end comes first."""
     limit = min(len(a) - i, len(b) - j)
-    n, step = 0, 1
+    n, step = 0, 16
     while step <= limit - n and a[i + n:i + n + step] == b[j + n:j + n + step]:
         n += step
         step *= 2
+    if step > limit - n and a[i + n:i + limit] == b[j + n:j + limit]:
+        return limit
     while step > 1:
         step //= 2
         if step <= limit - n and a[i + n:i + n + step] == b[j + n:j + n + step]:
@@ -154,10 +157,12 @@ def _common_tail(a: Sequence[str], b: Sequence[str], head: int) -> int:
     `_common_run` finds, galloping backwards from the ends."""
     la, lb = len(a), len(b)
     limit = min(la, lb) - head
-    n, step = 0, 1
+    n, step = 0, 16
     while step <= limit - n and a[la - n - step:la - n] == b[lb - n - step:lb - n]:
         n += step
         step *= 2
+    if step > limit - n and a[la - limit:la - n] == b[lb - limit:lb - n]:
+        return limit
     while step > 1:
         step //= 2
         if step <= limit - n and a[la - n - step:la - n] == b[lb - n - step:lb - n]:

@@ -14,8 +14,8 @@ from wikiq import worddiff
 from wikiq.ingest import Namespace, parse_dump
 from wikiq.longevity import build_contributions
 from wikiq.synth import SynthSpec, generate
-from wikiq.worddiff import (K, Block, DiffBreakdown, Version, edit_distance,
-                            match_blocks, triangle_guard)
+from wikiq.worddiff import (K, Block, DiffBreakdown, Version, _common_run, _common_tail,
+                            edit_distance, match_blocks, triangle_guard)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=30)
 
@@ -755,3 +755,53 @@ def test_tuple_and_list_inputs_agree():
     a = tuple("abcdefgh")
     b = list("xxabcdefghyy")
     assert match_blocks(a, b) == [Block(0, 2, 8)]
+
+
+def brute_run(a, b, i, j):
+    """The first mismatch of a[i:] and b[j:], scanned one element at a time."""
+    n = 0
+    while i + n < len(a) and j + n < len(b) and a[i + n] == b[j + n]:
+        n += 1
+    return n
+
+
+def brute_tail(a, b, head):
+    """The common run that ends a[head:] and b[head:], scanned backwards."""
+    n = 0
+    while n < min(len(a), len(b)) - head and a[-1 - n] == b[-1 - n]:
+        n += 1
+    return n
+
+
+@st.composite
+def planted_runs(draw, tail):
+    """(a, b, i, j): a[i:] and b[j:] start with a common run of a length
+    around the gallop's 16-element window and its doublings. It ends both
+    sides if `tail`, else drawn suffixes follow. As tuples or as str."""
+    n = draw(st.sampled_from((0, 1, 15, 16, 17, 31, 32, 33, 48)))
+    run = draw(st.text("ab", min_size=n, max_size=n))
+    pre_a = draw(st.text("abc", max_size=20))
+    pre_b = pre_a if draw(st.booleans()) else draw(st.text("abc", max_size=20))
+    suffix = st.just("") if tail else st.text("abc", max_size=20)
+    a, b = pre_a + run + draw(suffix), pre_b + run + draw(suffix)
+    if draw(st.booleans()):
+        a, b = tuple(a), tuple(b)
+    return a, b, len(pre_a), len(pre_b)
+
+
+@given(planted_runs(tail=False))
+@settings(max_examples=500)
+def test_common_run_is_the_first_mismatch(case):
+    a, b, i, j = case
+    assert _common_run(a, b, i, j) == brute_run(a, b, i, j)
+    assert _common_run(a, b, 0, 0) == brute_run(a, b, 0, 0)
+
+
+@given(planted_runs(tail=True))
+@settings(max_examples=500)
+def test_common_tail_stays_out_of_the_head(case):
+    a, b, _, _ = case
+    for head in (0, brute_run(a, b, 0, 0)):
+        tail = _common_tail(a, b, head)
+        assert tail == brute_tail(a, b, head)
+        assert head + tail <= min(len(a), len(b))

@@ -6,14 +6,17 @@ import random
 import re
 import sys
 from collections import deque
+from operator import itemgetter
 from typing import IO, Iterator, Optional
+from unittest import mock
+from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile import names
-from wikiq import tsv
+from wikiq import ingest, tsv
 from wikiq.cli import main
 from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           BotConfig, DumpParseError, Namespace, PageHistory,
@@ -21,7 +24,8 @@ from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           _page_tokens, _parse_timestamp, load_ratings, log,
                           make_author, parse_dump, serialize_dump, tokenize)
 from wikiq.longevity import build_contributions
-from wikiq.pipeline import _history_to_json
+from wikiq.pipeline import RunConfig, _history_to_json, run_stage
+from wikiq.synth import SynthSpec, generate
 
 BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
 
@@ -470,11 +474,17 @@ class _PageAssembler:
             )
             for i, rev in enumerate(revs)
         ]
+        namespace = _namespace_of(page["ns"], page["title"])
+        # only an article's history is diffed: any other page keeps the
+        # tokens of its current text alone
+        if namespace is not Namespace.ARTICLE:
+            for record in records[:-1]:
+                record.tokens = []
         self.done.append(
             PageHistory(
                 page_id=page_id,
                 title=page["title"],
-                namespace=_namespace_of(page["ns"], page["title"]),
+                namespace=namespace,
                 revisions=records,
             )
         )
@@ -725,6 +735,86 @@ def test_parsed_page_shares_kept_tokens():
     unshared = sum(sys.getsizeof(r.tokens) + sum(map(sys.getsizeof, r.tokens))
                    for r in page.revisions)
     assert peak < unshared / 2
+
+
+def _kept_texts(raw: bytes) -> list[list[str]]:
+    """Each page's texts that ingest keeps, oldest first: the hidden ones
+    dropped, and the rest in a stable sort by timestamp."""
+    root = ET.fromstring(raw)
+    ns = root.tag[:root.tag.find("}") + 1]
+    pages = []
+    for page in root.iter(ns + "page"):
+        revs = [(_parse_timestamp(rev.findtext(ns + "timestamp")), rev.find(ns + "text"))
+                for rev in page.iter(ns + "revision")]
+        pages.append([text.text or "" for _, text in sorted(revs, key=itemgetter(0))
+                      if "deleted" not in text.attrib])
+    return pages
+
+
+def _talk_dump_with_hidden_last_revision() -> bytes:
+    """A user talk page whose revisions come in shuffled timestamp order
+    and whose latest revision's text is hidden, beside an article and a
+    user page."""
+    rng = random.Random(3)
+    order = list(range(6))
+    rng.shuffle(order)
+    talk = [(USER.format(f"U{k}"), _stamp(k), f"hi [[User:U{k}|U{k}]] {k} {'word ' * k}")
+            for k in order]
+    article = [(USER.format("A"), _stamp(k), f"Rock is {'hard ' * k}stone.")
+               for k in (2, 0, 1)]
+    other = [(USER.format("B"), _stamp(k), f"about me {k}") for k in range(3)]
+    raw = simple_dump([("User talk:Ann", 3, 7, talk), ("Rock", 0, 8, article),
+                       ("User:Ann", 2, 9, other)]).getvalue()
+    hidden = (f"<revision><id>1</id><timestamp>{_stamp(99)}</timestamp>"
+              f"{USER.format('Z')}<text deleted=\"deleted\" /></revision>")
+    return raw.replace(b"</page>", hidden.encode() + b"</page>", 1)
+
+
+@pytest.mark.parametrize("raw", [
+    _talk_dump_with_hidden_last_revision(),
+    generate(SynthSpec(seed=1))[0].encode(),
+], ids=["hidden-last-talk-revision", "synth-seed-1"])
+def test_only_article_pages_keep_every_revisions_tokens(raw):
+    """A page outside the article namespace holds [] on every revision but
+    its current one, the last kept after the sort and the hidden-text drop,
+    whose tokens are `tokenize` of its text. An article page holds every
+    revision's tokens."""
+    pages = list(parse_dump(io.BytesIO(raw), BOTS))
+    kept = _kept_texts(raw)
+    assert len(pages) == len(kept)
+    for page, texts in zip(pages, kept):
+        want = [tokenize(text) for text in texts]
+        if page.namespace is not Namespace.ARTICLE:
+            want[:-1] = [[] for _ in texts[1:]]
+        assert [rev.tokens for rev in page.revisions] == want
+    assert any(page.namespace is Namespace.USER_TALK and len(page.revisions) > 1
+               and page.revisions[-1].tokens for page in pages)
+
+
+def test_ingest_tokenizes_only_the_kept_texts(tmp_path):
+    """ingest hands `_page_tokens` each article revision's text, and of
+    any other page only its current text."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    received = []
+
+    def counting(texts):
+        texts = list(texts)
+        received.append(len(texts))
+        return _page_tokens(texts)
+
+    with mock.patch.object(ingest, "_page_tokens", counting):
+        run_stage("ingest", RunConfig(dump=str(tmp_path / "dump.xml"),
+                                      ratings=str(tmp_path / "ratings.tsv"),
+                                      workdir=str(tmp_path / "work")))
+    pages = list(parse_dump(io.BytesIO(dump.encode())))
+    articles = sum(len(page.revisions) for page in pages
+                   if page.namespace is Namespace.ARTICLE)
+    others = sum(bool(page.revisions) for page in pages
+                 if page.namespace is not Namespace.ARTICLE)
+    assert sum(received) == articles + others
+    assert articles + others < sum(len(page.revisions) for page in pages)
 
 
 class TestRatings:

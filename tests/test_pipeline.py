@@ -1954,3 +1954,34 @@ class TestCli:
             '"moved_mass": 3.1999999999999997}\n')
         assert main(args) == 0
         assert capsys.readouterr().out == "I=0 D=0 M=3.2 d=3.2\n"
+
+    def test_user_files_may_start_with_a_bom(self, corpus, capsys):
+        """A UTF-8 BOM, which some editors save, is not part of a diff
+        input, a synth spec, a ratings file or a config."""
+        bom = "\ufeff"
+        (corpus / "a.txt").write_text("the quick brown fox", encoding="utf-8")
+        (corpus / "b.txt").write_text(bom + "the quick brown fox", encoding="utf-8")
+        assert main(["diff", str(corpus / "a.txt"), str(corpus / "b.txt")]) == 0
+        assert capsys.readouterr().out == "I=0 D=0 M=0 d=0\n"
+        spec = json.dumps(dataclasses.asdict(small_spec()))
+        for name, text in (("plain", spec), ("bom", bom + spec)):
+            (corpus / f"{name}.json").write_text(text, encoding="utf-8")
+            assert main(["synth", "--spec", str(corpus / f"{name}.json"),
+                         "--out", str(corpus / name)]) == 0
+        assert ((corpus / "plain" / "dump.xml").read_bytes()
+                == (corpus / "bom" / "dump.xml").read_bytes())
+        ratings = corpus / "bom-ratings.tsv"
+        ratings.write_text(bom + (corpus / "ratings.tsv").read_text(encoding="utf-8"),
+                           encoding="utf-8")
+        bom_config = corpus / "bom-config.json"
+        bom_config.write_text(bom + dataclasses.replace(
+            make_config(corpus), workdir=str(corpus / "bom-config")).to_json(),
+            encoding="utf-8")
+        for config in (self.write_config(corpus),
+                       self.write_config(corpus, "bom-ratings.json", ratings=str(ratings),
+                                         workdir=str(corpus / "bom-ratings")),
+                       bom_config):
+            assert main(["all", "--config", str(config)]) == 0
+        report = (corpus / "work" / "report.tsv").read_bytes()
+        for workdir in ("bom-ratings", "bom-config"):
+            assert (corpus / workdir / "report.tsv").read_bytes() == report
