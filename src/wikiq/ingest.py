@@ -51,6 +51,12 @@ class Namespace(Enum):
     OTHER = "other"
 
 
+# Each namespace's <ns> code; parse_dump reads any other code as OTHER.
+NAMESPACE_CODES = {Namespace.ARTICLE: "0", Namespace.USER_TALK: "3", Namespace.OTHER: "2"}
+_NAMESPACE_OF_CODE = {code: namespace for namespace, code in NAMESPACE_CODES.items()}
+USER_TALK = "User talk:"  # the title prefix of a user talk page
+
+
 @dataclass(frozen=True)
 class AuthorId:
     name: str
@@ -83,9 +89,6 @@ class BotConfig:
 
 class DumpParseError(ValueError):
     """Malformed dump XML; the CLI reports every ValueError with exit code 2."""
-
-
-RatingsError = tsv.TsvError  # a bad ratings file is a malformed TSV file
 
 
 # Words stay whole, punctuation splits off as single-char tokens, and the
@@ -163,20 +166,16 @@ def _is_ip(name: str) -> bool:
     return True
 
 
-def classify_author(name: str, bot_config: BotConfig) -> AuthorKind:
-    """Classify a canonical username. Pure function of (name, bot config)."""
-    if _is_ip(name):
-        return AuthorKind.ANONYMOUS
-    if name in bot_config.names:
-        return AuthorKind.BOT
-    if bot_config.suffix_heuristic and name.lower().endswith("bot"):
-        return AuthorKind.BOT
-    return AuthorKind.REGISTERED
-
-
 def make_author(raw_name: str, bot_config: BotConfig) -> AuthorId:
+    """The canonical username, classified: an IP, then a listed bot, then a
+    'bot' suffix under the heuristic. Pure function of (name, bot config)."""
     name = canonical_name(raw_name)
-    return AuthorId(name=name, kind=classify_author(name, bot_config))
+    if _is_ip(name):
+        return AuthorId(name, AuthorKind.ANONYMOUS)
+    if name in bot_config.names or (
+            bot_config.suffix_heuristic and name.lower().endswith("bot")):
+        return AuthorId(name, AuthorKind.BOT)
+    return AuthorId(name, AuthorKind.REGISTERED)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -188,13 +187,8 @@ def _parse_timestamp(text: str) -> int:
 
 def _namespace_of(ns_value: Optional[str], title: str) -> Namespace:
     if ns_value is not None:
-        ns_value = ns_value.strip()
-        if ns_value == "0":
-            return Namespace.ARTICLE
-        if ns_value == "3":
-            return Namespace.USER_TALK
-        return Namespace.OTHER
-    if title.startswith("User talk:"):
+        return _NAMESPACE_OF_CODE.get(ns_value.strip(), Namespace.OTHER)
+    if title.startswith(USER_TALK):
         return Namespace.USER_TALK
     if ":" in title.split(" ", 1)[0]:
         return Namespace.OTHER
@@ -297,11 +291,10 @@ def _xml_escape(s: str) -> str:
 def serialize_dump(histories: Iterable[PageHistory]) -> str:
     """Re-emit histories as a minimal MediaWiki export (fixture round-trips)."""
     out = ['<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">']
-    ns_code = {Namespace.ARTICLE: "0", Namespace.USER_TALK: "3", Namespace.OTHER: "2"}
     for page in histories:
         out.append("  <page>")
         out.append(f"    <title>{_xml_escape(page.title)}</title>")
-        out.append(f"    <ns>{ns_code[page.namespace]}</ns>")
+        out.append(f"    <ns>{NAMESPACE_CODES[page.namespace]}</ns>")
         out.append(f"    <id>{page.page_id}</id>")
         for rev in page.revisions:
             stamp = datetime.fromtimestamp(rev.timestamp, tz=timezone.utc)
@@ -340,6 +333,6 @@ def load_ratings(lines: Iterable[str]) -> dict[int, str]:
     ratings: dict[int, str] = {}
     for page_id, _title, cls in tsv.read_rows(lines, RATINGS):
         if page_id in ratings:
-            raise RatingsError(f"{tsv.source(lines)}: duplicate page_id {page_id}")
+            raise tsv.TsvError(f"{tsv.source(lines)}: duplicate page_id {page_id}")
         ratings[page_id] = cls
     return ratings

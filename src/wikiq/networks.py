@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import IO, Callable, Iterable, Optional, Sequence
 
 from . import tsv
-from .ingest import AuthorKind, PageHistory, canonical_name, tokenize
+from .ingest import USER_TALK, AuthorKind, PageHistory, canonical_name, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -50,13 +51,18 @@ def build_coauthor(selections: Iterable[Iterable[str]]) -> AuthorGraph:
 
 
 def utp_owner(title: str) -> Optional[str]:
-    if not title.startswith("User talk:"):
+    if not title.startswith(USER_TALK):
         return None
-    owner = title[len("User talk:"):].split("/", 1)[0]
+    owner = title[len(USER_TALK):].split("/", 1)[0]
     return canonical_name(owner) or None
 
 
 _TIMESTAMP_TOKENS = ("(", "UTC", ")")
+
+
+def signed_name(tokens: Sequence[str]) -> str:
+    """The name a signature's link spells with these tokens of it."""
+    return canonical_name(" ".join(tokens[:NAME_TOKENS]))
 
 
 def iter_signatures(tokens: Sequence[str]) -> Iterable[str]:
@@ -88,40 +94,47 @@ def iter_signatures(tokens: Sequence[str]) -> Iterable[str]:
         end = min(n - 2, k + SIGNATURE_WINDOW)
         for t in range(k, end):
             if (tokens[t], tokens[t + 1], tokens[t + 2]) == _TIMESTAMP_TOKENS:
-                yield canonical_name(" ".join(name_toks))
+                yield signed_name(name_toks)
                 break
         i = k + 1
 
 
 def _talk_graph(kind: str, utp_pages: Iterable[PageHistory],
-                senders: Callable[[PageHistory], Iterable[str]]) -> AuthorGraph:
+                senders: Callable[[PageHistory, list[str]], Iterable[str]]) -> AuthorGraph:
     """Directed net with an edge from each sender on a user talk page to
-    its owner, the owner excluded."""
+    its owner, the owner excluded. `senders` gets the page and the author of
+    each of its non-anonymous revisions: neither net counts an anonymous
+    revision, so a page that only anonymous editors touched adds no node."""
     g = AuthorGraph(kind=kind, directed=True)
     for page in utp_pages:
         owner = utp_owner(page.title)
         if owner is None:
             log.warning("not a user-talk title, skipped: %r", page.title)
             continue
-        g.nodes.add(owner)
-        for sender in senders(page):
+        editors = [rev.author.name for rev in page.revisions
+                   if rev.author.kind is not AuthorKind.ANONYMOUS]
+        if editors:
+            g.nodes.add(owner)
+        for sender in senders(page, editors):
             if sender != owner:
                 g.add_edge(sender, owner)
     return g
 
 
 def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
-    """Directed talk net parsed from signatures on the current UTP version."""
-    return _talk_graph("talk_signature", utp_pages, lambda page: iter_signatures(
-        page.revisions[-1].tokens) if page.revisions else ())
+    """Directed talk net parsed from signatures on the current UTP version.
+    A signer counts at most as often as it edited the page, spelled as a
+    signature spells it, so no one else's edit can sign for it."""
+    return _talk_graph("talk_signature", utp_pages, lambda page, editors: (
+        Counter(iter_signatures(page.revisions[-1].tokens))
+        & Counter(signed_name(tokenize(name)) for name in editors)
+    ).elements() if editors else ())
 
 
 def build_talk_history(utp_histories: Iterable[PageHistory]) -> AuthorGraph:
     """Directed talk net counting every registered non-owner revision of a
     user talk page as one message to the owner."""
-    return _talk_graph("talk_history", utp_histories, lambda page: (
-        rev.author.name for rev in page.revisions
-        if rev.author.kind is not AuthorKind.ANONYMOUS))
+    return _talk_graph("talk_history", utp_histories, lambda page, editors: editors)
 
 
 def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
@@ -132,7 +145,7 @@ def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
     keeps its name."""
     spelled: dict[str, Optional[str]] = {}
     for author in authors:
-        signed = canonical_name(" ".join(tokenize(author)[:NAME_TOKENS]))
+        signed = signed_name(tokenize(author))
         spelled[signed] = None if signed in spelled else author  # None: two sign alike
     out = AuthorGraph(g.kind, g.directed, set(g.nodes))
     for (src, dst), weight in g.edges.items():

@@ -281,12 +281,11 @@ def _read_histories(fp: IO[str]) -> Iterator[PageHistory]:
     """Decode a JSONL artifact one page at a time; a line that does not
     decode is a ValueError naming the file and line."""
     for number, line in enumerate(fp, start=1):
-        if line.strip():
-            try:
-                page = _history_from_json(line)
-            except ValueError as exc:
-                raise ValueError(f"{Path(fp.name).name}: line {number}: {exc}") from None
-            yield page
+        try:
+            page = _history_from_json(line)
+        except ValueError as exc:
+            raise ValueError(f"{Path(fp.name).name}: line {number}: {exc}") from None
+        yield page
 
 
 def _sort_by_page_id(fp: IO[str]) -> None:
@@ -657,6 +656,8 @@ def run_stage(stage: str, config: RunConfig) -> None:
     if stale is None:
         log.info("stage %s skipped in %s: up to date", stage, root)
         return
+    for name in spec.outputs:  # about to be rewritten, so never read again
+        _PARSED.pop(name, None)
     root.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
         files = {}

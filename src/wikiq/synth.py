@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import tsv
-from .ingest import (QUALITY_CLASSES, RATINGS, AuthorId, AuthorKind,
+from .ingest import (QUALITY_CLASSES, RATINGS, USER_TALK, AuthorId, AuthorKind,
                      Namespace, PageHistory, RevisionRecord, serialize_dump,
                      tokenize)
 
@@ -52,12 +52,8 @@ class SynthSpec:
                     f"(one of {', '.join(QUALITY_CLASSES)})")
 
 
-def _word(rng: random.Random) -> str:
-    return f"w{rng.randrange(200_000)}"
-
-
 def _fresh_words(rng: random.Random, n: int) -> list[str]:
-    return [_word(rng) for _ in range(n)]
+    return [f"w{rng.randrange(200_000)}" for _ in range(n)]
 
 
 class _Corpus:
@@ -206,7 +202,7 @@ class _Corpus:
                 bot = rng.choice(self.bots)
                 text = text + _fresh_words(rng, 2)
                 revisions.append((self._author(bot, AuthorKind.BOT), list(text)))
-            self._add_page(f"User talk:{owner}", Namespace.USER_TALK, revisions)
+            self._add_page(f"{USER_TALK}{owner}", Namespace.USER_TALK, revisions)
 
 
 def generate(spec: SynthSpec | None = None) -> tuple[str, str]:

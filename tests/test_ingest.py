@@ -20,7 +20,7 @@ from wikiq import ingest, tsv
 from wikiq.cli import main
 from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
                           BotConfig, DumpParseError, Namespace, PageHistory,
-                          RatingsError, RevisionRecord, _is_ip, _namespace_of,
+                          RevisionRecord, _is_ip, _namespace_of,
                           _page_tokens, _parse_timestamp, load_ratings, log,
                           make_author, parse_dump, serialize_dump, tokenize)
 from wikiq.longevity import build_contributions
@@ -145,6 +145,68 @@ def reference_is_ip(name):
 def test_is_ip_matches_ipaddress(name):
     # U+0663, U+0967 and U+FF11 are non-ASCII digits
     assert _is_ip(name) == reference_is_ip(name)
+
+
+def reference_classify_author(name, bot_config):
+    """The kind of a canonical username, as a classifier of its own."""
+    if reference_is_ip(name):
+        return AuthorKind.ANONYMOUS
+    if name in bot_config.names:
+        return AuthorKind.BOT
+    if bot_config.suffix_heuristic and name.lower().endswith("bot"):
+        return AuthorKind.BOT
+    return AuthorKind.REGISTERED
+
+
+def reference_make_author(raw_name, bot_config):
+    name = ingest.canonical_name(raw_name)
+    return AuthorId(name=name, kind=reference_classify_author(name, bot_config))
+
+
+_IPV4 = st.tuples(*[st.integers(0, 255)] * 4).map(lambda t: ".".join(map(str, t)))
+_IPV6 = st.ip_addresses(v=6).map(str).flatmap(
+    lambda ip: st.sampled_from((ip, ip.upper(), f"{ip}%eth0", f"{ip}%1", f"{ip}%")))
+_BOT_NAMES = ("tidy_monkey", "Tidy monkey", " Tidy monkey ", "Tidy  monkey", "tidy monkey")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.builds(lambda a, b, c: a + b + c,
+                 st.sampled_from(("", " ", "_", "Smack", "smack_", "1.2.3.4")),
+                 _IPV4 | _IPV6 | st.sampled_from(_BOT_NAMES) | names,
+                 st.sampled_from(("", " ", "_", "bot", "Bot", "BOT", "bot ", "_bot"))),
+       st.booleans())
+def test_make_author_matches_reference(raw_name, suffix_heuristic):
+    config = BotConfig(names=BOTS.names, suffix_heuristic=suffix_heuristic)
+    assert make_author(raw_name, config) == reference_make_author(raw_name, config)
+
+
+def reference_namespace_of(ns_value, title):
+    """A page's namespace, as an if-chain over the literal <ns> codes."""
+    if ns_value is not None:
+        ns_value = ns_value.strip()
+        if ns_value == "0":
+            return Namespace.ARTICLE
+        if ns_value == "3":
+            return Namespace.USER_TALK
+        return Namespace.OTHER
+    if title.startswith("User talk:"):
+        return Namespace.USER_TALK
+    if ":" in title.split(" ", 1)[0]:
+        return Namespace.OTHER
+    return Namespace.ARTICLE
+
+
+_PADS = st.sampled_from(("", " ", "\n\t", "\u3000"))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.none() | st.just("") | st.sampled_from(("+3", "3.0", "\u0663", "03", "User talk"))
+       | st.builds(lambda a, code, b: f"{a}{code}{b}", _PADS, st.integers(0, 15), _PADS),
+       st.builds(str.__add__, st.sampled_from(
+           ("", "User talk:", "User talk: ", "user talk:", "User talk", "Talk:",
+            "Wikipedia:A b", "A b:", " Plain", "Plain ")), names))
+def test_namespace_of_matches_reference(ns_value, title):
+    assert _namespace_of(ns_value, title) == reference_namespace_of(ns_value, title)
 
 
 class TestParseDump:
@@ -423,7 +485,7 @@ class _PageAssembler:
             if name == "timestamp" and parent == "revision":
                 self._rev["timestamp"] = _parse_timestamp(text)
             elif name == "username" and parent == "contributor":
-                self._rev["author"] = make_author(text, self.bot_config)
+                self._rev["author"] = reference_make_author(text, self.bot_config)
             elif name == "ip" and parent == "contributor":
                 self._rev["author"] = AuthorId(text.strip(), AuthorKind.ANONYMOUS)
             elif name == "text" and parent == "revision":
@@ -474,7 +536,7 @@ class _PageAssembler:
             )
             for i, rev in enumerate(revs)
         ]
-        namespace = _namespace_of(page["ns"], page["title"])
+        namespace = reference_namespace_of(page["ns"], page["title"])
         # only an article's history is diffed: any other page keeps the
         # tokens of its current text alone
         if namespace is not Namespace.ARTICLE:
@@ -828,19 +890,19 @@ class TestRatings:
 
     def test_unknown_class_rejected(self):
         lines = ["page_id\ttitle\tclass\n", "42\tX\tFL\n"]
-        with pytest.raises(RatingsError, match="line 2.*FL"):
+        with pytest.raises(tsv.TsvError, match="line 2.*FL"):
             load_ratings(lines)
 
     @pytest.mark.parametrize("page_id", ["1_0", "١٠", "-1"])
     def test_page_id_is_ascii_digits(self, page_id):
         # `int` reads the first two as 10.
         lines = ["page_id\ttitle\tclass\n", f"{page_id}\tX\tC\n"]
-        with pytest.raises(RatingsError, match=f"line 2: page id '{page_id}'"):
+        with pytest.raises(tsv.TsvError, match=f"line 2: page id '{page_id}'"):
             load_ratings(lines)
 
     def test_duplicate_page_rejected(self):
         lines = ["page_id\ttitle\tclass\n", "1\tX\tC\n", "1\tY\tB\n"]
-        with pytest.raises(RatingsError, match="duplicate"):
+        with pytest.raises(tsv.TsvError, match="duplicate"):
             load_ratings(lines)
 
     def test_histogram_matches_independent_recount(self):

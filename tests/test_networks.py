@@ -85,10 +85,29 @@ class TestTalkSignature:
         assert not g.edges
 
     def test_stale_signature_points_to_old_name(self):
-        # a renamed user's old signature still credits the stale name
-        page = utp("Bob", [("NewName", AuthorKind.REGISTERED, signed("OldName"))])
+        # a renamed user's old signature still credits the stale name, as
+        # often as the stale name edited the page; the new name's own edits
+        # cannot sign for it
+        page = utp("Bob", [("OldName", AuthorKind.REGISTERED, signed("OldName")),
+                           ("NewName", AuthorKind.REGISTERED, signed("OldName"))])
         g = build_talk_signature([page])
         assert g.edges == {("OldName", "Bob"): 1}
+        page = utp("Bob", [("NewName", AuthorKind.REGISTERED, signed("OldName"))])
+        assert not build_talk_signature([page]).edges
+
+    def test_signer_counts_at_most_as_often_as_it_edited(self):
+        # Alice signs three times in one revision; an anonymous revision
+        # signs as Carol, who never edited the page, and as Alice again
+        page = utp("Bob", [
+            ("Alice", AuthorKind.REGISTERED, " ".join([signed("Alice")] * 3)),
+            ("10.0.0.1", AuthorKind.ANONYMOUS, signed("Carol") + " " + signed("Alice")),
+        ])
+        assert build_talk_signature([page]).edges == {("Alice", "Bob"): 1}
+
+    def test_page_only_anonymous_editors_touched_adds_no_node(self):
+        page = utp("Bob", [("10.0.0.1", AuthorKind.ANONYMOUS, signed("Alice"))])
+        for build in (build_talk_signature, build_talk_history):
+            assert not build([page]).nodes
 
     def test_unsigned_message_not_counted(self):
         page = utp("Bob", [("Alice", AuthorKind.REGISTERED, "drive-by note")])
@@ -128,7 +147,7 @@ class TestTalkSignature:
         the split name is the signer, an exact match wins, and a split name
         that two authors read as stays as signed."""
         signers = ["Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "A-B", "Own-er"]
-        page = utp("Own-er", [("X", AuthorKind.REGISTERED, signed(name))
+        page = utp("Own-er", [(name, AuthorKind.REGISTERED, signed(name))
                               for name in signers])
         g = build_talk_signature([page])
         assert ("Jean - Luc", "Own-er") in g.edges

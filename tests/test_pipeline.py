@@ -19,14 +19,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wikiq
+from forgery import forge_talk_page
 from wikiq import networks, pipeline
 from wikiq.centrality import ConvergenceError
 from wikiq.cli import main
+from wikiq.evaluation import build_ranking
 from wikiq.ingest import (AuthorId, AuthorKind, DumpParseError, Namespace,
-                          PageHistory, RevisionRecord, parse_dump)
+                          PageHistory, RevisionRecord, load_ratings, parse_dump)
 from wikiq.longevity import SelectionParams, build_contributions, select_all
 from wikiq.pipeline import (ARTIFACTS, STAGE_TABLE, STAGES, PipelineError,
                             RunConfig, run_all, run_stage)
+from wikiq.quality import read_scores
 from wikiq.synth import SynthSpec, generate
 
 
@@ -737,6 +740,25 @@ def test_grid_parses_each_artifact_content_once(corpus, monkeypatch):
     assert calls == ["read_selections", "read_edge_list"]
 
 
+def test_a_stage_that_runs_lets_go_of_its_outputs_parses(tmp_path, monkeypatch):
+    """Every grid cell rewrites centrality.tsv and scores.tsv, so the memo
+    drops a stage's outputs once the stage is to run: their old parses
+    would never be read again."""
+    monkeypatch.setattr(pipeline, "_PARSED", {})
+    dump, ratings = generate(SynthSpec(seed=1))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    cfg = make_config(tmp_path)
+    run_all(cfg)
+    assert {"centrality.tsv", "scores.tsv"} <= pipeline._PARSED.keys()
+    cell = dataclasses.replace(cfg, metric="degree")
+    for stage in ("net", "centrality"):
+        run_stage(stage, cell)
+    assert "centrality.tsv" not in pipeline._PARSED
+    run_stage("score", cell)
+    assert "scores.tsv" not in pipeline._PARSED
+
+
 def test_moved_corpus_and_workdir_give_identical_bytes(tmp_path, monkeypatch):
     """The same corpus run through `all` with absolute paths from two
     directories of different path lengths leaves byte-identical work
@@ -1268,6 +1290,30 @@ def test_each_artifact_name_is_declared_once():
     assert not found, f"artifact names outside STAGE_TABLE: {found}"
 
 
+def test_package_imports_only_the_stdlib():
+    """The runtime needs nothing outside the standard library: each module
+    that `src/wikiq/*.py` imports is a stdlib module or the package."""
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "wikiq"
+    allowed = sys.stdlib_module_names | {"wikiq"}
+    imported, outside = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["wikiq" if node.level else node.module]
+            else:
+                continue
+            for module in modules:
+                imported.add(module.split(".")[0])
+                if module.split(".")[0] not in allowed:
+                    outside.append(f"{path.name}:{node.lineno}: {module}")
+    assert {"json", "xml", "wikiq"} <= imported
+    assert not outside, f"imports outside the stdlib: {outside}"
+
+
 def test_ingest_and_contrib_memory_does_not_grow_with_page_count(tmp_path):
     """Ingest and contrib hold one page at a time. Over 1,000 tiny pages
     the tracemalloc peak of each stage is 1.9 MB, about 1 MB of which is
@@ -1325,14 +1371,18 @@ def test_signers_with_punctuated_names_keep_their_edges(tmp_path):
         f"<contributor><username>{name}</username></contributor>"
         f"<text>{' '.join(f'w{k}' for k in range(20 * (n + 1)))}</text></revision>"
         for n, name in enumerate(authors + ["Zed", "Zed"]))
-    signed = " ".join(f"hi [[User:{name}|{name}]] 12:01, 3 March 2011 (UTC)"
-                      for name in authors[:2])
+    signatures = [f"hi [[User:{name}|{name}]] 12:01, 3 March 2011 (UTC)"
+                  for name in authors[:2]]
+    # each signer's own revision adds its signature
+    talk = "".join(
+        f"<revision><timestamp>2011-02-0{n + 1}T00:00:00Z</timestamp>"
+        f"<contributor><username>{name}</username></contributor>"
+        f"<text>{' '.join(signatures[:n + 1])}</text></revision>"
+        for n, name in enumerate(authors[:2]))
     (tmp_path / "dump.xml").write_text(
         "<mediawiki><page><title>Stone Age</title><ns>0</ns><id>1</id>"
         f"{revisions}</page><page><title>User talk:Owner</title><ns>3</ns>"
-        "<id>2</id><revision><timestamp>2011-02-01T00:00:00Z</timestamp>"
-        "<contributor><username>Zed</username></contributor>"
-        f"<text>{signed}</text></revision></page></mediawiki>", encoding="utf-8")
+        f"<id>2</id>{talk}</page></mediawiki>", encoding="utf-8")
     cfg = dataclasses.replace(make_config(tmp_path), network="talk-sig")
     for stage in ("ingest", "contrib", "select", "net"):
         run_stage(stage, cfg)
@@ -1341,6 +1391,46 @@ def test_signers_with_punctuated_names_keep_their_edges(tmp_path):
     edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
     assert edges.splitlines()[1:] == ["src\tdst\tweight", "Jean-Luc\tOwner\t1",
                                       "O'Brien\tOwner\t1"]
+
+
+def _talk_pagerank_ranks(root: Path, dump: str, ratings: str, page_id: int) -> dict:
+    """The page's rank under each talk network's two PageRank models, after
+    running the corpus in `root`."""
+    root.mkdir()
+    (root / "dump.xml").write_text(dump, encoding="utf-8")
+    (root / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    labels = load_ratings(io.StringIO(ratings))
+    ranks = {}
+    for network in ("talk-sig", "talk-hist"):
+        cfg = dataclasses.replace(make_config(root), network=network)
+        for stage in ("ingest", "contrib", "select", "net", "centrality", "score"):
+            run_stage(stage, cfg)
+        with open(root / "work" / "scores.tsv", encoding="utf-8") as fp:
+            scores = read_scores(fp)
+        for model in ("cen_pagerank", "com_pagerank"):
+            ranking = [page.page_id for page in build_ranking(scores[model], labels)]
+            ranks[network, model] = ranking.index(page_id) + 1
+    return ranks
+
+
+def test_forged_talk_page_moves_no_rank(tmp_path):
+    """Writer49 is the first selected author of Stub page 153 of synth seed
+    1, and has no talk page. One anonymous revision creates it with 60
+    signatures of other selected authors. Talk-sig, counting every
+    signature, then ranked the page 1st under com_pagerank and 2nd under
+    cen_pagerank, up from 75th under both. A signer now counts at most as
+    often as it edited the page, so no rank moves under either network."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    clean = _talk_pagerank_ranks(tmp_path / "clean", dump, ratings, 153)
+    assert clean == {("talk-sig", "cen_pagerank"): 75, ("talk-sig", "com_pagerank"): 75,
+                     ("talk-hist", "cen_pagerank"): 73, ("talk-hist", "com_pagerank"): 60}
+    with open(tmp_path / "clean" / "work" / "selection.tsv", encoding="utf-8") as fp:
+        selection = pipeline.read_selections(fp)
+    owner = next(iter(selection[153]))
+    signers = sorted({a for authors in selection.values() for a in authors} - {owner})
+    assert owner == "Writer49" and f"User talk:{owner}" not in dump
+    forged = forge_talk_page(dump, owner, signers[:60])
+    assert _talk_pagerank_ranks(tmp_path / "forged", forged, ratings, 153) == clean
 
 
 def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
@@ -1885,6 +1975,15 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(
             f"wikiq: error: articles.jsonl: line 2: {message}")
         assert not (work / "contributions.tsv").exists()
+
+    def test_blank_history_line_does_not_decode(self, tmp_path):
+        """No writer emits a blank JSONL line, so one fails like any other
+        line that does not decode."""
+        path = tmp_path / "utp.jsonl"
+        path.write_text("\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fp, pytest.raises(
+                ValueError, match="^utp.jsonl: line 1: "):
+            list(pipeline._read_histories(fp))
 
     def test_ratings_title_with_backslash(self, corpus):
         ratings = corpus / "ratings.tsv"
