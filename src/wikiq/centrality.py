@@ -21,7 +21,6 @@ two differ). The tests keep the name-keyed kernels as a differential oracle.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ from typing import IO, Iterable
 
 from . import tsv
 from .networks import AuthorGraph
-
-log = logging.getLogger(__name__)
 
 CENTRALITY = {"author": str, "score": float}
 
@@ -76,7 +73,7 @@ def degree(g: AuthorGraph) -> CentralityTable:
     """Unweighted degree: in- plus out-edges. An undirected edge is stored
     once per pair and no edge is a self-loop, so that is the neighbour count."""
     ends = Counter(chain.from_iterable(g.edges))
-    return CentralityTable("degree", g.kind, {n: float(ends[n]) for n in g.nodes})
+    return CentralityTable("degree", g.kind, {n: float(k) for n, k in ends.items()})
 
 
 def _closed_twins(succ: list[list[int]]) -> list[int]:
@@ -167,10 +164,6 @@ def eigenvector(g: AuthorGraph, tol: float = 1e-10,
     if not g.nodes:
         raise ValueError("empty graph")
     order, nbrs = _indexed(g, symmetrize=True)
-    if not g.edges:
-        log.warning("eigenvector centrality on an edgeless graph: all zeros")
-        return CentralityTable("eigenvector", g.kind, {n: 0.0 for n in order},
-                               {"tol": tol})
     index = [m for row in nbrs for m, _ in row]
     weight = [w for row in nbrs for _, w in row]
     # the extra index keeps the gather a tuple on a one-entry graph; no row reads it

@@ -8,6 +8,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations
 from typing import IO, Callable, Iterable, Optional, Sequence
 
@@ -25,16 +26,19 @@ EDGES = {"src": str, "dst": str, "weight": int}
 class AuthorGraph:
     kind: str  # coauthor | talk_signature | talk_history
     directed: bool
-    nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    @property
+    def nodes(self) -> frozenset[str]:
+        """A network's nodes are its edges' endpoints: an author with no
+        edge has no relation for a centrality to measure."""
+        return frozenset(chain.from_iterable(self.edges))
 
     def add_edge(self, src: str, dst: str, weight: int = 1) -> None:
         if src == dst:
             return
         if not self.directed and src > dst:
             src, dst = dst, src
-        self.nodes.add(src)
-        self.nodes.add(dst)
         self.edges[(src, dst)] = self.edges.get((src, dst), 0) + weight
 
 
@@ -43,9 +47,7 @@ def build_coauthor(selections: Iterable[Iterable[str]]) -> AuthorGraph:
     number of co-authored pages."""
     g = AuthorGraph(kind="coauthor", directed=False)
     for selected in selections:
-        authors = sorted(set(selected))
-        g.nodes.update(authors)
-        for a, b in combinations(authors, 2):
+        for a, b in combinations(sorted(set(selected)), 2):
             g.add_edge(a, b)
     return g
 
@@ -104,7 +106,7 @@ def _talk_graph(kind: str, utp_pages: Iterable[PageHistory],
     """Directed net with an edge from each sender on a user talk page to
     its owner, the owner excluded. `senders` gets the page and the author of
     each of its non-anonymous revisions: neither net counts an anonymous
-    revision, so a page that only anonymous editors touched adds no node."""
+    revision."""
     g = AuthorGraph(kind=kind, directed=True)
     for page in utp_pages:
         owner = utp_owner(page.title)
@@ -113,8 +115,6 @@ def _talk_graph(kind: str, utp_pages: Iterable[PageHistory],
             continue
         editors = [rev.author.name for rev in page.revisions
                    if rev.author.kind is not AuthorKind.ANONYMOUS]
-        if editors:
-            g.nodes.add(owner)
         for sender in senders(page, editors):
             if sender != owner:
                 g.add_edge(sender, owner)
@@ -125,9 +125,9 @@ def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
     """Directed talk net parsed from signatures on the current UTP version.
     A signer counts at most as often as it edited the page, spelled as a
     signature spells it, so no one else's edit can sign for it."""
+    spell = cache(lambda name: signed_name(tokenize(name)))  # few names are distinct
     return _talk_graph("talk_signature", utp_pages, lambda page, editors: (
-        Counter(iter_signatures(page.revisions[-1].tokens))
-        & Counter(signed_name(tokenize(name)) for name in editors)
+        Counter(iter_signatures(page.revisions[-1].tokens)) & Counter(map(spell, editors))
     ).elements() if editors else ())
 
 
@@ -147,16 +147,15 @@ def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
     for author in authors:
         signed = signed_name(tokenize(author))
         spelled[signed] = None if signed in spelled else author  # None: two sign alike
-    out = AuthorGraph(g.kind, g.directed, set(g.nodes))
+    out = AuthorGraph(g.kind, g.directed)
     for (src, dst), weight in g.edges.items():
         out.add_edge(src if src in authors else spelled.get(src) or src, dst, weight)
     return out
 
 
 def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGraph:
-    """Induced subgraph on the project's authors. Isolated project authors
-    already in the graph are retained."""
-    return AuthorGraph(g.kind, g.directed, g.nodes & project_authors, {
+    """Induced subgraph on the project's authors."""
+    return AuthorGraph(g.kind, g.directed, {
         (s, d): w for (s, d), w in g.edges.items()
         if s in project_authors and d in project_authors})
 
@@ -164,19 +163,14 @@ def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGrap
 def write_edge_list(g: AuthorGraph, fp: IO[str]) -> None:
     tsv.write_meta(fp, kind=g.kind, directed=str(g.directed).lower())
     tsv.write_rows(fp, EDGES, [(s, d, w) for (s, d), w in sorted(g.edges.items())])
-    # isolated nodes survive the round-trip as meta lines
-    for node in sorted(g.nodes.difference(chain.from_iterable(g.edges))):
-        tsv.write_meta(fp, node=node)
 
 
 def read_edge_list(lines: Iterable[str]) -> AuthorGraph:
     meta: list[str] = []
     edges = {(src, dst): weight
              for src, dst, weight in tsv.read_rows(lines, EDGES, meta.append)}
-    m = re.fullmatch(r"kind=(\S+) directed=(true|false)", meta[0] if meta else "")
-    isolated = [text[len("node="):] for text in meta[1:] if text.startswith("node=")]
-    if not m or len(isolated) < len(meta) - 1:
-        raise tsv.TsvError(f"{tsv.source(lines)}: expected '# kind=', then '# node=' lines")
-    g = AuthorGraph(m.group(1), m.group(2) == "true", set(isolated), edges)
-    g.nodes.update(chain.from_iterable(edges))
-    return g
+    m = re.fullmatch(r"kind=(\S+) directed=(true|false)", meta[0] if len(meta) == 1 else "")
+    if not m:
+        raise tsv.TsvError(f"{tsv.source(lines)}: expected one '# kind=' line; "
+                           "re-run 'wikiq net'")
+    return AuthorGraph(m.group(1), m.group(2) == "true", edges)

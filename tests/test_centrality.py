@@ -18,11 +18,10 @@ from wikiq.networks import AuthorGraph
 log = logging.getLogger(__name__)
 
 
-def graph(edges, directed=False, extra_nodes=(), kind="test"):
+def graph(edges, directed=False, kind="test"):
     g = AuthorGraph(kind=kind, directed=directed)
     for e in edges:
         g.add_edge(*e)
-    g.nodes.update(extra_nodes)
     return g
 
 
@@ -70,7 +69,6 @@ def brute_betweenness(g):
 def random_graph(rng, n, directed, p=0.15):
     names = [f"n{i:02d}" for i in range(n)]
     g = AuthorGraph(kind="random", directed=directed)
-    g.nodes.update(names)
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             if i != j and (directed or i < j) and rng.random() < p:
@@ -85,8 +83,9 @@ class TestDegree:
         assert degree(g).scores["l0"] == 1
 
     def test_isolated_node(self):
-        g = graph([("a", "b")], extra_nodes=["iso"])
-        assert degree(g).scores["iso"] == 0
+        # add_edge refuses a self-loop, so "iso" has no edge and is no node
+        g = graph([("a", "b"), ("iso", "iso")])
+        assert degree(g).scores == {"a": 1.0, "b": 1.0}
 
     def test_directed_in_plus_out(self):
         g = graph([("A", "B"), ("B", "A"), ("A", "C")], directed=True)
@@ -125,8 +124,6 @@ class TestBetweenness:
         g = random_graph(rng, 12, directed=False)
         mapping = {n: f"x{n}" for n in g.nodes}
         h = AuthorGraph(kind=g.kind, directed=False)
-        h.nodes = {mapping[n] for n in g.nodes}
-        h.edges = {}
         for (a, b), w in g.edges.items():
             h.add_edge(mapping[a], mapping[b], w)
         sg = betweenness(g).scores
@@ -194,11 +191,11 @@ class TestEigenvector:
             lam = float(x @ a @ x) / float(x @ x)
             assert np.max(np.abs(a @ x - lam * x)) <= 1e-6
 
-    def test_edgeless_graph_zero(self, caplog):
-        g = graph([], extra_nodes=["a", "b"])
-        with caplog.at_level("WARNING"):
-            scores = eigenvector(g).scores
-        assert scores == {"a": 0.0, "b": 0.0}
+    def test_edgeless_graph_has_no_nodes(self):
+        g = graph([("a", "a"), ("b", "b")])  # add_edge refuses self-loops
+        assert not g.nodes
+        with pytest.raises(ValueError, match="^empty graph$"):
+            eigenvector(g)
 
     def test_empty_graph_raises(self):
         with pytest.raises(ValueError):
@@ -234,8 +231,10 @@ def pagerank_linear_oracle(g, damping=0.85):
 
 class TestPageRank:
     def test_single_node(self):
-        g = graph([], extra_nodes=["solo"])
-        assert pagerank(g).scores == {"solo": 1.0}
+        g = graph([("solo", "solo")])  # add_edge refuses a self-loop
+        assert not g.nodes
+        with pytest.raises(ValueError, match="^empty graph$"):
+            pagerank(g)
 
     def test_symmetric_two_cycle(self):
         g = graph([("a", "b"), ("b", "a")], directed=True)
@@ -254,6 +253,10 @@ class TestPageRank:
         rng = random.Random(9)
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 40), directed=rng.random() < 0.5)
+            if not g.nodes:
+                with pytest.raises(ValueError, match="^empty graph$"):
+                    pagerank(g)
+                continue
             scores = pagerank(g).scores
             oracle = pagerank_linear_oracle(g)
             for n in g.nodes:
@@ -282,7 +285,7 @@ def test_centrality_roundtrip():
 def test_centrality_roundtrip_keeps_params(kernel, labels):
     g = random_graph(random.Random(17), 12, directed=True, p=0.3)
     label = dict(zip(sorted(g.nodes), labels))
-    g = AuthorGraph(g.kind, g.directed, set(labels), {
+    g = AuthorGraph(g.kind, g.directed, {
         (label[s], label[d]): w for (s, d), w in g.edges.items()})
     table = kernel(g)
     buf = io.StringIO()
@@ -418,12 +421,11 @@ def reference_pagerank(g: AuthorGraph, damping: float = 0.85, tol: float = 1e-12
 @st.composite
 def weighted_graphs(draw):
     """Directed or undirected graphs of up to 30 nodes, weights 1-3, in a
-    random edge order, with isolated nodes, reciprocal edges (an edge's
-    optional reverse weight), and edgeless, one-node and empty graphs."""
+    random edge order, with reciprocal edges (an edge's optional reverse
+    weight), and empty graphs."""
     names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
                           unique=True, max_size=30))
     g = AuthorGraph(kind="drawn", directed=draw(st.booleans()))
-    g.nodes.update(names)
     if len(names) < 2:
         return g
     node = st.sampled_from(names)
@@ -447,7 +449,6 @@ def clique_unions(draw):
     names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
                           unique=True, min_size=2, max_size=30))
     g = AuthorGraph(kind="cliques", directed=draw(st.booleans()))
-    g.nodes.update(names)
     node = st.sampled_from(names)
     for clique, w in draw(st.lists(st.tuples(
             st.lists(node, min_size=2, max_size=8, unique=True),
@@ -505,16 +506,15 @@ def outcome(kernel, g, **kwargs):
 @settings(max_examples=150, deadline=None)
 @given(g=weighted_graphs() | clique_unions(), choice=st.integers(0, 2))
 # eigenvector's flattened rows: all weights 1 (no products), weights 1 and
-# 2, empty rows beside edges, and one entry, a self-loop that add_edge
-# refuses (itemgetter of one index returns no tuple)
+# 2, and one entry, a self-loop that add_edge refuses (itemgetter of one
+# index returns no tuple); a sink's empty row for betweenness and PageRank
 @example(g=graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]), choice=0)
 @example(g=graph([("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")],
                  directed=True), choice=0)
 @example(g=graph([("a", "b", 2), ("b", "c"), ("c", "d", 2), ("d", "a")]),
          choice=0)
-@example(g=graph([("b", "c"), ("c", "d")], extra_nodes=("a", "e", "z")),
-         choice=0)
-@example(g=AuthorGraph("loop", False, {"a"}, {("a", "a"): 1}), choice=0)
+@example(g=graph([("b", "c"), ("c", "d")], directed=True), choice=0)
+@example(g=AuthorGraph("loop", False, {("a", "a"): 1}), choice=0)
 # betweenness' shared BFS: interleaved closed-twin classes, one-way and
 # two-way arcs, and a twin with a self-loop
 @example(g=interleaved_twins(False), choice=0)

@@ -64,9 +64,10 @@ class TestCoauthor:
         g = build_coauthor([])
         assert not g.nodes and not g.edges
 
-    def test_solo_author_is_isolated_node(self):
+    def test_solo_author_adds_no_node(self):
+        # a network's nodes are its edges' endpoints
         g = build_coauthor([["only"]])
-        assert g.nodes == {"only"} and not g.edges
+        assert not g.nodes and not g.edges
 
 
 class TestTalkSignature:
@@ -217,13 +218,15 @@ class TestRestrictAndFilter:
         g.add_edge("Alice", "Bob", 2)
         g.add_edge("Outsider", "Bob", 1)
         g.add_edge("SmackBot", "Alice", 4)
-        g.nodes.add("Lurker")
         return g
 
     def test_restriction(self):
+        # Lurker is a project author with no edge, so not a node
         g = restrict_and_filter(self.make_graph(), {"Alice", "Bob", "Lurker"})
         assert g.edges == {("Alice", "Bob"): 2}
-        assert g.nodes == {"Alice", "Bob", "Lurker"}  # isolated project author kept
+        assert g.nodes == {"Alice", "Bob"}
+        with pytest.raises(AttributeError):
+            g.nodes.add("Lurker")  # nodes come only through edges
 
     def test_empty_restriction(self):
         g = restrict_and_filter(self.make_graph(), set())
@@ -235,13 +238,13 @@ class TestRestrictAndFilter:
         assert len(g.nodes) <= len(authors)
 
 
-@example(["Alice", "Bob", "Isolated"])
+@example(["Alice", "Bob", "Carol"])
 @given(st.lists(names, min_size=3, max_size=3, unique=True))
 def test_edge_list_roundtrip(nodes):
     g = AuthorGraph(kind="talk_history", directed=True)
     g.add_edge(nodes[0], nodes[1], 3)
     g.add_edge(nodes[1], nodes[0], 1)
-    g.nodes.add(nodes[2])  # isolated
+    g.add_edge(nodes[2], nodes[0], 2)
     buf = io.StringIO()
     write_edge_list(g, buf)
     again = read_edge_list(io.StringIO(buf.getvalue()))
@@ -250,6 +253,10 @@ def test_edge_list_roundtrip(nodes):
 
 
 def test_edge_list_without_its_kind_line_is_refused():
-    lines = io.StringIO("src\tdst\tweight\nAlice\tBob\t1\n# node=Carol\n")
-    with pytest.raises(TsvError, match="<input>: expected '# kind=', then '# node=' lines"):
-        read_edge_list(lines)
+    for text in ("src\tdst\tweight\nAlice\tBob\t1\n# node=Carol\n",
+                 # an older program wrote each isolated node as a '# node=' line
+                 "# kind=talk_history directed=true\n"
+                 "src\tdst\tweight\nAlice\tBob\t1\n# node=Carol\n"):
+        with pytest.raises(TsvError, match="^<input>: expected one '# kind=' line; "
+                                           "re-run 'wikiq net'$"):
+            read_edge_list(io.StringIO(text))

@@ -1433,6 +1433,29 @@ def test_forged_talk_page_moves_no_rank(tmp_path):
     assert _talk_pagerank_ranks(tmp_path / "forged", forged, ratings, 153) == clean
 
 
+def test_registered_creator_of_a_talk_page_moves_no_rank(tmp_path):
+    """One revision by the unselected account Mallory creates the talk page
+    of Writer49, Stub page 153's first selected author, with 0 or with 60
+    signatures of other selected authors. The page gives Writer49 no edge.
+    While such an owner was still a node, talk-sig ranked page 153 58th
+    under com_pagerank and 73rd under cen_pagerank, up from 75th under
+    both. A network's nodes are now its edges' endpoints, so no rank moves
+    under either talk network."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    clean = _talk_pagerank_ranks(tmp_path / "clean", dump, ratings, 153)
+    with open(tmp_path / "clean" / "work" / "selection.tsv", encoding="utf-8") as fp:
+        selection = pipeline.read_selections(fp)
+    owner = next(iter(selection[153]))
+    authors = {a for authors in selection.values() for a in authors}
+    assert owner == "Writer49" and f"User talk:{owner}" not in dump
+    assert "Mallory" not in authors and "Mallory" not in dump
+    signers = sorted(authors - {owner})[:60]
+    for count in (0, 60):
+        forged = forge_talk_page(dump, owner, signers[:count], contributor="Mallory")
+        root = tmp_path / f"mallory{count}"
+        assert _talk_pagerank_ranks(root, forged, ratings, 153) == clean
+
+
 def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
     """With no FA/A/GA page the PR curve is undefined: eval warns per model,
     writes only the PR header, and still records itself in the manifest."""
