@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import IO, Callable, Iterable, Optional, Sequence
 
 from . import tsv
@@ -123,34 +123,28 @@ def _talk_graph(kind: str, utp_pages: Iterable[PageHistory],
 
 def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
     """Directed talk net parsed from signatures on the current UTP version.
-    A signer counts at most as often as it edited the page, spelled as a
-    signature spells it, so no one else's edit can sign for it."""
+    Each editor of the page is credited with the signatures that spell its
+    name as a signature's link does, at most as often as it edited the
+    page, so no one else's edit can sign for it. A spelling that two of the
+    page's editors share ("C-D" and "C - D") credits neither."""
     spell = cache(lambda name: signed_name(tokenize(name)))  # few names are distinct
-    return _talk_graph("talk_signature", utp_pages, lambda page, editors: (
-        Counter(iter_signatures(page.revisions[-1].tokens)) & Counter(map(spell, editors))
-    ).elements() if editors else ())
+
+    def signers(page: PageHistory, editors: list[str]) -> Iterable[str]:
+        if not editors:
+            return ()
+        signed = Counter(iter_signatures(page.revisions[-1].tokens))
+        edits = Counter(editors)
+        shared = Counter(map(spell, edits))
+        return chain.from_iterable(
+            repeat(e, min(n, signed[spell(e)])) for e, n in edits.items()
+            if shared[spell(e)] == 1)
+    return _talk_graph("talk_signature", utp_pages, signers)
 
 
 def build_talk_history(utp_histories: Iterable[PageHistory]) -> AuthorGraph:
     """Directed talk net counting every registered non-owner revision of a
     user talk page as one message to the owner."""
     return _talk_graph("talk_history", utp_histories, lambda page, editors: editors)
-
-
-def resolve_signers(g: AuthorGraph, authors: set[str]) -> AuthorGraph:
-    """`g` with each sender that is not one of `authors` renamed to the one
-    author whose name reads as that sender once tokenized and joined as
-    `iter_signatures` joins a link's tokens: a signature turns "Jean-Luc"
-    into "Jean - Luc". A sender that no author, or more than one, reads as
-    keeps its name."""
-    spelled: dict[str, Optional[str]] = {}
-    for author in authors:
-        signed = signed_name(tokenize(author))
-        spelled[signed] = None if signed in spelled else author  # None: two sign alike
-    out = AuthorGraph(g.kind, g.directed)
-    for (src, dst), weight in g.edges.items():
-        out.add_edge(src if src in authors else spelled.get(src) or src, dst, weight)
-    return out
 
 
 def restrict_and_filter(g: AuthorGraph, project_authors: set[str]) -> AuthorGraph:

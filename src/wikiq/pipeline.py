@@ -369,8 +369,6 @@ def stage_net(cfg: RunConfig, utp: IO[str], selection: ContributionTable,
         # selected authors come from contributions, which drop bots under
         # exclude_bots, so the restriction drops the talk pages' bots too
         project_authors = {a for authors in selection.values() for a in authors}
-        if cfg.network == "talk-sig":
-            graph = networks.resolve_signers(graph, project_authors)
         graph = networks.restrict_and_filter(graph, project_authors)
     networks.write_edge_list(graph, edges)
 

@@ -2,15 +2,15 @@ import io
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hostile import names
 from wikiq.ingest import (AuthorId, AuthorKind, Namespace, PageHistory,
                           RevisionRecord, tokenize)
 from wikiq.networks import (AuthorGraph, build_coauthor, build_talk_history,
                             build_talk_signature, iter_signatures,
-                            read_edge_list, resolve_signers,
-                            restrict_and_filter, write_edge_list)
+                            read_edge_list, restrict_and_filter,
+                            write_edge_list)
 from wikiq.tsv import TsvError
 
 
@@ -24,6 +24,17 @@ def utp(owner, texts_by, page_id=1):
             i + 1, AuthorId(name, kind), 1000 + i, tokenize(body)
         ))
     return PageHistory(page_id, f"User talk:{owner}", Namespace.USER_TALK, revs)
+
+
+LOOK_ALIKES = ["Jean-Luc", "Jean - Luc", "O'Brien", "Ann", "Owner"]
+# user talk pages as (owner, [(editor, the names its revision signs)]);
+# "10.0.0.1" edits anonymously
+look_alike_pages = st.lists(st.tuples(
+    st.sampled_from(["Owner", "Jean-Luc", "Ann"]),
+    st.lists(st.tuples(st.sampled_from(LOOK_ALIKES + ["10.0.0.1"]),
+                       st.lists(st.sampled_from(LOOK_ALIKES), max_size=3)),
+             min_size=1, max_size=6)),
+    min_size=1, max_size=3)
 
 
 def signed(name):
@@ -144,23 +155,16 @@ class TestTalkSignature:
         assert list(iter_signatures(tokenize(text))) == ["Bob"]
 
     def test_punctuated_signer_resolves_to_its_one_author(self):
-        """A link splits punctuation off a name; the one author who reads as
-        the split name is the signer, an exact match wins, and a split name
-        that two authors read as stays as signed."""
-        signers = ["Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "A-B", "Own-er"]
+        """A link splits punctuation off a name, so "Jean-Luc" signs as
+        "Jean - Luc"; the one editor of the page who spells that way is the
+        signer. "C-D" and "C - D" spell alike, so their signatures credit
+        neither."""
+        signers = ["Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "C - D", "Own-er"]
         page = utp("Own-er", [(name, AuthorKind.REGISTERED, signed(name))
                               for name in signers])
-        g = build_talk_signature([page])
-        assert ("Jean - Luc", "Own-er") in g.edges
-        authors = {"Jean-Luc", "O'Brien", "Foo (WMF)", "C-D", "C - D",
-                   "A-B", "A -B", "Own-er"}
-        resolved = resolve_signers(g, authors)
-        assert resolved.edges == {
+        assert build_talk_signature([page]).edges == {
             ("Jean-Luc", "Own-er"): 1, ("O'Brien", "Own-er"): 1,
-            ("Foo (WMF)", "Own-er"): 1, ("C - D", "Own-er"): 1,
-            ("A - B", "Own-er"): 1}
-        assert restrict_and_filter(resolved, authors).nodes == {
-            "Jean-Luc", "O'Brien", "Foo (WMF)", "C - D", "Own-er"}
+            ("Foo (WMF)", "Own-er"): 1}
 
 
 class TestTalkHistory:
@@ -182,20 +186,24 @@ class TestTalkHistory:
         g = build_talk_history([page])
         assert not g.edges
 
-    def test_history_superset_of_signature(self):
-        # unsigned edits appear only in the history net
-        pages = [
-            utp("Bob", [
-                ("Alice", AuthorKind.REGISTERED, signed("Alice")),
-                ("Carol", AuthorKind.REGISTERED, "unsigned grumble"),
-            ], page_id=1),
-            utp("Alice", [
-                ("Bob", AuthorKind.REGISTERED, signed("Bob")),
-            ], page_id=2),
-        ]
+    @settings(derandomize=True, deadline=None)
+    @example([("Owner", [("Jean-Luc", ["Jean-Luc"])])], set())
+    @given(look_alike_pages, st.sets(st.sampled_from(LOOK_ALIKES)))
+    def test_history_superset_of_signature(self, drawn, project_authors):
+        """Every talk-sig edge is a talk-hist edge of at least its weight,
+        whoever edits and signs among names that a signature spells alike,
+        before and after the restriction to the project's authors."""
+        pages = [utp(owner, [(name, AuthorKind.ANONYMOUS if name == "10.0.0.1"
+                              else AuthorKind.REGISTERED,
+                              " ".join(map(signed, signers)) or "unsigned note")
+                             for name, signers in revisions], page_id=i)
+                 for i, (owner, revisions) in enumerate(drawn, 1)]
         sig = build_talk_signature(pages)
         hist = build_talk_history(pages)
-        assert set(sig.edges) < set(hist.edges)
+        for restrict in (lambda g: g, lambda g: restrict_and_filter(g, project_authors)):
+            restricted = restrict(hist)
+            assert all(restricted.edges.get(edge, 0) >= weight
+                       for edge, weight in restrict(sig).edges.items())
 
     def test_weight_conservation(self):
         pages = [

@@ -78,6 +78,24 @@ def seed_1_run(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def seed_1_min_authors_3_run(tmp_path_factory):
+    """The root of `synth --seed 1`'s corpus, after `run_all` in its `work`
+    with `selection.min_authors` = 3: the regime in which the floor, not
+    the positive-contribution rule, decides a page's selected authors, and
+    the talk nets' restriction drops authors (ROADMAP item 24)."""
+    root = tmp_path_factory.mktemp("seed_1_min_authors_3")
+    dump, ratings = generate(SynthSpec(seed=1))
+    (root / "dump.xml").write_text(dump, encoding="utf-8", newline="\n")
+    (root / "ratings.tsv").write_text(ratings, encoding="utf-8", newline="\n")
+    run_all(min_authors_3_config(root))
+    return root
+
+
+def min_authors_3_config(root: Path) -> RunConfig:
+    return dataclasses.replace(make_config(root), selection=SelectionParams(min_authors=3))
+
+
 def test_interpreter_is_in_the_declared_range():
     """The pinned bytes hold only where `requires-python` says: from Python
     3.12 `sum()` of floats is compensated, which moves the bits of every
@@ -157,6 +175,45 @@ class TestSynth:
                                        "percentiles.tsv", "pr_curve.tsv")]
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "42b88d894ce06b0c710cc1958128cab583e3af877d560e7c1906f56bec4ce52f")
+
+    def test_seed_1_min_authors_3_contributions_are_pinned(self, seed_1_min_authors_3_run):
+        """Every artifact of `synth --seed 1` under `selection.min_authors` =
+        3. Ingest and contrib read as in the default regime; the selection
+        is a strict sub-table of the contributions."""
+        work = Path(min_authors_3_config(seed_1_min_authors_3_run).workdir)
+        assert {name: _sha256(work / name) for names in ARTIFACTS.values()
+                for name in names} == {
+            "articles.jsonl": "ae41c2665c3cb6cb406650e68129f944e9ad341d8d5003d31959d6f1b943a120",
+            "utp.jsonl": "0cdfe243beae6c9fe30189eda5ec736abdb054b10610c1d1d8616ce9d65b0b7c",
+            "contributions.tsv": "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18",
+            "selection.tsv": "8b1e31232f0c1995a2b4e3e52dd1e8a0baa6fd1f6799479862687dd694e8c304",
+            "edges.tsv": "c12da9babf805857f1df3d28eb8fcc54cba761d6a51356e74413ac0749ec50b8",
+            "centrality.tsv": "7eaac85c151c3cbba9136aee473af48915cc1452c9afeefe50e60baca6f81875",
+            "scores.tsv": "ba6866d920ad0662147fb9f366a3eb514d330ef74e21006635aa0cfe0ef9a66d",
+            "provenance.json": "2b7d185409cb4d3f904c2b1005482b3237cd47f1631551312b1ea9a2f5ce654e",
+            "report.tsv": "eb029730236fe5d03eda9a6f231224fe94dcf053412b8218483b60be38b7db4a",
+            "percentiles.tsv": "c2d3ef916a195cbfa5d87415a9d753714b2e27364c00541fe6e7b510bdeb1bb3",
+            "pr_curve.tsv": "0bc73a637a9f48508da8a7c189d7095d39ed84173443588e710a1748fef88737",
+        }
+
+    def test_seed_1_min_authors_3_grid_is_pinned(self, seed_1_min_authors_3_run, tmp_path):
+        """The paper's grid on `synth --seed 1` under `selection.min_authors`
+        = 3, hashed as `test_seed_1_grid_is_pinned` hashes the default's."""
+        work = tmp_path / "work"
+        shutil.copytree(min_authors_3_config(seed_1_min_authors_3_run).workdir, work)
+        lines = []
+        for network in pipeline.NETWORKS:
+            for metric in pipeline.METRICS:
+                cfg = dataclasses.replace(min_authors_3_config(seed_1_min_authors_3_run),
+                                          workdir=str(work), network=network, metric=metric)
+                for stage in ("net", "centrality", "score", "eval"):
+                    run_stage(stage, cfg)
+                lines += [f"{network}\t{metric}\t{name}\t{_sha256(work / name)}\n"
+                          for name in ("edges.tsv", "centrality.tsv", "scores.tsv",
+                                       "provenance.json", "report.tsv",
+                                       "percentiles.tsv", "pr_curve.tsv")]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "067e2d4c16dd1e9d90723de6e117f74b2ffe62f30376c40bb67372b76d6682fd")
 
     def test_different_seeds_differ(self):
         assert generate(small_spec(1)) != generate(small_spec(2))
@@ -1391,6 +1448,38 @@ def test_signers_with_punctuated_names_keep_their_edges(tmp_path):
     edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
     assert edges.splitlines()[1:] == ["src\tdst\tweight", "Jean-Luc\tOwner\t1",
                                       "O'Brien\tOwner\t1"]
+
+
+def test_look_alike_cannot_sign_for_a_selected_author(tmp_path):
+    """The selected Jean-Luc never edits User talk:Owner. The unselected
+    account "Jean - Luc", which a signature spells as it spells Jean-Luc,
+    signs there as [[User:Jean-Luc|Jean-Luc]]. The signature credits the
+    page's editor who spells it, so no edge names Jean-Luc; before, the
+    spelling went to the one selected author who spells alike."""
+    revisions = "".join(
+        f"<revision><timestamp>2011-01-0{n + 1}T00:00:00Z</timestamp>"
+        f"<contributor><username>{name}</username></contributor>"
+        f"<text>{' '.join(f'w{k}' for k in range(20 * (n + 1)))}</text></revision>"
+        for n, name in enumerate(["Jean-Luc", "O'Brien", "Owner", "Zed", "Zed"]))
+    text = ""
+    talk = ""
+    for n, (editor, signer) in enumerate([("Jean - Luc", "Jean-Luc"),
+                                          ("O'Brien", "O'Brien")]):
+        text += f" hi [[User:{signer}|{signer}]] 12:01, 3 March 2011 (UTC)"
+        talk += (f"<revision><timestamp>2011-02-0{n + 1}T00:00:00Z</timestamp>"
+                 f"<contributor><username>{editor}</username></contributor>"
+                 f"<text>{text}</text></revision>")
+    (tmp_path / "dump.xml").write_text(
+        "<mediawiki><page><title>Stone Age</title><ns>0</ns><id>1</id>"
+        f"{revisions}</page><page><title>User talk:Owner</title><ns>3</ns>"
+        f"<id>2</id>{talk}</page></mediawiki>", encoding="utf-8")
+    cfg = dataclasses.replace(make_config(tmp_path), network="talk-sig")
+    for stage in ("ingest", "contrib", "select", "net"):
+        run_stage(stage, cfg)
+    selection = (tmp_path / "work" / "selection.tsv").read_text(encoding="utf-8")
+    assert "\tJean-Luc\t" in selection and "Jean - Luc" not in selection
+    edges = (tmp_path / "work" / "edges.tsv").read_text(encoding="utf-8")
+    assert edges.splitlines()[1:] == ["src\tdst\tweight", "O'Brien\tOwner\t1"]
 
 
 def _talk_pagerank_ranks(root: Path, dump: str, ratings: str, page_id: int) -> dict:
