@@ -2,7 +2,7 @@
 
 Parses pages-meta-history style exports into normalized per-page revision
 histories, resolving each contributor to a classified author identity
-(registered / anonymous / bot). The parser holds one page at a time: each
+(registered / anonymous). The parser holds one page at a time: each
 page is yielded as soon as its closing tag is seen.
 
 A revision whose text an administrator hid (`<text deleted="deleted" />`)
@@ -42,7 +42,6 @@ ANONYMOUS_SENTINEL = "0.0.0.0"
 class AuthorKind(Enum):
     REGISTERED = "registered"
     ANONYMOUS = "anonymous"
-    BOT = "bot"
 
 
 class Namespace(Enum):
@@ -77,14 +76,6 @@ class PageHistory:
     title: str
     namespace: Namespace
     revisions: list[RevisionRecord]
-
-
-@dataclass
-class BotConfig:
-    """Bot detection: explicit name list plus optional 'bot' suffix heuristic."""
-
-    names: frozenset[str] = frozenset()
-    suffix_heuristic: bool = True
 
 
 class DumpParseError(ValueError):
@@ -166,16 +157,11 @@ def _is_ip(name: str) -> bool:
     return True
 
 
-def make_author(raw_name: str, bot_config: BotConfig) -> AuthorId:
-    """The canonical username, classified: an IP, then a listed bot, then a
-    'bot' suffix under the heuristic. Pure function of (name, bot config)."""
+def make_author(raw_name: str) -> AuthorId:
+    """The canonical username: anonymous if it is an IP, else registered.
+    Whether a registered author is a bot is contrib's rule, not the dump's."""
     name = canonical_name(raw_name)
-    if _is_ip(name):
-        return AuthorId(name, AuthorKind.ANONYMOUS)
-    if name in bot_config.names or (
-            bot_config.suffix_heuristic and name.lower().endswith("bot")):
-        return AuthorId(name, AuthorKind.BOT)
-    return AuthorId(name, AuthorKind.REGISTERED)
+    return AuthorId(name, AuthorKind.ANONYMOUS if _is_ip(name) else AuthorKind.REGISTERED)
 
 
 def _parse_timestamp(text: str) -> int:
@@ -195,15 +181,14 @@ def _namespace_of(ns_value: Optional[str], title: str) -> Namespace:
     return Namespace.ARTICLE
 
 
-def _author(contributor: Optional[ET.Element], ns: str, title: str,
-            bot_config: BotConfig) -> AuthorId:
+def _author(contributor: Optional[ET.Element], ns: str, title: str) -> AuthorId:
     if contributor is not None:
         ip = contributor.findtext(ns + "ip")
         if ip is not None:
             return AuthorId(ip.strip(), AuthorKind.ANONYMOUS)
         username = contributor.findtext(ns + "username")
         if username is not None:
-            return make_author(username, bot_config)
+            return make_author(username)
     log.warning("page %r: revision without contributor, treated as anonymous",
                 title)
     return AuthorId(ANONYMOUS_SENTINEL, AuthorKind.ANONYMOUS)
@@ -226,7 +211,7 @@ def _page_id(text: str) -> int:
     return int(digits)
 
 
-def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHistory:
+def _page_history(page: ET.Element, ns: str) -> PageHistory:
     """The history of one <page> element whose tags carry the prefix `ns`."""
     title = page.findtext(ns + "title", "")
     page_id = _parsed(_page_id, page.findtext(ns + "id", "0"), "page id", title)
@@ -240,7 +225,7 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
             hidden += 1
             continue
         revs.append((stamp or 0,
-                     _author(rev.find(ns + "contributor"), ns, title, bot_config),
+                     _author(rev.find(ns + "contributor"), ns, title),
                      "" if text is None else text.text or ""))
     if hidden:
         log.warning("page %r: %d revision(s) with hidden text dropped", title, hidden)
@@ -260,8 +245,7 @@ def _page_history(page: ET.Element, ns: str, bot_config: BotConfig) -> PageHisto
         in enumerate(zip(revs, token_lists), start=1)])
 
 
-def parse_dump(stream: IO[bytes],
-               bot_config: BotConfig = BotConfig()) -> Iterator[PageHistory]:
+def parse_dump(stream: IO[bytes]) -> Iterator[PageHistory]:
     """Stream a MediaWiki XML export, yielding one PageHistory per <page>.
 
     A yielded page is cleared from the tree. Tags match under the root's
@@ -278,7 +262,7 @@ def parse_dump(stream: IO[bytes],
             if root is None:  # the first event starts the root element
                 root, ns = elem, elem.tag[:elem.tag.find("}") + 1]
             elif event == "end" and elem.tag == ns + "page":
-                yield _page_history(elem, ns, bot_config)
+                yield _page_history(elem, ns)
                 root.clear()
     except ET.ParseError as exc:
         raise DumpParseError(f"malformed XML: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from . import tsv
 from .ingest import AuthorKind, PageHistory
@@ -40,10 +40,10 @@ ContributionTable = dict[int, dict[str, float]]
 
 
 @dataclass(frozen=True)
-class SelectionParams:
-    min_contrib: float = 10.0
-    min_authors: int = 20
-    theta: float = 0.9
+class SelectionParams:  # the select stage's `selection` config field
+    min_contrib: float = 10.0  # an author needs more than this to be eligible
+    min_authors: int = 20  # the floor: at least this many positive contributors
+    theta: float = 0.9  # eligible authors are taken until they pass this share
 
 
 def judge_page(history: PageHistory) -> list[RevisionJudgment]:
@@ -99,22 +99,19 @@ def judge_page(history: PageHistory) -> list[RevisionJudgment]:
 
 
 def build_contributions(histories: Iterable[PageHistory],
-                        drop_bots: bool = True) -> ContributionTable:
-    """Accumulate positive longevity per (page, registered author)."""
+                        is_bot: Callable[[str], bool] = lambda name: False
+                        ) -> ContributionTable:
+    """Accumulate positive longevity per (page, registered author), leaving
+    out each author whose name `is_bot` calls a bot's (by default, no one)."""
     table: ContributionTable = {}
     for history in histories:
         contribs: dict[str, float] = {}
         judgments = judge_page(history)
         for rev, judgment in zip(history.revisions, judgments):
-            kind = rev.author.kind
-            if kind is AuthorKind.ANONYMOUS:
-                continue
-            if drop_bots and kind is AuthorKind.BOT:
-                continue
-            if judgment.longevity > 0:
-                contribs[rev.author.name] = (
-                    contribs.get(rev.author.name, 0.0) + judgment.longevity
-                )
+            name = rev.author.name
+            if (judgment.longevity > 0 and rev.author.kind is AuthorKind.REGISTERED
+                    and not is_bot(name)):
+                contribs[name] = contribs.get(name, 0.0) + judgment.longevity
         table[history.page_id] = contribs
     return table
 

@@ -142,8 +142,10 @@ def build_talk_signature(utp_pages: Iterable[PageHistory]) -> AuthorGraph:
 
 
 def build_talk_history(utp_histories: Iterable[PageHistory]) -> AuthorGraph:
-    """Directed talk net counting every registered non-owner revision of a
-    user talk page as one message to the owner."""
+    """Directed talk net counting every non-anonymous, non-owner revision of
+    a user talk page as one message to the owner, a bot's too: bots leave
+    the net through `restrict_and_filter` to the selected authors, since
+    contrib drops them."""
     return _talk_graph("talk_history", utp_histories, lambda page, editors: editors)
 
 

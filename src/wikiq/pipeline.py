@@ -52,9 +52,8 @@ from . import networks, quality, tsv
 from .evaluation import (DEFAULT_RELEVANT, FILTER_CONFIGS, build_ranking,
                          ndcg, filtered_eval, percentile_table,
                          precision_recall)
-from .ingest import (QUALITY_CLASSES, AuthorId, AuthorKind, BotConfig, Namespace,
-                     PageHistory, RevisionRecord, canonical_name, load_ratings,
-                     parse_dump)
+from .ingest import (QUALITY_CLASSES, AuthorId, AuthorKind, Namespace, PageHistory,
+                     RevisionRecord, canonical_name, load_ratings, parse_dump)
 from .longevity import (ContributionTable, SelectionParams, build_contributions,
                         read_contributions, select_all, write_contributions)
 from .worddiff import _common_run, _common_tail
@@ -115,19 +114,22 @@ def _from_dict(cls, data, prefix: str = ""):
 
 @dataclass
 class RunConfig:
-    dump: str = "dump.xml"
-    ratings: str = "ratings.tsv"
-    workdir: str = "work"
-    selection: SelectionParams = field(default_factory=SelectionParams)
-    exclude_bots: bool = True
-    bot_list: list[str] = field(default_factory=list)
-    bot_suffix_heuristic: bool = True
-    network: str = "talk-hist"  # one of NETWORKS
-    metric: str = "pagerank"  # one of METRICS
-    damping: float = 0.85
-    models: list[str] = field(default_factory=lambda: list(MODELS))
-    eval_k: list[int] = field(default_factory=list)  # empty -> full corpus
-    buckets: int = 10
+    """A run's config; each field's comment names the stage that reads it."""
+
+    dump: str = "dump.xml"  # ingest's MediaWiki XML export
+    ratings: str = "ratings.tsv"  # eval's page_id / title / class labels
+    workdir: str = "work"  # where run_stage keeps the artifacts and manifest.json
+    selection: SelectionParams = field(default_factory=SelectionParams)  # select's
+    exclude_bots: bool = True  # whether contrib leaves out the authors is_bot() names
+    bot_list: list[str] = field(default_factory=list)  # usernames contrib takes for bots
+    bot_suffix_heuristic: bool = True  # contrib also takes a name ending in 'bot'
+    network: str = "talk-hist"  # net's network, one of NETWORKS
+    metric: str = "pagerank"  # centrality's metric, one of METRICS
+    damping: float = 0.85  # centrality's PageRank damping factor
+    models: list[str] = field(default_factory=lambda: list(MODELS))  # score's models
+    eval_k: list[int] = field(default_factory=list)  # eval's NDCG cutoffs, [] for all
+    buckets: int = 10  # eval's number of percentile buckets
+    # the classes that eval's precision-recall curve counts as relevant
     relevant_classes: list[str] = field(default_factory=lambda: sorted(DEFAULT_RELEVANT))
 
     def __post_init__(self):
@@ -164,11 +166,15 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         return _from_dict(cls, json.loads(text))
 
-    def bot_config(self) -> BotConfig:
-        return BotConfig(
-            names=frozenset(map(canonical_name, self.bot_list)),
-            suffix_heuristic=self.bot_suffix_heuristic,
-        )
+    def is_bot(self) -> Callable[[str], bool]:
+        """Contrib's bot rule, built from the three bot fields: under
+        exclude_bots, a name that bot_list lists, its entries canonicalized
+        as the dump's usernames are, or under bot_suffix_heuristic one that
+        ends in 'bot' in any case."""
+        listed = frozenset(map(canonical_name, self.bot_list))
+        exclude, suffix = self.exclude_bots, self.bot_suffix_heuristic
+        return lambda name: exclude and (
+            name in listed or (suffix and name.lower().endswith("bot")))
 
 
 @contextlib.contextmanager
@@ -326,7 +332,7 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
     # whether some article revision was read, and whether one held text
     revisions = text = False
     with open(cfg.dump, "rb") as fp:
-        for page in parse_dump(fp, cfg.bot_config()):
+        for page in parse_dump(fp):
             ns = page.namespace
             if ns not in out:
                 continue
@@ -349,7 +355,7 @@ def stage_ingest(cfg: RunConfig, articles: IO[str], utp: IO[str]) -> None:
 
 
 def stage_contrib(cfg: RunConfig, articles: IO[str], contributions: IO[str]) -> None:
-    table = build_contributions(_read_histories(articles), drop_bots=cfg.exclude_bots)
+    table = build_contributions(_read_histories(articles), cfg.is_bot())
     write_contributions(table, contributions)
 
 
@@ -366,8 +372,8 @@ def stage_net(cfg: RunConfig, utp: IO[str], selection: ContributionTable,
         build = (networks.build_talk_signature if cfg.network == "talk-sig"
                  else networks.build_talk_history)
         graph = build(_read_histories(utp))
-        # selected authors come from contributions, which drop bots under
-        # exclude_bots, so the restriction drops the talk pages' bots too
+        # selected authors come from contributions, which leave out the
+        # authors `is_bot` names, so the restriction drops them here too
         project_authors = {a for authors in selection.values() for a in authors}
         graph = networks.restrict_and_filter(graph, project_authors)
     networks.write_edge_list(graph, edges)
@@ -467,10 +473,9 @@ class Stage(NamedTuple):
 STAGE_TABLE = (
     # utp.jsonl keeps every user-talk revision's author and timestamp but the
     # tokens of the current one only: the talk networks read nothing else.
-    Stage("ingest", (), ("articles.jsonl", "utp.jsonl"),
-          ("bot_list", "bot_suffix_heuristic"), stage_ingest, ("dump",)),
+    Stage("ingest", (), ("articles.jsonl", "utp.jsonl"), (), stage_ingest, ("dump",)),
     Stage("contrib", ("articles.jsonl",), ("contributions.tsv",),
-          ("exclude_bots",), stage_contrib,
+          ("exclude_bots", "bot_list", "bot_suffix_heuristic"), stage_contrib,
           readers={"contributions.tsv": lambda fp: read_contributions(fp)}),
     Stage("select", ("contributions.tsv",), ("selection.tsv",),
           ("selection",), stage_select,

@@ -74,16 +74,15 @@ class _Corpus:
         return self.clock
 
     def _add_page(self, title: str, namespace: Namespace,
-                  revisions: list[tuple[AuthorId, list[str]]]) -> int:
+                  revisions: list[tuple[str, list[str]]]) -> int:
+        """A page of (author, tokens) revisions; every author is registered."""
         page_id = self.next_page_id
         self.next_page_id += 1
         self.pages.append(PageHistory(page_id, title, namespace, [
-            RevisionRecord(i + 1, author, self._tick(), tokens)
+            RevisionRecord(i + 1, AuthorId(author, AuthorKind.REGISTERED),
+                           self._tick(), tokens)
             for i, (author, tokens) in enumerate(revisions)]))
         return page_id
-
-    def _author(self, name: str, kind: AuthorKind = AuthorKind.REGISTERED) -> AuthorId:
-        return AuthorId(name, kind)
 
     def _article(self, name: str, cls: str, level: int,
                  elite_team: list[str], casual_team: list[str],
@@ -100,7 +99,7 @@ class _Corpus:
         slots.append("c")  # a trailing edit so every earlier one gets judged
         text: list[str] = []
         versions: list[list[str]] = [[]]
-        revisions: list[tuple[AuthorId, list[str]]] = []
+        revisions: list[tuple[str, list[str]]] = []
         for i, slot in enumerate(slots):
             if slot == "e":
                 author = rng.choice(elite_team)
@@ -116,21 +115,21 @@ class _Corpus:
                 pos = rng.randrange(len(text) + 1)
                 text = text[:pos] + _fresh_words(rng, grow) + text[pos:]
             versions.append(list(text))
-            revisions.append((self._author(author), list(text)))
+            revisions.append((author, list(text)))
         if big_edit_by is not None:
             self.activity[big_edit_by] = self.activity.get(big_edit_by, 0) + 1
             text = text + _fresh_words(rng, big_edit_size)
-            revisions.append((self._author(big_edit_by), list(text)))
+            revisions.append((big_edit_by, list(text)))
             # a couple of later tweaks by others so the big edit gets judged
             others = [a for a in casual_team if a != big_edit_by] or casual_team
             for _ in range(3):
                 text = text + _fresh_words(rng, 3)
-                revisions.append((self._author(rng.choice(others)), list(text)))
+                revisions.append((rng.choice(others), list(text)))
         # occasional unjudged bot touch-up at the tail
         if rng.random() < 0.3:
             bot = rng.choice(self.bots)
             text = text + _fresh_words(rng, 2)
-            revisions.append((self._author(bot, AuthorKind.BOT), list(text)))
+            revisions.append((bot, list(text)))
         page_id = self._add_page(name, Namespace.ARTICLE, revisions)
         self.ratings.append((page_id, name, cls))
 
@@ -184,7 +183,7 @@ class _Corpus:
             for _ in range(rng.randint(1, 3)):
                 senders.append(rng.choice(self.casual))
             rng.shuffle(senders)
-            revisions: list[tuple[AuthorId, list[str]]] = []
+            revisions: list[tuple[str, list[str]]] = []
             text: list[str] = []
             for sender in senders:
                 msg = _fresh_words(rng, rng.randint(3, 12))
@@ -193,15 +192,15 @@ class _Corpus:
                         f"[[User:{sender}|{sender}]] 12:01, 3 March 2011 (UTC)"
                     )
                 text = text + msg
-                revisions.append((self._author(sender), list(text)))
+                revisions.append((sender, list(text)))
                 if rng.random() < 0.25:
                     # owner reply on own page: history edge must not appear
                     text = text + _fresh_words(rng, 4)
-                    revisions.append((self._author(owner), list(text)))
+                    revisions.append((owner, list(text)))
             if rng.random() < 0.3:
                 bot = rng.choice(self.bots)
                 text = text + _fresh_words(rng, 2)
-                revisions.append((self._author(bot, AuthorKind.BOT), list(text)))
+                revisions.append((bot, list(text)))
             self._add_page(f"{USER_TALK}{owner}", Namespace.USER_TALK, revisions)
 
 

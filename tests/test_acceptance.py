@@ -18,7 +18,7 @@ import pytest
 from wikiq.centrality import betweenness, eigenvector, pagerank
 from wikiq.evaluation import (FILTER_CONFIGS, build_ranking, filtered_eval,
                               ndcg, percentile_table)
-from wikiq.ingest import (AuthorId, AuthorKind, BotConfig, Namespace,
+from wikiq.ingest import (AuthorId, AuthorKind, Namespace,
                           PageHistory, RevisionRecord, canonical_name,
                           load_ratings, parse_dump)
 from wikiq.longevity import (SelectionParams, build_contributions, judge_page,
@@ -256,10 +256,10 @@ def test_criterion_4_ranking_metric():
 def _score_models(seed: int):
     dump, ratings_tsv = generate(SynthSpec(seed=seed))
     labels = load_ratings(io.StringIO(ratings_tsv))
-    pages = list(parse_dump(io.BytesIO(dump.encode()), BotConfig()))
+    pages = list(parse_dump(io.BytesIO(dump.encode())))
     articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
     utps = [p for p in pages if p.namespace is Namespace.USER_TALK]
-    table = build_contributions(articles, drop_bots=True)
+    table = build_contributions(articles, RunConfig().is_bot())
     selections = select_all(table, SelectionParams())
     project = {a for s in selections.values() for a in s}
     g = restrict_and_filter(build_talk_history(utps), project)
@@ -337,7 +337,7 @@ def test_criterion_6_determinism(tmp_path, monkeypatch):
 
 def test_criterion_7_network_conservation():
     dump, _ = generate(SynthSpec(seed=1))
-    pages = list(parse_dump(io.BytesIO(dump.encode()), BotConfig()))
+    pages = list(parse_dump(io.BytesIO(dump.encode())))
     utps = [p for p in pages if p.namespace is Namespace.USER_TALK]
     talk = build_talk_history(utps)
     qualifying = 0
@@ -351,7 +351,7 @@ def test_criterion_7_network_conservation():
     conserved = weight_total == qualifying
 
     articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
-    table = build_contributions(articles, drop_bots=True)
+    table = build_contributions(articles, RunConfig().is_bot())
     selections = select_all(table, SelectionParams())
     coauthor = build_coauthor(selections.values())
     expected_pairs = set()

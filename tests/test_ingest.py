@@ -19,7 +19,7 @@ from hostile import names
 from wikiq import ingest, tsv
 from wikiq.cli import main
 from wikiq.ingest import (ANONYMOUS_SENTINEL, RATINGS, AuthorId, AuthorKind,
-                          BotConfig, DumpParseError, Namespace, PageHistory,
+                          DumpParseError, Namespace, PageHistory,
                           RevisionRecord, _is_ip, _namespace_of,
                           _page_tokens, _parse_timestamp, load_ratings, log,
                           make_author, parse_dump, serialize_dump, tokenize)
@@ -27,7 +27,9 @@ from wikiq.longevity import build_contributions
 from wikiq.pipeline import RunConfig, _history_to_json, run_stage
 from wikiq.synth import SynthSpec, generate
 
-BOTS = BotConfig(names=frozenset({"Tidy monkey"}), suffix_heuristic=True)
+BOT_LIST = ["Tidy monkey"]
+# contrib's bot rule over a canonical username, with the suffix heuristic
+IS_BOT = RunConfig(bot_list=BOT_LIST).is_bot()
 
 
 def simple_dump(pages):
@@ -108,25 +110,31 @@ class TestTokenize:
 
 
 class TestAuthors:
+    """Ingest labels an author registered or anonymous; whether a
+    registered author is a bot is contrib's rule, `RunConfig.is_bot`."""
+
     def test_ipv4_is_anonymous(self):
-        assert make_author("192.168.0.1", BOTS).kind is AuthorKind.ANONYMOUS
+        assert make_author("192.168.0.1").kind is AuthorKind.ANONYMOUS
 
     def test_ipv6_is_anonymous(self):
-        assert make_author("fe80::1", BOTS).kind is AuthorKind.ANONYMOUS
+        assert make_author("fe80::1").kind is AuthorKind.ANONYMOUS
 
     def test_bot_suffix_heuristic(self):
-        assert make_author("SmackBot", BOTS).kind is AuthorKind.BOT
-        assert make_author("smackbot", BOTS).kind is AuthorKind.BOT
+        for raw in ("SmackBot", "smackbot"):
+            author = make_author(raw)
+            assert author.kind is AuthorKind.REGISTERED and IS_BOT(author.name)
 
     def test_bot_list(self):
-        assert make_author("tidy_monkey", BOTS).kind is AuthorKind.BOT
+        author = make_author("tidy_monkey")
+        assert author.kind is AuthorKind.REGISTERED and IS_BOT(author.name)
 
     def test_heuristic_off(self):
-        cfg = BotConfig(suffix_heuristic=False)
-        assert make_author("SmackBot", cfg).kind is AuthorKind.REGISTERED
+        is_bot = RunConfig(bot_list=BOT_LIST, bot_suffix_heuristic=False).is_bot()
+        assert not is_bot(make_author("SmackBot").name)
+        assert is_bot(make_author("tidy_monkey").name)
 
     def test_canonicalization(self):
-        assert make_author("stone_age fan", BOTS).name == "Stone age fan"
+        assert make_author("stone_age fan").name == "Stone age fan"
 
 
 def reference_is_ip(name):
@@ -147,20 +155,22 @@ def test_is_ip_matches_ipaddress(name):
     assert _is_ip(name) == reference_is_ip(name)
 
 
-def reference_classify_author(name, bot_config):
-    """The kind of a canonical username, as a classifier of its own."""
-    if reference_is_ip(name):
-        return AuthorKind.ANONYMOUS
-    if name in bot_config.names:
-        return AuthorKind.BOT
-    if bot_config.suffix_heuristic and name.lower().endswith("bot"):
-        return AuthorKind.BOT
-    return AuthorKind.REGISTERED
-
-
-def reference_make_author(raw_name, bot_config):
+def reference_make_author(raw_name):
     name = ingest.canonical_name(raw_name)
-    return AuthorId(name=name, kind=reference_classify_author(name, bot_config))
+    kind = AuthorKind.ANONYMOUS if reference_is_ip(name) else AuthorKind.REGISTERED
+    return AuthorId(name=name, kind=kind)
+
+
+def reference_dropped_as_bot(raw_name, bot_list, suffix_heuristic):
+    """Whether contrib leaves a dump's username out as a bot's, as one
+    classifier: an IP first (an anonymous edit, never a bot's), then a
+    listed name, then a 'bot' suffix under the heuristic."""
+    name = ingest.canonical_name(raw_name)
+    if reference_is_ip(name):
+        return False
+    if name in {ingest.canonical_name(entry) for entry in bot_list}:
+        return True
+    return suffix_heuristic and name.lower().endswith("bot")
 
 
 _IPV4 = st.tuples(*[st.integers(0, 255)] * 4).map(lambda t: ".".join(map(str, t)))
@@ -176,8 +186,13 @@ _BOT_NAMES = ("tidy_monkey", "Tidy monkey", " Tidy monkey ", "Tidy  monkey", "ti
                  st.sampled_from(("", " ", "_", "bot", "Bot", "BOT", "bot ", "_bot"))),
        st.booleans())
 def test_make_author_matches_reference(raw_name, suffix_heuristic):
-    config = BotConfig(names=BOTS.names, suffix_heuristic=suffix_heuristic)
-    assert make_author(raw_name, config) == reference_make_author(raw_name, config)
+    """Ingest's label, then contrib's bot rule over a registered author,
+    against one reference classifier."""
+    author = make_author(raw_name)
+    assert author == reference_make_author(raw_name)
+    is_bot = RunConfig(bot_list=BOT_LIST, bot_suffix_heuristic=suffix_heuristic).is_bot()
+    assert (author.kind is AuthorKind.REGISTERED and is_bot(author.name)) == (
+        reference_dropped_as_bot(raw_name, BOT_LIST, suffix_heuristic))
 
 
 def reference_namespace_of(ns_value, title):
@@ -218,7 +233,7 @@ class TestParseDump:
                 (USER.format("Alice"), "2011-01-03T00:00:00Z", "one two three"),
             ]),
         ])
-        pages = list(parse_dump(dump, BOTS))
+        pages = list(parse_dump(dump))
         assert len(pages) == 1
         page = pages[0]
         assert page.page_id == 42
@@ -230,7 +245,7 @@ class TestParseDump:
         dump = simple_dump([
             ("X", 0, 1, [(IP.format("192.168.0.1"), "2011-01-01T00:00:00Z", "t")]),
         ])
-        (page,) = parse_dump(dump, BOTS)
+        (page,) = parse_dump(dump)
         assert page.revisions[0].author.kind is AuthorKind.ANONYMOUS
 
     def test_missing_contributor_warns(self, caplog):
@@ -238,7 +253,7 @@ class TestParseDump:
             ("X", 0, 1, [("", "2011-01-01T00:00:00Z", "t")]),
         ])
         with caplog.at_level("WARNING"):
-            (page,) = parse_dump(dump, BOTS)
+            (page,) = parse_dump(dump)
         assert page.revisions[0].author.kind is AuthorKind.ANONYMOUS
         assert "without contributor" in caplog.text
 
@@ -250,7 +265,7 @@ class TestParseDump:
             ]),
         ])
         with caplog.at_level("WARNING"):
-            (page,) = parse_dump(dump, BOTS)
+            (page,) = parse_dump(dump)
         assert [r.author.name for r in page.revisions] == ["A", "B"]
         assert "out of chronological order" in caplog.text
 
@@ -265,7 +280,7 @@ class TestParseDump:
         ]).getvalue().replace(b"<text>HIDDEN</text>",
                               b'<text bytes="0" deleted="deleted" />')
         with caplog.at_level("WARNING"):
-            (page,) = parse_dump(io.BytesIO(dump), BOTS)
+            (page,) = parse_dump(io.BytesIO(dump))
         assert [(r.rev_ordinal, r.author.name, r.tokens) for r in page.revisions] == [
             (1, "A", ["a", "b", "c"]), (2, "F", ["a", "b", "c", "d"])]
         assert [r.getMessage() for r in caplog.records] == [
@@ -285,7 +300,7 @@ class TestParseDump:
             for day, (name, toks) in enumerate(revs, start=1)])])
         dump = dump.getvalue().replace(b"<text>HIDDEN</text>",
                                        b'<text deleted="deleted" />')
-        (contribs,) = build_contributions(parse_dump(io.BytesIO(dump), BOTS)).values()
+        (contribs,) = build_contributions(parse_dump(io.BytesIO(dump))).values()
         assert contribs["Author"] == pytest.approx(400, abs=1)
         assert contribs["Fixer"] == pytest.approx(1, abs=0.5)
         assert "Vandal" not in contribs
@@ -296,7 +311,7 @@ class TestParseDump:
                           "2011-01-01T00:00:00Z", "t")]),
         ])
         with caplog.at_level("WARNING"):
-            (page,) = parse_dump(dump, BOTS)
+            (page,) = parse_dump(dump)
         assert page.revisions[0].author == AuthorId(ANONYMOUS_SENTINEL,
                                                     AuthorKind.ANONYMOUS)
         assert page.revisions[0].tokens == ["t"]
@@ -313,13 +328,13 @@ class TestParseDump:
                 (USER.format("Bob"), "2011-01-01T00:00:00Z", "hi"),
             ]),
         ])
-        (page,) = parse_dump(dump, BOTS)
+        (page,) = parse_dump(dump)
         assert page.namespace is Namespace.USER_TALK
 
     def test_malformed_xml_reports_offset(self):
         stream = io.BytesIO(b"<mediawiki><page><title>X</title></mediawiki>")
         with pytest.raises(DumpParseError, match=r"line \d+, column \d+"):
-            list(parse_dump(stream, BOTS))
+            list(parse_dump(stream))
 
     @pytest.mark.parametrize("page_id, stamp, bad", [
         ("x12", "2011-03-13T07:41:16Z", "page id 'x12'"),
@@ -353,7 +368,7 @@ class TestParseDump:
         ])
         raw = big.getvalue()
         stream = ShortReads(raw, 4096)
-        it = parse_dump(stream, BOTS)
+        it = parse_dump(stream)
         first = next(it)
         assert first.title == "Small"
         # the first page arrives long before the dump is fully consumed
@@ -382,7 +397,7 @@ class TestParseDump:
             )
         tracemalloc.start()
         with open(path, "rb") as fp:
-            titles = [page.title for page in parse_dump(fp, BOTS)]
+            titles = [page.title for page in parse_dump(fp)]
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert titles == ["Huge", "Tiny"]
@@ -403,7 +418,7 @@ class TestParseDump:
                       + revision * 10 + "</page>\n" for i in range(1000))
         stream = io.BytesIO(f"<mediawiki>\n{raw}</mediawiki>\n".encode())
         tracemalloc.start()
-        count = sum(1 for _ in parse_dump(stream, BOTS))
+        count = sum(1 for _ in parse_dump(stream))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == 1000
@@ -419,9 +434,9 @@ class TestParseDump:
                 (USER.format("Bob"), "2011-01-03T00:00:00Z", "hello there"),
             ]),
         ])
-        pages = list(parse_dump(dump, BOTS))
+        pages = list(parse_dump(dump))
         re_emitted = serialize_dump(pages)
-        again = list(parse_dump(io.BytesIO(re_emitted.encode()), BOTS))
+        again = list(parse_dump(io.BytesIO(re_emitted.encode())))
         assert again == pages
 
     def test_deterministic(self):
@@ -429,7 +444,7 @@ class TestParseDump:
             dump = simple_dump([
                 ("A", 0, 1, [(USER.format("X"), "2011-01-01T00:00:00Z", "a b c")]),
             ])
-            return list(parse_dump(dump, BOTS))
+            return list(parse_dump(dump))
 
         assert parse() == parse()
 
@@ -441,8 +456,7 @@ class _PageAssembler:
 
     _CAPTURE = {"title", "ns", "id", "timestamp", "username", "ip", "text"}
 
-    def __init__(self, bot_config: BotConfig):
-        self.bot_config = bot_config
+    def __init__(self):
         self.done: deque[PageHistory] = deque()
         self._stack: list[str] = []
         self._text: list[str] = []
@@ -485,7 +499,7 @@ class _PageAssembler:
             if name == "timestamp" and parent == "revision":
                 self._rev["timestamp"] = _parse_timestamp(text)
             elif name == "username" and parent == "contributor":
-                self._rev["author"] = reference_make_author(text, self.bot_config)
+                self._rev["author"] = reference_make_author(text)
             elif name == "ip" and parent == "contributor":
                 self._rev["author"] = AuthorId(text.strip(), AuthorKind.ANONYMOUS)
             elif name == "text" and parent == "revision":
@@ -552,11 +566,11 @@ class _PageAssembler:
         )
 
 
-def reference_parse_dump(stream: IO[bytes], bot_config: Optional[BotConfig] = None,
+def reference_parse_dump(stream: IO[bytes],
                          chunk_size: int = 1 << 16) -> Iterator[PageHistory]:
     """The hand-written expat state machine that parse_dump replaced: a stack
     of open tags and per-page and per-revision dicts rebuild each <page>."""
-    assembler = _PageAssembler(bot_config or BotConfig())
+    assembler = _PageAssembler()
     parser = expat.ParserCreate()
     parser.buffer_text = True
     parser.StartElementHandler = assembler.start
@@ -672,7 +686,7 @@ def parse_logged(parse, raw, read_size):
     log.addHandler(handler)
     try:
         lines = [_history_to_json(page)
-                 for page in parse(ShortReads(raw, read_size), BOTS)]
+                 for page in parse(ShortReads(raw, read_size))]
     finally:
         log.removeHandler(handler)
     return lines, [record.getMessage() for record in records]
@@ -693,7 +707,7 @@ def test_truncated_dump_is_a_parse_error(raw, data):
     cut = raw[:data.draw(st.integers(0, len(raw) - 1))]
     for parse in (reference_parse_dump, parse_dump):
         with pytest.raises(DumpParseError):
-            list(parse(ShortReads(cut, 5), BOTS))
+            list(parse(ShortReads(cut, 5)))
 
 
 # every character str.isspace() accepts
@@ -771,7 +785,7 @@ def test_parse_dump_tokens_out_of_order_revisions(texts, rng):
     dump = simple_dump([("P", 0, 1, [
         (USER.format("A"), _stamp(k), _escape(texts[k]).replace("\r", "&#13;"))
         for k in order])])
-    (page,) = parse_dump(dump, BOTS)
+    (page,) = parse_dump(dump)
     assert [r.tokens for r in page.revisions] == [tokenize(text) for text in texts]
 
 
@@ -786,7 +800,7 @@ def test_parsed_page_shares_kept_tokens():
         revs.append((USER.format("A"), _stamp(k), " ".join(words)))
     dump = simple_dump([("P", 0, 1, revs)])
     tracemalloc.start()
-    (page,) = parse_dump(dump, BOTS)
+    (page,) = parse_dump(dump)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     for prev, rev in zip(page.revisions, page.revisions[1:]):
@@ -841,7 +855,7 @@ def test_only_article_pages_keep_every_revisions_tokens(raw):
     its current one, the last kept after the sort and the hidden-text drop,
     whose tokens are `tokenize` of its text. An article page holds every
     revision's tokens."""
-    pages = list(parse_dump(io.BytesIO(raw), BOTS))
+    pages = list(parse_dump(io.BytesIO(raw)))
     kept = _kept_texts(raw)
     assert len(pages) == len(kept)
     for page, texts in zip(pages, kept):

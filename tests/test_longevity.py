@@ -13,7 +13,7 @@ from wikiq.longevity import (MAX_JUDGES, SelectionParams,
                              build_contributions, judge_page,
                              read_contributions, select_all, select_authors,
                              write_contributions)
-from wikiq.pipeline import read_selections, write_selections
+from wikiq.pipeline import RunConfig, read_selections, write_selections
 from wikiq.synth import SynthSpec, generate
 from wikiq.worddiff import edit_distance
 
@@ -222,13 +222,13 @@ class TestContributions:
         assert "10.0.0.1" not in table[1]
 
     def test_bots_dropped_when_configured(self):
+        """Contrib's bot rule, not an ingest label, leaves a bot out."""
         base = words(30)
-        history = page([
-            (author("SmackBot", AuthorKind.BOT), base),
-            ("Bob", base + ["x"]),
-        ])
-        assert "SmackBot" not in build_contributions([history], drop_bots=True)[1]
-        assert "SmackBot" in build_contributions([history], drop_bots=False)[1]
+        history = page([("SmackBot", base), ("Bob", base + ["x"])])
+        for exclude in (True, False):
+            is_bot = RunConfig(exclude_bots=exclude).is_bot()
+            assert ("SmackBot" in build_contributions([history], is_bot)[1]) is not exclude
+        assert "SmackBot" in build_contributions([history])[1]
 
     def test_empty_page_still_present(self):
         history = page([("Alice", words(5))])  # no judges -> zero longevity

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wikiq
+from driveby import PASSERBY, drive_by
 from forgery import forge_talk_page
 from wikiq import networks, pipeline
 from wikiq.centrality import ConvergenceError
@@ -144,8 +145,8 @@ class TestSynth:
         contributions = "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18"
         assert {name: _sha256(work / name) for names in ARTIFACTS.values()
                 for name in names} == {
-            "articles.jsonl": "ae41c2665c3cb6cb406650e68129f944e9ad341d8d5003d31959d6f1b943a120",
-            "utp.jsonl": "0cdfe243beae6c9fe30189eda5ec736abdb054b10610c1d1d8616ce9d65b0b7c",
+            "articles.jsonl": "ada1bca551914cdb1290746977f036c203d93d5123260f395551225afc291a96",
+            "utp.jsonl": "0fb1a41c77801a7d1ad15342a85f892075150657879049c82af7894055bb2b3b",
             "contributions.tsv": contributions,
             "selection.tsv": contributions,
             "edges.tsv": "e17ca9998230fd937168dc064829bc3251be5610e06773c2613f788f898c8315",
@@ -183,8 +184,8 @@ class TestSynth:
         work = Path(min_authors_3_config(seed_1_min_authors_3_run).workdir)
         assert {name: _sha256(work / name) for names in ARTIFACTS.values()
                 for name in names} == {
-            "articles.jsonl": "ae41c2665c3cb6cb406650e68129f944e9ad341d8d5003d31959d6f1b943a120",
-            "utp.jsonl": "0cdfe243beae6c9fe30189eda5ec736abdb054b10610c1d1d8616ce9d65b0b7c",
+            "articles.jsonl": "ada1bca551914cdb1290746977f036c203d93d5123260f395551225afc291a96",
+            "utp.jsonl": "0fb1a41c77801a7d1ad15342a85f892075150657879049c82af7894055bb2b3b",
             "contributions.tsv": "bfe7cdcaf5fdb1150a016db616be6e85f4469a5da88f0c4a4f2447c2d127bc18",
             "selection.tsv": "8b1e31232f0c1995a2b4e3e52dd1e8a0baa6fd1f6799479862687dd694e8c304",
             "edges.tsv": "c12da9babf805857f1df3d28eb8fcc54cba761d6a51356e74413ac0749ec50b8",
@@ -227,9 +228,9 @@ class TestSynth:
         assert by_class == {"FA": 2, "GA": 3, "C": 4, "Start": 5, "Stub": 6}
 
     def test_dump_is_parseable_and_has_talk_pages(self, corpus):
-        from wikiq.ingest import parse_dump, BotConfig, Namespace
+        from wikiq.ingest import parse_dump, Namespace
         with open(corpus / "dump.xml", "rb") as fp:
-            pages = list(parse_dump(fp, BotConfig()))
+            pages = list(parse_dump(fp))
         ns = {p.namespace for p in pages}
         assert Namespace.ARTICLE in ns and Namespace.USER_TALK in ns
 
@@ -472,6 +473,42 @@ def test_stage_runs_unless_its_entry_matches(corpus, monkeypatch, caplog,
     assert caplog.messages == [f"stage {stage} skipped in {work}: up to date"]
 
 
+@pytest.mark.parametrize("key, value", [("bot_list", ["Editor01"]),
+                                        ("bot_suffix_heuristic", False),
+                                        ("exclude_bots", False)])
+def test_bot_config_edit_reruns_contrib_onward_never_ingest(corpus, stage_calls,
+                                                            key, value):
+    """The bot rule is contrib's, so after `run_all` an edit to one of its
+    three fields runs contrib and every stage after it, and skips ingest:
+    both JSONL artifacts keep their bytes and mtimes. `run_stage("contrib")`
+    under the edit runs; while ingest labelled bots, it was refused, naming
+    ingest. Editor00 edits as CopyBot here, a bot under the suffix
+    heuristic, so each edit changes the contributions."""
+    dump = corpus / "dump.xml"
+    text = dump.read_text(encoding="utf-8")
+    assert "<username>Editor00</username>" in text and "<username>Editor01</username>" in text
+    dump.write_text(text.replace("<username>Editor00</username>",
+                                 "<username>CopyBot</username>"), encoding="utf-8")
+    cfg = make_config(corpus)
+    run_all(cfg)
+    work = Path(cfg.workdir)
+
+    def jsonl():
+        return {name: ((work / name).read_bytes(), (work / name).stat().st_mtime_ns)
+                for name in ARTIFACTS["ingest"]}
+
+    parsed = jsonl()
+    edited = with_config_value(cfg, key, value)
+    stage_calls.clear()
+    run_all(edited)
+    assert stage_calls == list(STAGES[1:])
+    run_all(cfg)
+    stage_calls.clear()
+    run_stage("contrib", edited)
+    assert stage_calls == ["contrib"]
+    assert jsonl() == parsed
+
+
 def reference_refusal(stage: str, config: RunConfig) -> str | None:
     """The manifest check's refusal before skip and refuse shared one
     comparison, or None: the stage's own outside files and artifacts, then
@@ -546,9 +583,8 @@ CONFIG_EDITS = {
     "relevant_classes": ["FA"],
 }
 # each stage with config keys of its own: one of them, with another value
-OWN_CONFIG_EDITS = {"ingest": "bot_suffix_heuristic", "contrib": "exclude_bots",
-                    "select": "selection.theta", "net": "network",
-                    "centrality": "metric", "score": "models"}
+OWN_CONFIG_EDITS = {"contrib": "exclude_bots", "select": "selection.theta",
+                    "net": "network", "centrality": "metric", "score": "models"}
 
 
 def with_config_value(cfg: RunConfig, key: str, value) -> RunConfig:
@@ -632,7 +668,7 @@ def test_refusal_matches_the_reference(corpus, monkeypatch):
                 assert (re.findall(r"run '(\w+)'", want)
                         == re.findall(r"run '(\w+)'", got)), (what, stage, want, got)
             outcomes.append(want is None)
-    assert len(outcomes) == 7 * len(edits) == 7 * 53
+    assert len(outcomes) == 7 * len(edits) == 7 * 52
     assert 100 < outcomes.count(False) < 300
 
 
@@ -939,10 +975,10 @@ def test_talk_artifact_keeps_only_current_tokens(tmp_path):
     assert sum(len(page["revisions"]) for page in utps) > len(utps)
 
     with open(cfg.dump, "rb") as fp:
-        pages = list(parse_dump(fp, cfg.bot_config()))
+        pages = list(parse_dump(fp))
     full = [p for p in pages if p.namespace is Namespace.USER_TALK]
     articles = [p for p in pages if p.namespace is Namespace.ARTICLE]
-    selections = select_all(build_contributions(articles), cfg.selection)
+    selections = select_all(build_contributions(articles, cfg.is_bot()), cfg.selection)
     authors = {a for selected in selections.values() for a in selected}
     built = {
         "coauthor": networks.build_coauthor(selections.values()),
@@ -988,7 +1024,7 @@ def reference_history_from_json(line: str) -> PageHistory:
 
 AUTHORS = (AuthorId("Ann", AuthorKind.REGISTERED),
            AuthorId("10.0.0.1", AuthorKind.ANONYMOUS),
-           AuthorId("FixBot", AuthorKind.BOT))
+           AuthorId("FixBot", AuthorKind.REGISTERED))
 
 
 def page_of(*versions: list[str], page_id: int = 7) -> PageHistory:
@@ -1075,7 +1111,7 @@ def test_synth_artifacts_match_reference_codec(tmp_path):
     cfg = make_config(tmp_path)
     run_stage("ingest", cfg)
     with open(cfg.dump, "rb") as fp:
-        pages = list(parse_dump(fp, cfg.bot_config()))
+        pages = list(parse_dump(fp))
     work = Path(cfg.workdir)
     utps = [p for p in pages if p.namespace is Namespace.USER_TALK]
     for page in utps:
@@ -1409,7 +1445,7 @@ def test_synth_bots_in_no_network(tmp_path):
     (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
     cfg = make_config(tmp_path)
     bots = {"CleanupBot", "ArchiveBot"}
-    utps = [p for p in parse_dump(io.BytesIO(dump.encode()), cfg.bot_config())
+    utps = [p for p in parse_dump(io.BytesIO(dump.encode()))
             if p.namespace is Namespace.USER_TALK]
     assert bots <= networks.build_talk_history(utps).nodes
     run_all(cfg)
@@ -1545,6 +1581,71 @@ def test_registered_creator_of_a_talk_page_moves_no_rank(tmp_path):
         assert _talk_pagerank_ranks(root, forged, ratings, 153) == clean
 
 
+def _coauthor_ranks(root: Path, dump: str, ratings: str, page_id: int) -> dict:
+    """The page's rank under each model of the co-author network, longevity
+    and the cen_ and com_ model of each metric, keyed by (regime, model):
+    the default selection, and `selection.min_authors` = 3. The corpus runs
+    in `root`."""
+    root.mkdir()
+    (root / "dump.xml").write_text(dump, encoding="utf-8")
+    (root / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    labels = load_ratings(io.StringIO(ratings))
+    ranks = {}
+    for regime, selection in (("default", SelectionParams()),
+                              ("min_authors=3", SelectionParams(min_authors=3))):
+        for metric in pipeline.METRICS:
+            cfg = dataclasses.replace(make_config(root), network="coauthor",
+                                      metric=metric, selection=selection)
+            for stage in ("ingest", "contrib", "select", "net", "centrality", "score"):
+                run_stage(stage, cfg)
+            with open(root / "work" / "scores.tsv", encoding="utf-8") as fp:
+                scores = read_scores(fp)
+            for model, scored in scores.items():
+                ranking = [page.page_id for page in build_ranking(scored, labels)]
+                ranks[regime, model] = ranking.index(page_id) + 1
+    return ranks
+
+
+def test_drive_by_edit_ranks_are_pinned(tmp_path):
+    """Passerby, a fresh account, inserts one word just after the first
+    revision of Stub page 153 of synth seed 1, alone or also on pages
+    100-119, and every later revision keeps it (ROADMAP item 24). Its
+    contribution of 1 makes it a principal author under the default
+    selection, which keeps every positive contributor, and moves the page
+    up to 61st under com_pagerank and 49th under com_betweenness (alone),
+    or 59th under cen_pagerank (with 20 other pages), from 75th, 64th and
+    75th. Under `selection.min_authors` = 3 the floor decides, a
+    contribution of 1 is below `min_contrib`, and no rank moves. Each
+    value is (clean, page 153 alone, page 153 and 20 others)."""
+    dump, ratings = generate(SynthSpec(seed=1))
+    dumps = {"clean": dump, "alone": drive_by(dump, {153}),
+             "with 20": drive_by(dump, {153, *range(100, 120)})}
+    ranks = {name: _coauthor_ranks(tmp_path / name.replace(" ", "_"), text, ratings, 153)
+             for name, text in dumps.items()}
+    with open(tmp_path / "alone" / "work" / "contributions.tsv", encoding="utf-8") as fp:
+        assert pipeline.read_contributions(fp)[153][PASSERBY] == pytest.approx(1)
+    assert {key: tuple(ranks[name][key] for name in dumps) for key in ranks["clean"]} == {
+        ("default", "longevity"): (18, 18, 18),
+        ("default", "cen_degree"): (75, 74, 65),
+        ("default", "com_degree"): (75, 73, 73),
+        ("default", "cen_betweenness"): (72, 66, 61),
+        ("default", "com_betweenness"): (64, 49, 73),
+        ("default", "cen_eigenvector"): (75, 75, 59),
+        ("default", "com_eigenvector"): (75, 75, 74),
+        ("default", "cen_pagerank"): (75, 73, 59),
+        ("default", "com_pagerank"): (75, 61, 75),
+        ("min_authors=3", "longevity"): (18, 18, 18),
+        ("min_authors=3", "cen_degree"): (71, 71, 71),
+        ("min_authors=3", "com_degree"): (68, 68, 68),
+        ("min_authors=3", "cen_betweenness"): (68, 68, 68),
+        ("min_authors=3", "com_betweenness"): (56, 56, 56),
+        ("min_authors=3", "cen_eigenvector"): (70, 70, 70),
+        ("min_authors=3", "com_eigenvector"): (70, 70, 70),
+        ("min_authors=3", "cen_pagerank"): (70, 70, 70),
+        ("min_authors=3", "com_pagerank"): (63, 63, 63),
+    }
+
+
 def test_label_set_without_relevant_pages_finishes(tmp_path, caplog):
     """With no FA/A/GA page the PR curve is undefined: eval warns per model,
     writes only the PR header, and still records itself in the manifest."""
@@ -1632,6 +1733,42 @@ def test_stage_table_is_a_closed_graph():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert keys | files == fields - {"workdir"}
     assert not keys & files
+
+
+def test_each_stage_reads_only_its_declared_config(tmp_path, monkeypatch):
+    """A stage function reads no config field but its Stage's config_keys
+    and files, and reads each of its config_keys: a field read undeclared
+    would not enter the manifest, so the stage would be skipped while
+    stale. Synth seed 1 runs under each network with a config that records
+    every field read while a stage function runs."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    running: list[str] = []
+    reads = {spec.name: set() for spec in STAGE_TABLE}
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if running and name in fields:
+                reads[running[-1]].add(name)
+            return super().__getattribute__(name)
+
+    for spec in STAGE_TABLE:
+        def fn(cfg, spec=spec, **files):
+            running.append(spec.name)
+            try:
+                spec.fn(cfg, **files)
+            finally:
+                running.pop()
+        monkeypatch.setitem(pipeline._BY_NAME, spec.name, spec._replace(fn=fn))
+    dump, ratings = generate(SynthSpec(seed=1))
+    (tmp_path / "dump.xml").write_text(dump, encoding="utf-8")
+    (tmp_path / "ratings.tsv").write_text(ratings, encoding="utf-8")
+    for network in pipeline.NETWORKS:
+        run_all(Recording(dump=str(tmp_path / "dump.xml"),
+                          ratings=str(tmp_path / "ratings.tsv"),
+                          workdir=str(tmp_path / "work"), network=network))
+    for spec in STAGE_TABLE:
+        assert set(spec.config_keys) <= reads[spec.name] <= {
+            *spec.config_keys, *spec.files}, spec.name
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -1828,7 +1965,7 @@ class TestCli:
     @pytest.mark.parametrize("spelling", ["Helper_script", "helper script"])
     def test_bot_list_entry_matches_its_canonical_name(self, corpus, spelling):
         """A bot_list entry names the user its canonical form names, as a
-        dump's usernames do: that user's edits are a bot's."""
+        dump's usernames do: contrib leaves that user's edits out."""
         dump = corpus / "dump.xml"
         text = dump.read_text(encoding="utf-8")
         assert "<username>Editor07</username>" in text
@@ -1836,11 +1973,16 @@ class TestCli:
                                      "<username>Helper script</username>"),
                         encoding="utf-8")
         cfg = dataclasses.replace(make_config(corpus), bot_list=[spelling])
-        assert cfg.bot_config().names == {"Helper script"}
-        with open(dump, "rb") as fp:
-            kinds = {rev.author.kind for page in parse_dump(fp, cfg.bot_config())
-                     for rev in page.revisions if rev.author.name == "Helper script"}
-        assert kinds == {AuthorKind.BOT}
+        assert cfg.is_bot()("Helper script")
+        contributors = {}
+        for config in (make_config(corpus), cfg):
+            run_stage("ingest", config)
+            run_stage("contrib", config)
+            with open(Path(config.workdir) / "contributions.tsv", encoding="utf-8") as fp:
+                contributors[config is cfg] = {
+                    a for authors in pipeline.read_contributions(fp).values() for a in authors}
+        assert "Helper script" in contributors[False]
+        assert contributors[True] == contributors[False] - {"Helper script"}
 
     def test_override_checked_like_the_file(self):
         with pytest.raises(ValueError, match="'closeness'"):
